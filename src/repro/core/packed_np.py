@@ -11,10 +11,13 @@ scalars may be passed as plain Python ints where noted.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import numpy.typing as npt
 
 from repro.core import packed
+from repro.core.bitops import permute_bits
 from repro.core.combinatorics import plain_changes
 
 _U = np.uint64
@@ -111,14 +114,109 @@ def _fold_conjugates_min(words: U64Array, n_wires: int, best: U64Array) -> None:
         np.minimum(best, cur, out=best)
 
 
+class _RelabelTables:
+    """Byte-indexed lookup tables of the ``n!`` wire relabelings.
+
+    Relabeling ``g`` (a state map) conjugates ``f`` to ``r`` with
+    ``r(g(x)) = g(f(x))``, so the packed ``r`` is the OR over states
+    ``x`` of ``g(f(x)) << 4 g(x)``.  Byte ``j`` of the packed ``f`` holds
+    the nibbles of states ``2j`` and ``2j + 1``; under relabeling ``s``
+    the two contribute ``terms[(s * n_bytes + j) * 256 + byte]``, so a
+    conjugate is the OR of ``n_bytes`` table entries.  For four wires
+    the table holds 24 * 8 * 256 words (384 KiB).
+    """
+
+    def __init__(self, n_wires: int) -> None:
+        size = packed.num_states(n_wires)
+        maps = np.array(
+            [
+                [permute_bits(x, perm) for x in range(size)]
+                for perm in permutations(range(n_wires))
+            ],
+            dtype=np.uint64,
+        )
+        n_perms = maps.shape[0]
+        self.n_bytes = max(1, size // 2)
+        # g(v) per nibble value; values no valid word holds map to 0.
+        values = np.zeros((n_perms, 16), dtype=np.uint64)
+        values[:, :size] = maps
+        low, high = values[:, np.arange(256) & 0xF], values[:, np.arange(256) >> 4]
+        positions = maps * _U(4)
+        terms = np.empty((n_perms, self.n_bytes, 256), dtype=np.uint64)
+        for j in range(self.n_bytes):
+            terms[:, j] = (low << positions[:, 2 * j, None]) | (
+                high << positions[:, 2 * j + 1, None]
+            )
+        self.terms = terms.ravel()
+        #: ``offsets[j, 0, 0, s]``: start of the block of byte j under s.
+        self.offsets = (
+            np.arange(n_perms * self.n_bytes).reshape(n_perms, self.n_bytes).T
+            * 256
+        )[:, None, None, :]
+        self.shifts = np.arange(size, dtype=np.uint64) * _U(4)
+        #: ``2 * n!`` variants per word: every relabeling of f and of f⁻¹.
+        self.variants = 2 * n_perms
+
+
+_RELABEL_CACHE: dict[int, _RelabelTables] = {}
+
+
+def _relabel_tables(n_wires: int) -> _RelabelTables:
+    tables = _RELABEL_CACHE.get(n_wires)
+    if tables is None:
+        tables = _RelabelTables(n_wires)
+        _RELABEL_CACHE[n_wires] = tables
+    return tables
+
+
+def _canonical_gather(words: U64Array, n_wires: int) -> U64Array:
+    """Small-batch :func:`canonical_np` kernel: all ``2 * n!`` variants of
+    each word by table lookups instead of a swap-by-swap fold.
+
+    Inverts each word by ``argsort`` of its nibbles, looks up every
+    relabeling of the bytes of ``f`` and ``f⁻¹`` in one gather
+    (:class:`_RelabelTables`), ORs the bytes' terms and takes the
+    minimum.  About a dozen numpy calls per batch against the fold's
+    ~770, but ``2 * n! * 2^n / 2`` lookups per word, so the fold wins on
+    large arrays.
+    """
+    tables = _relabel_tables(n_wires)
+    count = words.shape[0]
+    words = np.ascontiguousarray(words, dtype="<u8")
+    inverse = np.argsort((words[:, None] >> tables.shifts) & NIBBLE_MASK, axis=1)
+    # Byte j of f and of f⁻¹, byte-major so the OR runs over whole slices.
+    both = np.empty((tables.n_bytes, count, 2), dtype=np.intp)
+    both[:, :, 0] = words.view(np.uint8).reshape(count, 8)[:, : tables.n_bytes].T
+    both[:, :, 1] = (inverse[:, 0::2] | (inverse[:, 1::2] << 4)).T
+    terms = np.take(tables.terms, both[:, :, :, None] + tables.offsets)
+    conjugates = np.bitwise_or.reduce(terms, axis=0)
+    return conjugates.reshape(count, tables.variants).min(axis=1)
+
+
+#: Largest batch :func:`canonical_np` hands to :func:`_canonical_gather`.
+#: Measured on a 2-vCPU x86 VM (numpy 2.4, n = 4, interleaved medians):
+#: the gather kernel costs 15 us for 1 word, 75 us for 32 and 0.5 ms for
+#: 128; the fold costs 0.5-0.8 ms for every batch up to 784 words and
+#: 4 ms for 16,204.  They cross between 128 and 512 words depending on
+#: the run, and the gather's temporaries grow with the batch (0.8 MiB at
+#: 128 words, 1.6 MiB at 256), so the cut is the largest batch it won in
+#: every run.
+GATHER_MAX_WORDS = 128
+
+
 def canonical_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
     """Canonical representative of the equivalence class of each word.
 
     The representative is the numerically smallest packed word among the
     up-to-48 equivalents (24 wire-relabeling conjugates of ``f`` and 24 of
-    ``f⁻¹``), exactly as in Section 3.2 of the paper.
+    ``f⁻¹``), exactly as in Section 3.2 of the paper.  Batches of up to
+    :data:`GATHER_MAX_WORDS` words (database peels, lookups) take the
+    table-gather kernel; larger ones (the A_i scans, the BFS) fold
+    minima over the plain-changes conjugation walk.
     """
     words = np.asarray(words, dtype=np.uint64)
+    if words.ndim == 1 and words.shape[0] <= GATHER_MAX_WORDS:
+        return _canonical_gather(words, n_wires)
     best = words.copy()
     _fold_conjugates_min(words, n_wires, best)
     _fold_conjugates_min(inverse_np(words, n_wires), n_wires, best)

@@ -27,6 +27,26 @@ U64Array = npt.NDArray[np.uint64]
 U8Array = npt.NDArray[np.uint8]
 
 
+#: Slots one probing round of :func:`probe_lookup_batch` may read.  Each
+#: pending key gets a window of ``_ROUND_SLOTS // pending`` consecutive
+#: slots, at least 1 and at most :data:`_MAX_WINDOW`, so the window
+#: widens as keys settle and no round allocates more than this many
+#: slots.  At the database's load factor (0.83) a hit takes ~3.4 probes
+#: and a miss ~18 on average: a peel's 32 keys read 64 slots each and
+#: settle in one or two rounds, an A_2 scan's 784 keys start at 10, and
+#: large batches (A_3 scans, the BFS) start at one slot.  Measured on a
+#: 2-vCPU x86 VM against a k = 5 store (interleaved medians), against
+#: one slot per round: 1 key 27 us against 118, 32 keys 47 us against
+#: 533, 784 keys 0.26 ms against 1.46, 16,204 keys 3.9 ms against 4.7
+#: (peak temporaries 0.7 MiB for both), 65,536 keys 14.0 ms against
+#: 15.3, and 65,536 keys at load 0.125 (the ``table.lookup_batch``
+#: bench op) 2.52 ms against 2.59.  Rounds of 2^12 and 2^14 slots came
+#: within ~15% of this; 2^15 was 15-45% slower from 784 keys up.
+_ROUND_SLOTS = 1 << 13
+_MAX_WINDOW = 64
+_WINDOW_OFFSETS = np.arange(_MAX_WINDOW, dtype=np.uint64)
+
+
 def probe_lookup_batch(
     table_keys: U64Array,
     table_values: U8Array,
@@ -40,24 +60,50 @@ def probe_lookup_batch(
     identically (Wang-hashed home slot, +1 wraparound probing, all-ones
     empty sentinel), so one implementation guarantees byte-identical
     results across the two storage back ends.
+
+    Each round reads a window of consecutive slots per pending key (see
+    :data:`_ROUND_SLOTS`) and settles every key whose window holds its
+    key or an empty slot, at the first such slot in probe order -- the
+    slot :func:`probe_get` stops at.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     result = np.full(keys.shape[0], missing_value, dtype=np.uint8)
     if keys.shape[0] == 0:
         return result
+    # Plain views: fancy indexing a np.memmap builds memmap objects.
+    table_keys = np.asarray(table_keys)
+    table_values = np.asarray(table_values)
     mask = np.uint64(table_keys.shape[0] - 1)
-    pos = hash64shift_np(keys) & mask
+    start = hash64shift_np(keys) & mask
     pending = np.arange(keys.shape[0])
-    while pending.size:
-        slots = pos[pending]
-        slot_keys = table_keys[slots]
-        found = slot_keys == keys[pending]
-        empty = slot_keys == EMPTY
-        found_idx = pending[found]
-        result[found_idx] = table_values[slots[found]]
-        pending = pending[~(found | empty)]
-        pos[pending] = (pos[pending] + np.uint64(1)) & mask
-    return result
+    wanted = keys
+    while True:
+        count = pending.shape[0]
+        width = min(_MAX_WINDOW, max(1, _ROUND_SLOTS // count))
+        # One-slot rounds (large batches) stay 1-D, so they cost no more
+        # than a one-slot-per-round loop.
+        if width == 1:
+            slots = start
+            slot_keys = table_keys[slots]
+            match = slot_keys == wanted
+        else:
+            slots = start[:, None] + _WINDOW_OFFSETS[:width]
+            slots &= mask
+            slot_keys = table_keys[slots]
+            match = slot_keys == wanted[:, None]
+        stops = match | (slot_keys == EMPTY)
+        if width > 1:
+            # Keep each key's first stopping slot, or its window's first
+            # slot when none stops.
+            first = stops.argmax(axis=1) + np.arange(0, count * width, width)
+            slots, match, stops = (a.ravel()[first] for a in (slots, match, stops))
+        result[pending[match]] = table_values[slots[match]]
+        going = ~stops
+        if not going.any():
+            return result
+        pending = pending[going]
+        wanted = wanted[going]
+        start = (slots[going] + np.uint64(width)) & mask
 
 
 def probe_get(

@@ -43,6 +43,9 @@ __all__ = ["BenchContext", "BenchOp", "suite_names", "suite_ops", "suite_scale"]
 #: Vector length for the vectorized micro-ops (matches bench_micro_ops).
 N_VECTOR = 1 << 16
 
+#: Batch size of one database peel step: one word per library gate.
+N_PEEL = 32
+
 
 @dataclass(frozen=True)
 class BenchOp:
@@ -345,10 +348,10 @@ def _setup_hash_scalar(_ctx: BenchContext) -> Callable[[], Any]:
     return lambda: hash64shift(p)
 
 
-def _vector_words() -> Any:
+def _vector_words(count: int = N_VECTOR) -> Any:
     from repro.rng.sampling import PermutationSampler
 
-    return PermutationSampler(4, seed=1).sample_words(N_VECTOR)
+    return PermutationSampler(4, seed=1).sample_words(count)
 
 
 def _setup_compose_vectorized(_ctx: BenchContext) -> Callable[[], Any]:
@@ -366,6 +369,14 @@ def _setup_canonical_vectorized(_ctx: BenchContext) -> Callable[[], Any]:
     from repro.core.packed_np import canonical_np
 
     words = _vector_words()
+    return lambda: canonical_np(words, 4)
+
+
+def _setup_canonical_vectorized_32(_ctx: BenchContext) -> Callable[[], Any]:
+    """One peel step's canonicalization: the small-batch kernel."""
+    from repro.core.packed_np import canonical_np
+
+    words = _vector_words(N_PEEL)
     return lambda: canonical_np(words, 4)
 
 
@@ -419,6 +430,17 @@ def _setup_db_mapped_probe_batch(ctx: BenchContext) -> Callable[[], Any]:
     _npz, rdb = ctx.db_store_paths()
     table = map_database(rdb).table
     words = _vector_words()
+    # repro: allow[unrouted-lookup] the op times raw mapped probing over uniform random keys (nearly all misses); canonicalizing would change what is measured
+    return lambda: table.lookup_batch(words)
+
+
+def _setup_db_mapped_probe_batch_32(ctx: BenchContext) -> Callable[[], Any]:
+    """One peel step's probe: 32 keys, where per-round overhead dominates."""
+    from repro.store import map_database
+
+    _npz, rdb = ctx.db_store_paths()
+    table = map_database(rdb).table
+    words = _vector_words(N_PEEL)
     # repro: allow[unrouted-lookup] the op times raw mapped probing over uniform random keys (nearly all misses); canonicalizing would change what is measured
     return lambda: table.lookup_batch(words)
 
@@ -693,6 +715,7 @@ _QUICK_OPS: tuple[BenchOp, ...] = (
     BenchOp("micro.hash_scalar", _setup_hash_scalar),
     BenchOp("micro.compose_vectorized", _setup_compose_vectorized),
     BenchOp("micro.canonical_vectorized", _setup_canonical_vectorized),
+    BenchOp("micro.canonical_vectorized_32", _setup_canonical_vectorized_32),
     BenchOp("micro.hash_vectorized", _setup_hash_vectorized),
     BenchOp("table.lookup_batch", _setup_table_lookup_batch),
     BenchOp("bfs.build_n3", _setup_bfs_build_n3, min_samples=3, once=True),
@@ -702,6 +725,7 @@ _QUICK_OPS: tuple[BenchOp, ...] = (
     ),
     BenchOp("db.cold_start_mmap", _setup_db_cold_start_mmap),
     BenchOp("db.mapped_probe_batch", _setup_db_mapped_probe_batch),
+    BenchOp("db.mapped_probe_batch_32", _setup_db_mapped_probe_batch_32),
     BenchOp("search.db_hit", _setup_search_db_hit),
     BenchOp("search.scan", _setup_search_scan),
     BenchOp("search.exhausted", _setup_search_exhausted, target_time=0.5),

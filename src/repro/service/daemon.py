@@ -1014,7 +1014,7 @@ class SynthesisService:
             return
         peel_started = time.perf_counter()
         try:
-            circuit = peel_minimal_circuit(word, self.handle.database)
+            circuit = peel_minimal_circuit(word, self.handle.database, size)
         except ReproError as exc:  # pragma: no cover - inconsistent db
             pending.resolve(self._error_response(request.id, exc))
             return

@@ -401,31 +401,27 @@ class HardQueryPool:
         if pool is None:
             return
         pids = [p.pid for p in pool._pool if p.is_alive()]
-
-        def _teardown() -> None:
-            pool.terminate()
-            # repro: allow[unbounded-wait] multiprocessing.Pool.join has no timeout parameter; the watchdog join below bounds this thread
-            pool.join()
-
-        reaper = threading.Thread(
-            target=_teardown, name="pool-teardown", daemon=True
-        )
-        reaper.start()
-        reaper.join(timeout=grace)
-        if reaper.is_alive():
+        if not _stop_within(pool, pool.terminate, grace):
             for pid in pids:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except (ProcessLookupError, PermissionError):
                     pass
 
-    def close(self) -> None:
+    def close(self, grace: float = 5.0) -> None:
+        """Let the workers exit and join them, bounded like
+        :meth:`terminate`.
+
+        The stdlib ``Pool.join`` after ``close`` waits forever when a
+        worker died holding the pool's result-queue lock, or while a
+        task lost with a dead worker is still pending; past ``grace``
+        seconds the teardown falls back to :meth:`terminate`.
+        """
         global _FORK_HANDLE
-        if self._pool is not None:
-            self._pool.close()
-            # repro: allow[unbounded-wait] multiprocessing.Pool.join has no timeout parameter; close() precedes it so idle workers exit promptly
-            self._pool.join()
-            self._pool = None
+        pool = self._pool
+        if pool is not None and not _stop_within(pool, pool.close, grace):
+            self.terminate(grace)
+        self._pool = None
         if _FORK_HANDLE is self.handle:
             _FORK_HANDLE = None
 
@@ -434,6 +430,24 @@ class HardQueryPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _stop_within(pool, stop, grace: float) -> bool:
+    """Run ``stop()`` (``pool.close`` or ``pool.terminate``) and then
+    ``pool.join()`` on a daemon watchdog thread; return whether both
+    finished within ``grace`` seconds.  A wedged thread is abandoned."""
+
+    def _teardown() -> None:
+        stop()
+        # repro: allow[unbounded-wait] multiprocessing.Pool.join has no timeout parameter; the watchdog join below bounds this thread
+        pool.join()
+
+    reaper = threading.Thread(
+        target=_teardown, name="pool-teardown", daemon=True
+    )
+    reaper.start()
+    reaper.join(timeout=grace)
+    return not reaper.is_alive()
 
 
 __all__ = [

@@ -3,26 +3,40 @@
 This is the central data structure of the paper: a hash table mapping the
 canonical representative of every equivalence class of size <= k to its
 optimal circuit size.  The paper additionally stores one witness gate per
-representative; we instead reconstruct circuits by *peeling* (testing all
-32 gates for one that reduces the size by one), which needs no witness
-storage and has the same asymptotic cost -- see DESIGN.md.  The scalar
-reference engine in :mod:`repro.synth.bfs` stores witnesses exactly as the
-paper does, and the tests cross-check the two.
+representative; we instead reconstruct circuits by *peeling*, which needs
+no witness storage -- see DESIGN.md.  Each of the s output gates of a
+size-s circuit costs one batched step: compose the word with all 32
+gates in one call, canonicalize the 32 rests in one ``canonical_np``
+call, probe them in one ``lookup_batch`` call, and take the *first* gate
+whose rest has size s - 1.  A gate-by-gate scan stops at that same gate,
+so circuits are byte-identical to the scalar loop's.  The scalar
+reference engine in :mod:`repro.synth.bfs` stores witnesses exactly as
+the paper does, and the tests cross-check the two.
 """
 
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import equivalence, packed
-from repro.core.gates import Gate, all_gates
-from repro.core.packed_np import canonical_np, class_sizes_np
+from repro.core import equivalence
+from repro.core.gates import Gate, all_gates, gate_words
+from repro.core.packed_np import canonical_np, class_sizes_np, compose_np
 from repro.errors import DatabaseError
 from repro.hashing.table import LinearProbingTable
+
+
+@cache
+def _library(n_wires: int) -> "tuple[tuple[Gate, ...], np.ndarray]":
+    """The gate library and its packed words, built once per wire count."""
+    gates = tuple(all_gates(n_wires))
+    words = np.array(gate_words(n_wires), dtype=np.uint64)
+    words.flags.writeable = False
+    return gates, words
 
 
 @dataclass
@@ -226,12 +240,21 @@ class OptimalDatabase:
         """Find a gate λ that is the last gate of some minimal circuit for
         ``word``; return ``(λ, rest)`` with ``rest`` = the word with λ
         removed (so ``size(rest) == size - 1``).
+
+        One batched step: ``word`` is composed with every library gate in
+        one call, the rests are canonicalized and probed together, and
+        the *first* gate (in :func:`all_gates` order) whose rest has size
+        ``size - 1`` wins -- the gate a gate-by-gate scan would stop at,
+        so circuits do not depend on the batching.
         """
-        for gate in all_gates(self.n_wires):
-            gate_word = gate.to_word(self.n_wires)
-            rest = packed.compose(word, gate_word, self.n_wires)
-            if self.size_of(rest) == size - 1:
-                return gate, rest
+        gates, gate_words = _library(self.n_wires)
+        rests = compose_np(np.uint64(word), gate_words, self.n_wires)
+        # Sizes outside 0..k (and MISSING) can never be a rest's size.
+        if 0 <= size - 1 <= self.k:
+            peels = np.flatnonzero(self.sizes_batch(rests) == size - 1)
+            if peels.size:
+                first = int(peels[0])
+                return gates[first], int(rests[first])
         raise DatabaseError(
             f"no peelable gate found for word {word:#x} at size {size}; "
             "the database is inconsistent"

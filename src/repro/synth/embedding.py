@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError, SynthesisError
@@ -134,7 +136,8 @@ def synthesize_partial(
 
     ``cancel`` is an optional cooperative checkpoint (e.g. a
     :meth:`repro.service.tasks.CancelToken.checkpoint` bound method)
-    called between candidate evaluations; it may raise to abort.
+    called before and after the batched database pass and between
+    full-search evaluations; it may raise to abort.
     """
     best_perm = None
     best_size = None
@@ -151,16 +154,26 @@ def synthesize_partial(
             )
         candidates.insert(0, candidate)
 
-    # Pass 1: the O(µs) database fast path.  If any completion has size
-    # <= k this finds the true minimum over the candidate set (skipped
-    # completions all have size > k >= best).
+    # Pass 1: the database fast path, one batched size lookup for every
+    # candidate.  If any completion has size <= k this finds the true
+    # minimum over the candidate set (skipped completions all have size
+    # > k >= best).  Candidates are still visited in order, so the first
+    # minimum, the size-0 early exit and ``tried`` match a one-by-one scan.
     database = getattr(synthesizer, "database", None)
+    if cancel is not None:
+        cancel()
+    sizes: "list[int | None]" = [None] * len(candidates)
+    if database is not None and candidates:
+        words = np.array([perm.word for perm in candidates], dtype=np.uint64)
+        sizes = [
+            None if size == database.MISSING else size
+            for size in database.sizes_batch(words).tolist()
+        ]
+    if cancel is not None:
+        cancel()
     deferred = []
-    for perm in candidates:
-        if cancel is not None:
-            cancel()
+    for perm, size in zip(candidates, sizes):
         tried += 1
-        size = database.size_of(perm.word) if database is not None else None
         if size is None:
             deferred.append(perm)
             continue

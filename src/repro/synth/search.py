@@ -32,14 +32,19 @@ from repro.perf.trace import trace
 from repro.synth.database import OptimalDatabase
 
 
-def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
+def peel_minimal_circuit(
+    word: int, db: OptimalDatabase, size: "int | None" = None
+) -> Circuit:
     """Minimal circuit for a function of size <= k, by gate peeling.
 
     Repeatedly finds a gate that is the last gate of some minimal circuit
-    (one must exist) and strips it.  Raises ``SizeLimitExceededError``
-    when the function is not in the database.
+    (one must exist) and strips it.  ``size`` is the optimal size of
+    ``word`` when the caller already knows it; otherwise it is looked up,
+    and ``SizeLimitExceededError`` is raised when the function is not in
+    the database.
     """
-    size = db.size_of(word)
+    if size is None:
+        size = db.size_of(word)
     if size is None:
         raise SizeLimitExceededError(
             f"function of size > {db.k} cannot be peeled directly",
@@ -147,7 +152,7 @@ class MeetInTheMiddleSearch:
         n = self.db.n_wires
         fast = self.db.size_of(word)
         if fast is not None:
-            circuit = peel_minimal_circuit(word, self.db)
+            circuit = peel_minimal_circuit(word, self.db, fast)
             return SearchOutcome(
                 circuit=circuit, size=fast, lists_scanned=0, candidates_tested=0
             )
@@ -161,8 +166,8 @@ class MeetInTheMiddleSearch:
         # word = u·h with u = v⁻¹ of size i and h = v·word of size h_size.
         u = packed.inverse(v, n)
         h = packed.compose(v, word, n)
-        head = peel_minimal_circuit(u, self.db)
-        tail = peel_minimal_circuit(h, self.db)
+        head = peel_minimal_circuit(u, self.db, i)
+        tail = peel_minimal_circuit(h, self.db, h_size)
         circuit = head.then(tail)
         if circuit.gate_count != i + h_size:
             raise AssertionError("reconstructed circuit has unexpected size")

@@ -32,6 +32,10 @@ from repro.service import (
 #: so they always take the hard (A_i-list scan) path on first sight.
 HARD_SPEC = "[8,3,2,9,7,12,5,14,0,11,10,1,15,4,13,6]"
 HARD_SPEC_2 = "[6,7,13,5,0,1,10,3,15,14,4,12,8,9,2,11]"
+#: Size-7 spec: the scan runs to the last list (A_3), so its worker is
+#: still busy for milliseconds after the ``kill_worker`` fault fires and
+#: the kill lands mid-task, not after the worker has replied.
+SLOW_HARD_SPEC = "[10,11,12,8,2,3,0,5,6,7,1,4,14,15,13,9]"
 
 IDENTITY = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
@@ -212,12 +216,12 @@ class TestKillWorker:
             # dispatched; the bounded wait detects the lost tasks, the
             # supervisor rebuilds the pool and requeues, and the query
             # still comes back exact.
-            body = submit(svc, "synth", spec=HARD_SPEC)
+            body = submit(svc, "synth", spec=SLOW_HARD_SPEC)
             assert body["ok"], body
-            assert body["result"]["size"] == 5
+            assert body["result"]["size"] == 7
             assert body["result"]["source"] == "scan"
             circuit = Circuit.parse(body["result"]["circuit"], 4)
-            assert circuit.implements(Permutation.coerce(HARD_SPEC, 4))
+            assert circuit.implements(Permutation.coerce(SLOW_HARD_SPEC, 4))
             health = svc.health()
             assert health["pool"]["restarts"] == 1
             assert health["pool"]["alive"] == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import equivalence, packed
+from repro.core.gates import all_gates
 from repro.errors import DatabaseError
 from repro.synth.database import OptimalDatabase
 
@@ -165,7 +166,41 @@ class TestPersistence:
             )
 
 
+def scalar_peel_last_gate(db, word, size):
+    """The gate-by-gate peel, one scalar canonicalization per try: the
+    reference the batched :meth:`OptimalDatabase.peel_last_gate` must
+    match gate for gate."""
+    for gate in all_gates(db.n_wires):
+        rest = packed.compose(word, gate.to_word(db.n_wires), db.n_wires)
+        if db.size_of(rest) == size - 1:
+            return gate, rest
+    raise DatabaseError(f"no peelable gate for {word:#x} at size {size}")
+
+
 class TestPeeling:
+    def test_peel_matches_scalar_reference_on_every_rep(self, db4_k4):
+        for size in (1, 2, 3, 4):
+            for word in db4_k4.reps_by_size[size].tolist():
+                assert db4_k4.peel_last_gate(word, size) == (
+                    scalar_peel_last_gate(db4_k4, word, size)
+                ), (size, hex(word))
+
+    def test_peel_matches_scalar_reference_on_class_members(self, db4_k4, rng):
+        for size in (1, 2, 3, 4):
+            reps = db4_k4.reps_by_size[size]
+            for _ in range(40):
+                rep = int(reps[rng.randrange(len(reps))])
+                members = sorted(equivalence.equivalence_class(rep, 4))
+                word = members[rng.randrange(len(members))]
+                assert db4_k4.peel_last_gate(word, size) == (
+                    scalar_peel_last_gate(db4_k4, word, size)
+                ), (size, hex(word))
+
+    def test_peel_at_size_zero_names_the_word(self, db4_k4):
+        identity = packed.identity(4)
+        with pytest.raises(DatabaseError, match=f"{identity:#x}"):
+            db4_k4.peel_last_gate(identity, 0)
+
     def test_peel_last_gate_reduces_size(self, db4_k4, rng):
         for size in (2, 3, 4):
             reps = db4_k4.reps_by_size[size]

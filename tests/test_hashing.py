@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.table import EMPTY, LinearProbingTable
+from repro.hashing.table import _ROUND_SLOTS, EMPTY, LinearProbingTable, probe_get
 from repro.hashing.wang import hash64shift, hash64shift_np
 
 uint64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -146,3 +146,83 @@ class TestLinearProbingTable:
 
         with pytest.raises(DatabaseError):
             LinearProbingTable(capacity_bits=2)
+
+
+def _store_load_table():
+    """A 1024-slot table at the k=5 store's load factor (0.83) whose first
+    cluster runs from the last slots across the wrap into slot 0.
+
+    Returns ``(table, stored_keys, wrap_misses, misses)``; the wrap
+    misses are absent keys whose home slot lies in that cluster.
+    """
+    capacity = 1 << 10
+    rng = np.random.default_rng(2024)
+    pool = np.unique(rng.integers(0, 2**63, size=20 * capacity, dtype=np.uint64))
+    pool = rng.permutation(pool)
+    homes = hash64shift_np(pool) & np.uint64(capacity - 1)
+    near_end = pool[homes >= capacity - 4]
+    elsewhere = pool[homes < capacity - 4]
+    stored = np.concatenate([
+        near_end[:48], elsewhere[: int(0.83 * capacity) - 48]
+    ])
+    table = LinearProbingTable(capacity_bits=10)
+    values = rng.integers(0, 255, size=stored.size).tolist()
+    for key, value in zip(stored.tolist(), values):
+        table.insert(key, value)
+    assert table.capacity == capacity
+    slot_keys, _ = table.slot_arrays()
+    assert hash64shift(int(slot_keys[0])) & (capacity - 1) >= capacity - 4
+    wrap_misses = near_end[48:]
+    misses = elsewhere[int(0.83 * capacity) - 48 :]
+    return table, stored, wrap_misses, misses
+
+
+class TestBatchProbeMatchesScalar:
+    """``probe_lookup_batch`` settles each key where ``probe_get`` does,
+    on both storage back ends, at the real store's load factor."""
+
+    @staticmethod
+    def _batches(stored, wrap_misses, misses):
+        rng = np.random.default_rng(7)
+        yield stored[:1]
+        yield wrap_misses[:1]
+        yield misses[:1]
+        yield stored[-1:]
+        # The largest batch starts with one-slot rounds (more keys than
+        # one round reads); the others start with wider windows.
+        for size in (32, 1500, _ROUND_SLOTS + 1):
+            mixed = np.concatenate([
+                rng.choice(stored, size // 2),
+                rng.choice(wrap_misses, size // 4),
+                rng.choice(misses, size - size // 2 - size // 4),
+            ])
+            yield rng.permutation(mixed)
+
+    @staticmethod
+    def _check(table, batch):
+        slot_keys, slot_values = table.slot_arrays()
+        expected = [
+            probe_get(slot_keys, slot_values, key, table.missing_value)
+            for key in batch.tolist()
+        ]
+        assert table.lookup_batch(batch).tolist() == expected
+        return expected
+
+    def test_in_ram_table(self):
+        table, stored, wrap_misses, misses = _store_load_table()
+        assert table.load_factor == pytest.approx(0.83, abs=0.005)
+        for batch in self._batches(stored, wrap_misses, misses):
+            self._check(table, batch)
+
+    def test_mapped_store(self, tmp_path):
+        from repro.store import map_database, write_rdb
+        from repro.synth.database import OptimalDatabase
+
+        table, stored, wrap_misses, misses = _store_load_table()
+        db = OptimalDatabase(
+            n_wires=4, k=0, table=table, reps_by_size=[np.sort(stored)]
+        )
+        mapped = map_database(write_rdb(db, tmp_path / "load83.rdb")).table
+        for batch in self._batches(stored, wrap_misses, misses):
+            expected = self._check(mapped, batch)
+            assert table.lookup_batch(batch).tolist() == expected

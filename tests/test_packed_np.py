@@ -1,11 +1,14 @@
 """Property tests: vectorized packed ops agree with the scalar reference."""
 
+from itertools import permutations
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import equivalence, packed
 from repro.core.packed_np import (
+    GATHER_MAX_WORDS,
     all_variants_np,
     as_words,
     canonical_conjugation_only_np,
@@ -71,6 +74,54 @@ def test_canonical_np_matches_scalar_n3(words):
     arr = as_words(words)
     expected = [equivalence.canonical(w, 3) for w in words]
     assert canonical_np(arr, 3).tolist() == expected
+
+
+@given(word_lists(2, max_len=25))
+def test_canonical_np_matches_scalar_n2(words):
+    arr = as_words(words)
+    expected = [equivalence.canonical(w, 2) for w in words]
+    assert canonical_np(arr, 2).tolist() == expected
+
+
+@given(
+    st.integers(min_value=3, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.permutations(list(range(1 << n))).map(packed.pack),
+                min_size=GATHER_MAX_WORDS + 1,
+                max_size=GATHER_MAX_WORDS + 40,
+            ),
+        )
+    )
+)
+@settings(deadline=None, max_examples=10)
+def test_canonical_np_matches_scalar_past_crossover(case):
+    """Lists longer than the crossover take the fold kernel."""
+    n_wires, words = case
+    expected = [equivalence.canonical(w, n_wires) for w in words]
+    assert canonical_np(as_words(words), n_wires).tolist() == expected
+
+
+def test_canonical_np_exhaustive_n3():
+    """Every 3-wire function, in chunks that select each kernel."""
+    words = [packed.pack(list(p)) for p in permutations(range(8))]
+    expected = [equivalence.canonical(w, 3) for w in words]
+    arr = as_words(words)
+    for chunk in (1, 7, GATHER_MAX_WORDS, GATHER_MAX_WORDS + 1, len(words)):
+        got = np.concatenate(
+            [
+                canonical_np(arr[start : start + chunk], 3)
+                for start in range(0, len(words), chunk)
+            ]
+        )
+        assert got.tolist() == expected, chunk
+
+
+def test_canonical_np_empty_batch():
+    for n_wires in (2, 3, 4):
+        result = canonical_np(np.empty(0, dtype=np.uint64), n_wires)
+        assert result.shape == (0,) and result.dtype == np.uint64
 
 
 @given(word_lists(4, max_len=15))

@@ -505,6 +505,28 @@ class TestWorkerPool:
         assert [r.size for r in forked] == [r.size for r in inline]
         assert [r.circuit for r in forked] == [r.circuit for r in inline]
 
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_close_is_bounded_with_a_wedged_result_queue(self, handle4):
+        # A worker SIGKILLed while sending its result leaves the pool's
+        # result-queue lock taken for good, and the stdlib Pool.join
+        # after close then waits forever.  Holding the lock here has the
+        # same effect; close must still return, via its terminate
+        # fallback, within two grace periods.
+        pool = HardQueryPool(handle4, processes=1, start_method="fork")
+        lock = pool._pool._outqueue._wlock
+        lock.acquire()
+        try:
+            started = time.monotonic()
+            pool.close(grace=0.5)
+            elapsed = time.monotonic() - started
+        finally:
+            lock.release()
+        assert 0.5 <= elapsed < 3.0
+        assert not pool.is_parallel
+
     def test_solve_many_empty(self, handle4):
         pool = HardQueryPool(handle4, processes=0)
         assert pool.solve_many([]) == []
