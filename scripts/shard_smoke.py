@@ -5,8 +5,12 @@ throughput.
 Three phases, all over *real* ``repro serve`` subprocesses mapping one
 shared ``.rdb`` store (``REPRO_CACHE_DIR``, default ``.db-cache``):
 
-1. **Reference** -- a 1-shard cluster answers a mixed ``synth``/``size``
-   batch; the raw response line is the byte-for-byte oracle.
+1. **Reference** -- a 1-shard cluster answers a mixed batch (``synth``,
+   ``size``, a don't-care ``compile``, an unparseable spec, a named
+   engine with a wrong ``wires``); the raw response line is the
+   byte-for-byte oracle.  A solo ``repro serve --stdio`` daemon on the
+   same store must answer the same line with the same bytes, so a
+   divergence only the daemon has cannot hide behind the router.
 2. **Fault isolation** -- a 3-shard cluster; the shard that *owns* the
    first batch spec is SIGKILLed before the batch lands.  The router
    must re-route the dead shard's slice and return the **identical**
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,7 +45,11 @@ THROUGHPUT_REQUESTS = 512
 TIMED_RUNS = 3
 
 #: Mixed batch: synth and size across easy and mid-depth specs, each a
-#: distinct equivalence class so a 3-ring genuinely scatters it.
+#: distinct equivalence class so a 3-ring genuinely scatters it, plus
+#: entries that reach the request front's shared validation: a
+#: don't-care compile, an unparseable spec, and a named engine asked for
+#: another wire count.  The first entry stays first: phase 2 kills its
+#: owner.
 MIXED_REQUESTS = [
     {"id": 1, "op": "synth", "spec": "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"},
     {"id": 2, "op": "size", "spec": "[1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14]"},
@@ -48,8 +57,27 @@ MIXED_REQUESTS = [
     {"id": 4, "op": "size", "spec": "[8,3,2,9,7,12,5,14,0,11,10,1,15,4,13,6]"},
     {"id": 5, "op": "synth", "spec": "[3,2,1,0,7,6,5,4,11,10,9,8,15,14,13,12]"},
     {"id": 6, "op": "size", "spec": "[15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0]"},
+    {
+        "id": 7,
+        "op": "compile",
+        "spec": {
+            "kind": "truth_table",
+            "n_inputs": 4,
+            "rows": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, None, 1, 1, None, 1, 1],
+        },
+    },
+    {"id": 8, "op": "size", "spec": "[broken"},
+    {
+        "id": 9,
+        "op": "synth",
+        "engine": "heuristic",
+        "spec": "[1,0,2,3]",
+        "wires": 2,
+    },
 ]
 MIXED_LINE = json.dumps({"id": 0, "op": "batch", "requests": MIXED_REQUESTS})
+#: Entries of MIXED_REQUESTS that must fail, by id, with this error kind.
+EXPECTED_ERRORS = {8: "invalid_spec", 9: "invalid_spec"}
 
 
 def launch(count: int, faults=None):
@@ -92,10 +120,38 @@ def check_batch_body(label: str, raw: str) -> None:
     results = body["result"]["results"]
     assert len(results) == len(MIXED_REQUESTS), f"{label}: short batch"
     for sub in results:
+        kind = EXPECTED_ERRORS.get(sub.get("id"))
+        if kind is not None:
+            assert not sub.get("ok") and sub["error"]["kind"] == kind, (
+                f"{label}: expected a {kind} error: {sub}"
+            )
+            continue
         assert sub.get("ok"), f"{label}: sub-request failed: {sub}"
         assert sub["result"].get("source") != "degraded", (
             f"{label}: degraded answer in batch: {sub}"
         )
+
+
+def solo_answer(line: str) -> str:
+    """``line``'s answer from a solo ``repro serve --stdio`` daemon on
+    the shared store."""
+    from repro.service.sharding.cluster import shard_environment
+
+    command = [
+        sys.executable, "-m", "repro", "serve", "--stdio",
+        "-k", str(K), "--lists", "1",
+    ]
+    shutdown = json.dumps({"id": 1, "op": "shutdown"})
+    done = subprocess.run(
+        command,
+        input=f"{line}\n{shutdown}\n",
+        capture_output=True,
+        text=True,
+        env=shard_environment(CACHE_DIR),
+        timeout=300,
+        check=True,
+    )
+    return done.stdout.splitlines()[0]
 
 
 def shard_entry(health: dict, shard_id: str) -> dict:
@@ -149,6 +205,12 @@ def main() -> int:
         reference = single.router.handle_line(MIXED_LINE)
         check_batch_body("reference", reference)
         print(f"[shard-smoke] reference batch ok ({len(reference)} bytes)")
+        solo = solo_answer(MIXED_LINE)
+        assert solo == reference, (
+            "solo daemon diverged from the 1-shard router:\n"
+            f"  router: {reference!r}\n  solo:   {solo!r}"
+        )
+        print("[shard-smoke] solo stdio daemon byte-identical to reference")
 
         # -- Phase 2: SIGKILL the owning shard under a 3-ring ----------
         print("[shard-smoke] launching 3-shard cluster")

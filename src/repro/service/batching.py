@@ -24,19 +24,21 @@ from repro.errors import ServiceShutdownError
 
 
 class PendingRequest:
-    """A request parked in the queue with its completion signal.
+    """A validated request parked in the queue with its completion signal.
 
     The connection thread that enqueued it blocks on :meth:`wait`; the
     dispatcher fulfills it with :meth:`resolve`.
     """
 
     __slots__ = (
-        "request", "enqueued_at", "response", "deadline", "work_item",
-        "_event",
+        "request", "word", "enqueued_at", "response", "deadline",
+        "work_item", "_event",
     )
 
-    def __init__(self, request, deadline=None) -> None:
+    def __init__(self, request, word: "int | None" = None, deadline=None) -> None:
         self.request = request
+        #: The packed word the request names (parsed before enqueueing).
+        self.word = word
         self.enqueued_at = time.perf_counter()
         self.response: "dict | None" = None
         #: Optional :class:`repro.service.resilience.Deadline`, created

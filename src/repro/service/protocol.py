@@ -141,6 +141,10 @@ def decode_request(line: "str | bytes") -> Request:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # Deep nesting fits well under the line cap but exhausts the
+        # parser's stack; it must cost the client a line, not the server.
+        raise ProtocolError("request is nested too deeply to decode") from exc
     return decode_payload(payload)
 
 

@@ -299,32 +299,11 @@ class WorkerSupervisor:
     def restarts(self) -> int:
         return self._restarts
 
-    def solve_many(self, words: "list[int]") -> list:
-        """Solve a hard batch, restarting the pool and requeueing on
-        worker death or hang; raises :class:`WorkerPoolError` only after
-        ``max_restarts`` attempts failed."""
-        attempts = 0
-        while True:
-            pool = self.pool
-            try:
-                return pool.solve_many(
-                    words,
-                    timeout=self.hard_timeout,
-                    on_dispatch=self._on_dispatch,
-                )
-            except WorkerPoolError:
-                attempts += 1
-                if attempts > self.max_restarts:
-                    raise
-                self.restart()
-                with self._lock:
-                    self._batch_retries += 1
-                if self.metrics is not None:
-                    self.metrics.counter("hard_batch_retries").inc()
-
     def solve_items(self, items: list) -> list:
-        """Solve a group of work items with the same restart/requeue
-        policy as :meth:`solve_many`, plus preemption:
+        """Solve a group of work items, restarting the pool and
+        requeueing on worker death or hang; raises
+        :class:`WorkerPoolError` only after ``max_restarts`` attempts
+        failed.  Also handles preemption:
 
         * :class:`WorkPreempted` (every in-flight item cancelled while
           running in worker processes) restarts the pool -- the

@@ -9,10 +9,11 @@ consistent-hash router:
   in-process) and the shard lifecycle states.
 * :mod:`repro.service.sharding.supervisor` -- health probes, suspect /
   dead eviction, bounded restarts, live drain/leave.
-* :mod:`repro.service.sharding.router` -- the request front-end:
-  single-owner routing with preference-list failover, batch
-  scatter/gather that tolerates partial failure, and cluster-wide
-  ``health``/``stats``/``shards`` rollups.
+* :mod:`repro.service.sharding.router` -- the router on the daemon's
+  request front (:mod:`repro.service.front`): single-owner routing
+  with preference-list failover, batch scatter/gather that tolerates
+  partial failure, and cluster-wide ``health``/``stats``/``shards``
+  rollups.
 * :mod:`repro.service.sharding.cluster` -- launching N local
   ``repro serve`` processes over one shared ``.rdb`` store (what
   ``repro serve --shards N`` runs).

@@ -1,10 +1,12 @@
 """The shard router: consistent-hash front-end over N shard daemons.
 
-:class:`ShardRouter` duck-types the :class:`SynthesisService` surface
-(``handle_line``/``submit``/``start``/``shutdown``/``stopping``/
-``faults``/``add_shutdown_hook``), so the existing transports --
+:class:`ShardRouter` shares the request front of
+:class:`SynthesisService` (:class:`repro.service.front.RequestFront`):
+line decoding, control ops, the one validation step, the degraded
+answer, and error lines are the same code, so a router and a solo daemon
+answer the same line with the same bytes, and the existing transports --
 :class:`repro.service.daemon.TCPDaemon` and ``serve_stdio`` -- serve a
-sharded cluster completely unchanged.
+sharded cluster unchanged.
 
 Routing: each ``synth``/``size`` request is keyed by the canonical
 representative of its spec (one equivalence class, one owner, one
@@ -34,32 +36,25 @@ accounting, and the routing-table epoch.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 
 from repro import __version__
 from repro.core.equivalence import canonical
-from repro.core.permutation import Permutation
-from repro.engines import GUARANTEE_UPPER_BOUND, SynthesisRequest, create_engine
-from repro.errors import (
-    ProtocolError,
-    ReproError,
-    ServiceError,
-    ServiceShutdownError,
-)
+from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service import protocol
+from repro.service.front import RequestFront
 from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import Deadline
 from repro.service.sharding.config import ShardingConfig
 from repro.service.sharding.shard import LEFT, UP
 from repro.service.sharding.supervisor import ShardSupervisor
 from repro.service.tasks import TaskRegistry
-from repro.specs import compile_spec, routing_word, spec_from_wire
+from repro.specs import routing_word
 
 
-class ShardRouter:
+class ShardRouter(RequestFront):
     """Route requests across a supervised shard cluster.
 
     Args:
@@ -89,27 +84,19 @@ class ShardRouter:
         spawner=None,
         fallback_engine: str = "heuristic",
     ) -> None:
+        super().__init__(
+            metrics=metrics, faults=faults, fallback_engine=fallback_engine
+        )
         self.supervisor = supervisor
         self.ring = supervisor.ring
         self.n_wires = n_wires
         self.config = config or supervisor.config
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.faults = faults
         self.tasks = TaskRegistry(metrics=self.metrics)
         self._spawner = spawner
-        self._fallback_name = fallback_engine
-        self._fallback = None
-        self._fallback_lock = threading.Lock()
         self._next_shard_index = len(supervisor.shards())
-        self._shutdown_hooks: list = []
-        self._shutdown_lock = threading.Lock()
-        self._shutdown_requested = False
-        self._shutdown_started = False
-        self._stopped = threading.Event()
-        self._started_at: "float | None" = None
 
     # ------------------------------------------------------------------
-    # Lifecycle (SynthesisService surface)
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardRouter":
         self.supervisor.start()
@@ -117,130 +104,51 @@ class ShardRouter:
             self._started_at = time.monotonic()
         return self
 
-    @property
-    def stopping(self) -> bool:
-        return self._shutdown_requested or self._shutdown_started
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped.is_set()
-
-    def add_shutdown_hook(self, hook) -> None:
-        self._shutdown_hooks.append(hook)
-
-    def shutdown(self) -> None:
-        """Stop probing, drain shards gracefully, stop transports."""
-        with self._shutdown_lock:
-            already_started = self._shutdown_started
-            self._shutdown_started = True
-        if already_started:
-            while not self._stopped.wait(timeout=1.0):
-                pass
-            return
+    def _drain(self, save_cache: bool) -> None:
+        """Stop probing, drain shards gracefully."""
         self.tasks.cancel_in_flight("shutdown")
         self.supervisor.close(stop_shards=True)
-        for hook in self._shutdown_hooks:
-            try:
-                hook()
-            except Exception:
-                pass
-        self._stopped.set()
-
-    def request_shutdown(self) -> None:
-        self._shutdown_requested = True
-        threading.Thread(
-            target=self.shutdown, name="repro-router-shutdown", daemon=True
-        ).start()
 
     # ------------------------------------------------------------------
     # Request entry points
     # ------------------------------------------------------------------
-    def handle_line(self, line: "str | bytes") -> str:
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as exc:
-            self.metrics.counter("responses_error").inc()
-            return protocol.encode_response(
-                None, error=protocol.error_envelope(exc)
-            )
-        return self.submit(request)
+    def ping(self) -> dict:
+        return {
+            **super().ping(),
+            "router": True,
+            "shards": len(self.ring),
+            "epoch": self.ring.epoch,
+        }
 
-    def submit(self, request: "protocol.Request") -> str:
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter(f"requests_{request.op}").inc()
-        deadline = Deadline.from_ms(request.deadline_ms)
-        if self.faults is not None:
-            self.faults.delay_request(request.op)
-        if request.op == "ping":
-            return protocol.encode_response(
-                request.id,
-                result={
-                    "pong": True,
-                    "version": __version__,
-                    "router": True,
-                    "shards": len(self.ring),
-                    "epoch": self.ring.epoch,
-                },
-            )
-        if request.op == "stats":
-            return protocol.encode_response(request.id, result=self.stats())
-        if request.op == "health":
-            return protocol.encode_response(request.id, result=self.health())
+    def _cluster_op(self, request: "protocol.Request") -> str:
         if request.op == "shards":
             return protocol.encode_response(
                 request.id, result=self.shards_status()
             )
-        if request.op == "shutdown":
-            self.request_shutdown()
-            return protocol.encode_response(
-                request.id, result={"draining": True}
-            )
         if request.op == "shard_join":
             return self._shard_join(request)
-        if request.op == "shard_leave":
-            return self._shard_leave(request)
-        # synth / size / compile / batch: synthesis work.
-        if self.stopping:
-            return self._error_response(
-                request.id, ServiceShutdownError("router is draining")
-            )
-        if request.op == "batch":
-            return self._batch_submit(request, deadline)
-        if request.wires is not None and request.wires != self.n_wires:
-            return self._error_response(
-                request.id,
-                ProtocolError(
-                    f"this daemon serves n_wires={self.n_wires}, "
-                    f"got wires={request.wires}",
-                    kind="invalid_spec",
-                ),
-            )
-        try:
-            perm = self._routing_perm(request)
-        except ReproError as exc:
-            return self._error_response(request.id, exc)
-        except (TypeError, ValueError) as exc:
-            return self._error_response(
-                request.id,
-                ProtocolError(f"unparseable spec: {exc}", kind="invalid_spec"),
-            )
-        return self._route_work(request, perm, deadline)
+        return self._shard_leave(request)
 
-    def _routing_perm(self, request: "protocol.Request") -> Permutation:
-        """The permutation a work request routes by.
+    def _routing_key(self, request: "protocol.Request", target) -> int:
+        """The canonical representative a validated work request routes
+        by.
 
-        ``synth``/``size`` carry one directly; a ``compile`` spec has
-        not been completed yet, so its routing key is the deterministic
-        base completion -- the forwarded shard recomputes the same plan
-        from the same spec, so the key only needs to be stable, not the
-        eventual winner.
+        ``synth``/``size`` route by their permutation's class; a
+        ``compile`` spec has not been completed yet, so its key is the
+        deterministic base completion -- the forwarded shard recomputes
+        the same plan from the same spec, so the key only needs to be
+        stable, not the eventual winner.
         """
         if request.op == "compile":
-            return Permutation(
-                routing_word(spec_from_wire(request.spec), self.n_wires),
-                self.n_wires,
-            )
-        return Permutation.coerce(request.spec_value(), self.n_wires)
+            return canonical(routing_word(target, self.n_wires), self.n_wires)
+        return canonical(target.word, self.n_wires)
+
+    def _run_work(self, request: "protocol.Request", target, deadline) -> str:
+        try:
+            canon = self._routing_key(request, target)
+        except ReproError as exc:
+            return self.error_line(request.id, exc)
+        return self._route_work(request, target, canon, deadline)
 
     # ------------------------------------------------------------------
     # Single-request routing
@@ -248,12 +156,12 @@ class ShardRouter:
     def _route_work(
         self,
         request: "protocol.Request",
-        perm: Permutation,
+        target,
+        canon: int,
         deadline: "Deadline | None",
-        canon: "int | None" = None,
     ) -> str:
-        if canon is None:
-            canon = canonical(perm.word, self.n_wires)
+        """Forward one validated work request to the owner of ``canon``
+        (walking the preference list); degrade when no shard answers."""
         payload = self._forward_payload(request, deadline)
         work = self.tasks.create(
             "forward", payload=request.op, deadline=deadline
@@ -278,7 +186,7 @@ class ShardRouter:
                 work.mark_cancelled()
         elif not work.finished:
             work.degrade()
-        return self._degraded_response(request, perm, reason)
+        return self.degraded(request, target, reason)
 
     def _forward(
         self,
@@ -374,48 +282,30 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Batch scatter/gather
     # ------------------------------------------------------------------
-    def _batch_submit(
-        self, request: "protocol.Request", deadline: "Deadline | None"
-    ) -> str:
-        entries = request.options.get("requests", [])
-        slots: "list[dict | None]" = [None] * len(entries)
-        parsed: list = []  # (index, sub_request, perm, canon)
-        for index, entry in enumerate(entries):
+    def _run_batch(self, entries, results, deadline) -> None:
+        """Scatter the decoded entries by owner, one shard-side ``batch``
+        per slice, and gather the envelopes back in request order."""
+        parsed: list = []  # (index, sub_request, target, canon)
+        for index, sub in entries:
             try:
-                sub = protocol.decode_payload(entry)
-                if sub.wires is not None and sub.wires != self.n_wires:
-                    raise ProtocolError(
-                        f"this daemon serves n_wires={self.n_wires}, "
-                        f"got wires={sub.wires}",
-                        kind="invalid_spec",
-                    )
-                perm = self._routing_perm(sub)
+                target = self.validate(sub)
+                canon = self._routing_key(sub, target)
             except ReproError as exc:
-                slots[index] = self._error_envelope_for(entry, exc)
+                results[index] = json.loads(self.error_line(sub.id, exc))
                 continue
-            except (TypeError, ValueError) as exc:
-                slots[index] = self._error_envelope_for(
-                    entry,
-                    ProtocolError(
-                        f"unparseable spec: {exc}", kind="invalid_spec"
-                    ),
-                )
-                continue
-            parsed.append(
-                (index, sub, perm, canonical(perm.word, self.n_wires))
-            )
+            parsed.append((index, sub, target, canon))
         groups: "dict[str | None, list]" = {}
         for item in parsed:
             groups.setdefault(self.ring.owner(item[3]), []).append(item)
 
         def run_slice(owner, items) -> None:
             try:
-                self._forward_slice(owner, items, slots, deadline)
+                self._forward_slice(owner, items, results, deadline)
             except Exception:  # defensive: never poison the batch
-                for index, sub, perm, _canon in items:
-                    if slots[index] is None:
-                        slots[index] = json.loads(
-                            self._degraded_response(sub, perm, "router_error")
+                for index, sub, target, _canon in items:
+                    if results[index] is None:
+                        results[index] = json.loads(
+                            self.degraded(sub, target, "router_error")
                         )
 
         if len(groups) > 1:
@@ -442,17 +332,14 @@ class ShardRouter:
         elif groups:
             owner, items = next(iter(groups.items()))
             run_slice(owner, items)
-        for index, sub, perm, _canon in parsed:
-            if slots[index] is None:  # pragma: no cover - wedged peer
-                slots[index] = json.loads(
-                    self._degraded_response(sub, perm, "router_timeout")
+        for index, sub, target, _canon in parsed:
+            if results[index] is None:  # pragma: no cover - wedged peer
+                results[index] = json.loads(
+                    self.degraded(sub, target, "router_timeout")
                 )
-        return protocol.encode_response(
-            request.id, result={"count": len(slots), "results": slots}
-        )
 
     def _forward_slice(
-        self, owner, items, slots, deadline: "Deadline | None"
+        self, owner, items, results, deadline: "Deadline | None"
     ) -> None:
         """Forward one owner's slice as a shard-side ``batch``; on any
         failure, re-route the members individually."""
@@ -477,7 +364,7 @@ class ShardRouter:
                 "op": "batch",
                 "requests": [
                     self._forward_payload(sub, deadline)
-                    for _index, sub, _perm, _canon in items
+                    for _index, sub, _target, _canon in items
                 ],
             }
             managed.begin_request(work.token)
@@ -492,12 +379,12 @@ class ShardRouter:
             finally:
                 managed.end_request(work.token)
         if envelope is not None and envelope.get("ok"):
-            results = (envelope.get("result") or {}).get("results") or []
-            if len(results) == len(items):
-                for (index, _sub, _perm, _canon), sub_env in zip(
-                    items, results
+            answers = (envelope.get("result") or {}).get("results") or []
+            if len(answers) == len(items):
+                for (index, _sub, _target, _canon), answer in zip(
+                    items, answers
                 ):
-                    slots[index] = sub_env
+                    results[index] = answer
                 self._finish(work, owner)
                 self.metrics.counter("slices_forwarded").inc()
                 return
@@ -511,9 +398,9 @@ class ShardRouter:
         elif not work.finished:
             work.degrade()
         self.metrics.counter("slices_rerouted").inc()
-        for index, sub, perm, canon in items:
-            slots[index] = json.loads(
-                self._route_work(sub, perm, deadline, canon=canon)
+        for index, sub, target, canon in items:
+            results[index] = json.loads(
+                self._route_work(sub, target, canon, deadline)
             )
 
     # ------------------------------------------------------------------
@@ -521,7 +408,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def _shard_join(self, request: "protocol.Request") -> str:
         if self._spawner is None:
-            return self._error_response(
+            return self.error_line(
                 request.id,
                 ProtocolError(
                     "this router has no shard spawner; shard_join needs a "
@@ -532,7 +419,7 @@ class ShardRouter:
         if shard_id is None:
             shard_id = self._fresh_shard_id()
         elif not isinstance(shard_id, str) or not shard_id:
-            return self._error_response(
+            return self.error_line(
                 request.id,
                 ProtocolError("shard_join 'shard' must be a non-empty string"),
             )
@@ -540,7 +427,7 @@ class ShardRouter:
             backend = self._spawner(shard_id)
             managed = self.supervisor.add(backend)
         except ServiceError as exc:
-            return self._error_response(request.id, exc)
+            return self.error_line(request.id, exc)
         self.metrics.counter("shard_joins").inc()
         return protocol.encode_response(
             request.id,
@@ -565,7 +452,7 @@ class ShardRouter:
         try:
             summary = self.supervisor.drain(shard_id)
         except ServiceError as exc:
-            return self._error_response(request.id, exc)
+            return self.error_line(request.id, exc)
         self.metrics.counter("shard_leaves").inc()
         summary["members"] = list(self.ring.members)
         return protocol.encode_response(request.id, result=summary)
@@ -628,11 +515,7 @@ class ShardRouter:
                 per_shard[managed.shard_id] = None
         return {
             "version": __version__,
-            "uptime": (
-                time.monotonic() - self._started_at
-                if self._started_at is not None
-                else None
-            ),
+            "uptime": self.uptime(),
             "router": {
                 "epoch": self.ring.epoch,
                 "members": list(self.ring.members),
@@ -653,86 +536,8 @@ class ShardRouter:
         return snap
 
     # ------------------------------------------------------------------
-    # Degraded answers (no shard could answer)
+    # Helpers
     # ------------------------------------------------------------------
-    def _fallback_engine(self):
-        with self._fallback_lock:
-            if self._fallback is None:
-                self._fallback = create_engine(
-                    self._fallback_name, n_wires=self.n_wires
-                )
-            return self._fallback
-
-    def _degraded_response(
-        self, request: "protocol.Request", perm: Permutation, reason: str
-    ) -> str:
-        if request.op == "compile":
-            return self._degraded_compile(request, reason)
-        try:
-            engine = self._fallback_engine()
-            with self._fallback_lock:
-                result = engine.synthesize(
-                    SynthesisRequest(spec=perm, n_wires=self.n_wires)
-                )
-        except Exception as exc:  # pragma: no cover - fallback broke
-            return self._error_response(request.id, exc)
-        self.metrics.counter("responses_ok").inc()
-        self.metrics.counter("responses_degraded").inc()
-        self.metrics.counter(f"degraded_{reason}").inc()
-        body = {
-            "spec": perm.spec(),
-            "word": protocol.word_to_hex(perm.word),
-            "size": result.size,
-            "source": "degraded",
-            "guarantee": GUARANTEE_UPPER_BOUND,
-            "degraded_reason": reason,
-            "tier": self._fallback_name,
-        }
-        if request.op == "synth":
-            body["circuit"] = result.circuit
-            body["depth"] = result.depth
-            body["cost"] = result.cost
-        return protocol.encode_response(request.id, result=body)
-
-    def _degraded_compile(
-        self, request: "protocol.Request", reason: str
-    ) -> str:
-        """No shard could compile: run the generic compile path against
-        the in-process fallback engine (no database needed)."""
-        try:
-            spec = spec_from_wire(request.spec)
-            engine = self._fallback_engine()
-            with self._fallback_lock:
-                result = compile_spec(spec, engine, n_wires=self.n_wires)
-        except Exception as exc:  # pragma: no cover - fallback broke
-            return self._error_response(request.id, exc)
-        self.metrics.counter("responses_ok").inc()
-        self.metrics.counter("responses_degraded").inc()
-        self.metrics.counter(f"degraded_{reason}").inc()
-        body = result.to_wire()
-        body["source"] = "degraded"
-        body["guarantee"] = GUARANTEE_UPPER_BOUND
-        body["degraded_reason"] = reason
-        body["tier"] = self._fallback_name
-        return protocol.encode_response(request.id, result=body)
-
-    # ------------------------------------------------------------------
-    # Response shaping helpers
-    # ------------------------------------------------------------------
-    def _error_envelope_for(self, entry, exc: BaseException) -> dict:
-        request_id = entry.get("id") if isinstance(entry, dict) else None
-        return json.loads(
-            protocol.encode_response(
-                request_id, error=protocol.error_envelope(exc)
-            )
-        )
-
-    def _error_response(self, request_id, exc: BaseException) -> str:
-        self.metrics.counter("responses_error").inc()
-        return protocol.encode_response(
-            request_id, error=protocol.error_envelope(exc)
-        )
-
     @staticmethod
     def _finish(work, value) -> None:
         try:

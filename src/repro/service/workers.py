@@ -63,13 +63,6 @@ class HardResult:
     lower_bound: "int | None" = None
     message: str = ""
 
-    def raise_if_bound(self) -> None:
-        if self.lower_bound is not None:
-            raise SizeLimitExceededError(
-                self.message or "function out of search reach",
-                lower_bound=self.lower_bound,
-            )
-
 
 def _init_fork_worker() -> None:
     global _WORKER_ENGINE
@@ -107,11 +100,8 @@ def _handle_store_path(handle):
 
 
 def solve_word(word: int) -> HardResult:
-    """Full search for one word on whatever engine is in scope.
-
-    Used both inside pool workers (module-level so it pickles by name)
-    and inline when the pool is disabled.
-    """
+    """Full search for one word on the worker process's engine
+    (module-level so it pickles by name)."""
     engine = _WORKER_ENGINE
     if engine is None:
         raise ServiceError("worker engine not initialized")
@@ -220,42 +210,6 @@ class HardQueryPool:
         """How many worker processes are currently alive."""
         return len(self.worker_pids())
 
-    def solve_many(
-        self,
-        words: "list[int]",
-        timeout: "float | None" = None,
-        on_dispatch=None,
-    ) -> "list[HardResult]":
-        """Solve a batch of hard words, preserving input order.
-
-        ``timeout`` bounds the whole batch; exceeding it raises
-        :class:`WorkerPoolError` (a killed worker's task is silently
-        lost by ``multiprocessing.Pool``, so a bounded wait is the only
-        reliable dead/hung-worker detector).  ``on_dispatch`` is called
-        with the pool after the batch is handed to the workers -- the
-        fault-injection hook used by the chaos suite.
-        """
-        if not words:
-            return []
-        if self._pool is None:
-            if on_dispatch is not None:
-                on_dispatch(self)
-            return [solve_with_engine(self.handle.engine, w) for w in words]
-        async_result = self._pool.map_async(solve_word, words, chunksize=1)
-        if on_dispatch is not None:
-            on_dispatch(self)
-        try:
-            return async_result.get(timeout)
-        except multiprocessing.TimeoutError as exc:
-            raise WorkerPoolError(
-                f"hard-query batch of {len(words)} word(s) exceeded its "
-                f"{timeout}s supervision timeout (worker dead or hung)"
-            ) from exc
-        except ServiceError:
-            raise
-        except Exception as exc:
-            raise WorkerPoolError(f"hard-query pool failed: {exc}") from exc
-
     def solve_items(
         self,
         items: list,
@@ -264,10 +218,9 @@ class HardQueryPool:
         poll: float = 0.02,
     ) -> list:
         """Solve a group of :class:`repro.service.tasks.WorkItem`\\ s
-        whose ``payload`` is the packed word.
-
-        Unlike :meth:`solve_many`, every unit is individually
-        cancellable:
+        whose ``payload`` is the packed word -- the pool's one entry
+        point.  Each item ends terminal, its ``result`` a
+        :class:`HardResult`, and every unit is individually cancellable:
 
         * inline (``processes=0``): items run sequentially on the
           caller's thread with the token's cooperative checkpoint
@@ -281,10 +234,14 @@ class HardQueryPool:
           supervisor kills the pool -- worker processes cannot observe
           checkpoints, so preemption there is process-level.
 
-        ``timeout`` bounds the whole dispatch as before (the dead/hung
-        worker detector); exceeding it raises
-        :class:`WorkerPoolError`.  Terminal items are skipped, so the
-        supervisor can resubmit the same list after a restart.
+        ``timeout`` bounds the whole dispatch; exceeding it raises
+        :class:`WorkerPoolError` (a killed worker's task is silently
+        lost by ``multiprocessing.Pool``, so a bounded wait is the only
+        reliable dead/hung-worker detector).  ``on_dispatch`` is called
+        with the pool once the items are handed over -- the
+        fault-injection hook used by the chaos suite.  Terminal items
+        are skipped, so the supervisor can resubmit the same list after
+        a restart.
         """
         open_items = [item for item in items if not item.finished]
         if not open_items:

@@ -31,6 +31,7 @@ from repro.service import (
     ResultCache,
     RetryPolicy,
     ServiceClient,
+    TaskRegistry,
     WorkerSupervisor,
 )
 from repro.service.client import SAFE_RETRY_OPS
@@ -273,7 +274,7 @@ class TestFaultInjector:
 # WorkerSupervisor (with a scriptable fake pool)
 # ----------------------------------------------------------------------
 class FakePool:
-    """Pool double whose first ``fail_times`` batches raise."""
+    """Pool double whose first ``fail_times`` dispatches raise."""
 
     def __init__(self, fail_times: int = 0) -> None:
         self.fail_times = fail_times
@@ -282,14 +283,17 @@ class FakePool:
         self.processes = 2
         self.is_parallel = True
 
-    def solve_many(self, words, timeout=None, on_dispatch=None):
+    def solve_items(self, items, timeout=None, on_dispatch=None):
         self.calls += 1
         if on_dispatch is not None:
             on_dispatch(self)
         if self.fail_times > 0:
             self.fail_times -= 1
             raise WorkerPoolError("worker died")
-        return [f"answer:{w}" for w in words]
+        for item in items:
+            item.start()
+            item.finish(f"answer:{item.payload}")
+        return items
 
     def restarted(self):
         fresh = FakePool(fail_times=self.fail_times)
@@ -304,16 +308,24 @@ class FakePool:
         self.closed = True
 
 
+def scan_items(*words) -> list:
+    registry = TaskRegistry()
+    return [registry.create("scan", payload=word) for word in words]
+
+
 class TestWorkerSupervisor:
     def test_passthrough_when_healthy(self):
         supervisor = WorkerSupervisor(FakePool(), hard_timeout=1.0)
-        assert supervisor.solve_many([1, 2]) == ["answer:1", "answer:2"]
+        items = scan_items(1, 2)
+        assert supervisor.solve_items(items) is items
+        assert [item.result for item in items] == ["answer:1", "answer:2"]
         assert supervisor.restarts == 0
 
     def test_restart_and_requeue_on_failure(self):
         first = FakePool(fail_times=1)
         supervisor = WorkerSupervisor(first, hard_timeout=1.0, max_restarts=2)
-        assert supervisor.solve_many([7]) == ["answer:7"]
+        (item,) = supervisor.solve_items(scan_items(7))
+        assert item.result == "answer:7"
         assert supervisor.restarts == 1
         assert first.closed  # the dead pool was torn down
         assert supervisor.pool is not first
@@ -323,7 +335,7 @@ class TestWorkerSupervisor:
             FakePool(fail_times=5), hard_timeout=1.0, max_restarts=2
         )
         with pytest.raises(WorkerPoolError):
-            supervisor.solve_many([1])
+            supervisor.solve_items(scan_items(1))
         assert supervisor.restarts == 2
 
     def test_liveness_shape(self):

@@ -30,6 +30,7 @@ from repro.service import (
     serve_stdio,
 )
 from repro.service import protocol
+from repro.service.tasks import DONE, TaskRegistry
 from repro.service.workers import solve_with_engine
 
 # Specs with optimal size 5 and 6: above the k=4 database depth of the
@@ -45,6 +46,8 @@ HARD_SPECS = [
 OUT_OF_REACH = "[0,2,4,12,8,5,9,11,1,6,10,13,3,14,7,15]"
 
 IDENTITY = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"
+#: 400,018 bytes of nested brackets: under the line cap, too deep to parse.
+DEEP_LINE = "[" * 200_009 + "]" * 200_009
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
 
 
@@ -472,11 +475,20 @@ class TestServiceCore:
 # ----------------------------------------------------------------------
 # Worker pool
 # ----------------------------------------------------------------------
+def solve(pool, words) -> list:
+    """Solve ``words`` as one scan work item each; their results."""
+    registry = TaskRegistry()
+    items = [registry.create("scan", payload=word) for word in words]
+    assert pool.solve_items(items) is items
+    assert all(item.state == DONE for item in items)
+    return [item.result for item in items]
+
+
 class TestWorkerPool:
     def test_inline_pool_matches_engine(self, handle4):
         pool = HardQueryPool(handle4, processes=0)
         words = [Permutation.from_spec(s).word for s in HARD_SPECS[:2]]
-        results = pool.solve_many(words)
+        results = solve(pool, words)
         assert [r.size for r in results] == [5, 5]
         for word, result in zip(words, results):
             direct = handle4.engine.search(word)
@@ -486,10 +498,11 @@ class TestWorkerPool:
     def test_inline_pool_reports_bound(self, handle4):
         pool = HardQueryPool(handle4, processes=0)
         word = Permutation.from_spec(OUT_OF_REACH).word
-        (result,) = pool.solve_many([word])
+        (result,) = solve(pool, [word])
+        # The exhausted search is a proof, boxed as a bound (the daemon
+        # answers it with a size_limit envelope), not an exception.
         assert result.size is None and result.lower_bound == 8
-        with pytest.raises(SizeLimitExceededError):
-            result.raise_if_bound()
+        assert "requires more than 7 gates" in result.message
         pool.close()
 
     @pytest.mark.skipif(
@@ -501,7 +514,7 @@ class TestWorkerPool:
         inline = [solve_with_engine(handle4.engine, w) for w in words]
         with HardQueryPool(handle4, processes=2, start_method="fork") as pool:
             assert pool.is_parallel
-            forked = pool.solve_many(words)
+            forked = solve(pool, words)
         assert [r.size for r in forked] == [r.size for r in inline]
         assert [r.circuit for r in forked] == [r.circuit for r in inline]
 
@@ -527,9 +540,9 @@ class TestWorkerPool:
         assert 0.5 <= elapsed < 3.0
         assert not pool.is_parallel
 
-    def test_solve_many_empty(self, handle4):
+    def test_solve_items_empty(self, handle4):
         pool = HardQueryPool(handle4, processes=0)
-        assert pool.solve_many([]) == []
+        assert pool.solve_items([]) == []
         pool.close()
 
 
@@ -642,6 +655,29 @@ class TestStdioTransport:
         served = serve_stdio(svc, stdin=io.StringIO(""), stdout=stdout)
         assert served == 0
         assert svc.stopped
+
+    def test_deeply_nested_line_is_a_protocol_error(self, handle4):
+        # Under the 1 MiB line cap, but nested far past the JSON
+        # parser's recursion limit: the line gets an error envelope and
+        # the daemon keeps serving.
+        svc = SynthesisService(handle4)
+        stdin = io.StringIO(
+            DEEP_LINE + "\n" + json.dumps({"id": 2, "op": "ping"}) + "\n"
+        )
+        stdout = io.StringIO()
+        assert serve_stdio(svc, stdin=stdin, stdout=stdout) == 2
+        nested, ping = (
+            json.loads(line) for line in stdout.getvalue().splitlines()
+        )
+        assert nested == {
+            "id": None,
+            "ok": False,
+            "error": {
+                "kind": "protocol",
+                "message": "request is nested too deeply to decode",
+            },
+        }
+        assert ping["id"] == 2 and ping["result"]["pong"] is True
 
 
 # ----------------------------------------------------------------------

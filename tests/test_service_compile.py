@@ -13,8 +13,6 @@ from repro.service import (
     SynthesisService,
     TCPDaemon,
 )
-from repro.service import protocol
-from repro.service.resilience import Deadline
 from repro.service.sharding import (
     InProcessShard,
     ShardingConfig,
@@ -173,25 +171,37 @@ class TestDaemonCompile:
         assert stats["metrics"]["requests_compile"] == before + 1
         assert "compile" not in stats.get("cache", {})  # never cached
 
-    def test_expired_deadline_degrades(self, service):
-        request = protocol.decode_request(
-            json.dumps({"id": 9, "op": "compile", "spec": DC_SPEC})
-        )
-        body = json.loads(
-            service._compile_submit(request, Deadline(-1.0))
-        )
-        assert body["ok"], body
-        result = body["result"]
-        assert result["source"] == "degraded"
-        assert result["guarantee"] == "upper_bound"
-        assert result["degraded_reason"] == "deadline"
-        # Degraded answers still honour every specified row.
-        values = json.loads(result["embedding"]["spec"])
-        for x, want in enumerate(DC_SPEC["rows"]):
-            if want is not None:
-                assert (values[x] >> 3) & 1 == want
-        metrics = submit(service, "stats")["result"]["metrics"]
-        assert metrics["degraded_deadline"] >= 1
+    def test_expired_deadline_degrades(self, handle4):
+        # The delay fault sleeps past the request's budget before the
+        # compile starts, so the deadline has expired at its first
+        # checkpoint.
+        service = SynthesisService(
+            handle4,
+            config=ServiceConfig(
+                n_wires=4, k=4, max_list_size=3, batch_window=0.0,
+                extra={"fault_plan": [
+                    {"kind": "delay", "op": "compile", "delay": 0.05},
+                ]},
+            ),
+        ).start()
+        try:
+            body = submit(
+                service, "compile", id=9, spec=DC_SPEC, deadline_ms=10
+            )
+            assert body["ok"], body
+            result = body["result"]
+            assert result["source"] == "degraded"
+            assert result["guarantee"] == "upper_bound"
+            assert result["degraded_reason"] == "deadline"
+            # Degraded answers still honour every specified row.
+            values = json.loads(result["embedding"]["spec"])
+            for x, want in enumerate(DC_SPEC["rows"]):
+                if want is not None:
+                    assert (values[x] >> 3) & 1 == want
+            metrics = submit(service, "stats")["result"]["metrics"]
+            assert metrics["degraded_deadline"] >= 1
+        finally:
+            service.shutdown()
 
 
 # ----------------------------------------------------------------------

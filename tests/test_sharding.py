@@ -320,6 +320,50 @@ class TestRouter:
                 shard.restartable = True
             router.shutdown()
 
+    def test_named_engine_wires_mismatch_matches_single_daemon(
+        self, handle4
+    ):
+        # A named engine answers the daemon's one wire count like the
+        # default engine does, at top level and as a batch entry.
+        router, _sup, _shards = make_cluster(handle4, count=2)
+        single = make_service(handle4)
+        entry = {
+            "id": 7, "op": "synth", "engine": "heuristic",
+            "spec": "[1,0,2,3]", "wires": 2,
+        }
+        wanted = {
+            "id": 7,
+            "ok": False,
+            "error": {
+                "kind": "invalid_spec",
+                "message": "this daemon serves n_wires=4, got wires=2",
+            },
+        }
+        try:
+            top = json.dumps(entry)
+            alone = single.handle_line(top)
+            assert router.handle_line(top) == alone
+            assert json.loads(alone) == wanted
+            batch = json.dumps({"id": 8, "op": "batch", "requests": [entry]})
+            alone = single.handle_line(batch)
+            assert router.handle_line(batch) == alone
+            assert json.loads(alone)["result"]["results"] == [wanted]
+        finally:
+            single.shutdown()
+            router.shutdown()
+
+    def test_deeply_nested_line_is_a_protocol_error(self, handle4):
+        router, _sup, _shards = make_cluster(handle4, count=1)
+        try:
+            body = json.loads(
+                router.handle_line("[" * 200_009 + "]" * 200_009)
+            )
+            assert body["id"] is None and not body["ok"]
+            assert body["error"]["kind"] == "protocol"
+            assert submit(router, "ping")["result"]["pong"] is True
+        finally:
+            router.shutdown()
+
     def test_wires_mismatch_and_bad_spec_envelopes(self, handle4):
         router, _sup, _shards = make_cluster(handle4)
         try:

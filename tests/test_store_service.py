@@ -20,6 +20,7 @@ import pytest
 from repro import store
 from repro.core import packed
 from repro.service import ServiceConfig, SynthesisService
+from repro.service.tasks import DONE, TaskRegistry
 from repro.synth.database import OptimalDatabase
 from repro.synth.synthesizer import OptimalSynthesizer
 
@@ -46,6 +47,15 @@ def _hard_word(db) -> int:
             if db.size_of(word) is None:
                 return word
     raise AssertionError("no beyond-database word found")
+
+
+def _solve(pool, words, timeout) -> list:
+    """Solve ``words`` as one scan work item each; their results."""
+    registry = TaskRegistry()
+    items = [registry.create("scan", payload=word) for word in words]
+    pool.solve_items(items, timeout=timeout)
+    assert all(item.state == DONE for item in items)
+    return [item.result for item in items]
 
 
 def _mapped_store_service(cache, workers: int) -> SynthesisService:
@@ -88,10 +98,10 @@ class TestSharedMapping:
                 )
 
             # Byte-identical answers: the same hard word solved many
-            # times lands on both workers (chunksize=1 round-robins) and
+            # times lands on both workers (one pool task per item) and
             # every answer must agree exactly.
             word = _hard_word(service.handle.database)
-            results = service.pool.solve_many([word] * 8, timeout=120)
+            results = _solve(service.pool, [word] * 8, timeout=120)
             assert len(results) == 8
             first = results[0]
             assert first.size == 5
@@ -133,7 +143,7 @@ class TestSharedMapping:
         pool = HardQueryPool(handle, processes=1, start_method="spawn")
         try:
             word = _hard_word(handle.database)
-            (result,) = pool.solve_many([word], timeout=300)
+            (result,) = _solve(pool, [word], timeout=300)
             assert result.size == 5
         finally:
             pool.terminate()
