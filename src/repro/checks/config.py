@@ -122,10 +122,8 @@ class CheckConfig:
 
     # --- store-layering ----------------------------------------------
     #: Path fragments allowed to call numpy persistence primitives on
-    #: database files: the store subsystem and the legacy .npz codec.
-    store_allowed: tuple[str, ...] = _tuple(
-        "repro/store/", "repro/synth/database.py"
-    )
+    #: database files: the store subsystem.
+    store_allowed: tuple[str, ...] = _tuple("repro/store/")
     #: numpy attribute calls treated as database persistence primitives
     #: when invoked as ``np.<name>`` / ``numpy.<name>``.
     store_persistence_calls: tuple[str, ...] = _tuple(

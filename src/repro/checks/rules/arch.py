@@ -16,9 +16,8 @@ reachability, and therefore run in every mode including single-file:
 
 * ``store-layering`` -- numpy persistence primitives (``np.load``,
   ``np.savez``, ``np.memmap``, ...) may only be called inside
-  ``repro/store/`` and the legacy ``.npz`` codec
-  ``repro/synth/database.py``; anything else bypasses header
-  validation, the checksum, and the crash-safe rename discipline.
+  ``repro/store/``; anything else bypasses header validation, the
+  checksum, and the crash-safe rename discipline.
 
 Unlike the layer DAG, these apply to lazy (function-scoped) imports
 too: deferring an import does not make a forbidden dependency legal,
@@ -80,8 +79,8 @@ class StoreLayeringRule(Rule):
     family = "layering"
     description = (
         "numpy persistence primitives (np.load, np.savez, np.memmap, ...) "
-        "may only be called inside repro/store/ and the legacy codec "
-        "repro/synth/database.py; everything else goes through repro.store"
+        "may only be called inside repro/store/; everything else goes "
+        "through repro.store"
     )
     scope_field = None
 
@@ -108,7 +107,7 @@ class StoreLayeringRule(Rule):
                 self, node,
                 f"direct numpy persistence call 'np.{func.attr}' outside "
                 "the store boundary; route through repro.store "
-                "(open_database / write_rdb / convert) instead",
+                "(map_database / write_rdb) instead",
             )
 
 

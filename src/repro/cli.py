@@ -6,8 +6,8 @@ Subcommands:
 * ``compile SPEC``    -- compile a Boolean function form (truth table with
                          don't-cares, multi-output, affine/XOR, LUT).
 * ``engines``         -- list the synthesis engines and what they promise.
-* ``build-db``        -- pre-compute and cache the BFS database.
-* ``db``              -- manage on-disk stores: build/convert/info/verify/list.
+* ``build-db``        -- build the BFS database and write its ``.rdb`` store.
+* ``db``              -- inspect on-disk stores: info/verify/list.
 * ``serve``           -- run the long-lived synthesis daemon (TCP/stdio).
 * ``query``           -- query a running daemon.
 * ``health``          -- a running daemon's resilience status.
@@ -769,26 +769,13 @@ def cmd_info(args) -> int:
     print(f"cache directory: {default_cache_dir()}")
     cache = default_cache_dir()
     if cache.exists():
-        for path in _cache_store_paths(cache):
-            from repro.store import store_format
-
-            print(
-                f"  {path.name}  [{store_format(path)}]  "
-                f"{path.stat().st_size / (1 << 20):.1f} MB"
-            )
+        for path in sorted(cache.glob("*.rdb")):
+            print(f"  {path.name}  {path.stat().st_size / (1 << 20):.1f} MB")
     return 0
 
 
-def _cache_store_paths(cache):
-    """All database store files (both formats) in a cache directory."""
-    return sorted(
-        list(cache.glob("*.npz")) + list(cache.glob("*.rdb")),
-        key=lambda p: (p.stem, p.suffix),
-    )
-
-
 def cmd_cache(args) -> int:
-    """List every cached database store with format, size, and stats."""
+    """List every cached database store with its size and stats."""
     from pathlib import Path
 
     from repro.errors import DatabaseError
@@ -799,7 +786,7 @@ def cmd_cache(args) -> int:
     if not cache.exists():
         print(f"cache directory {cache} does not exist")
         return 0
-    paths = _cache_store_paths(cache)
+    paths = sorted(cache.glob("*.rdb"))
     if not paths:
         print(f"cache directory {cache} holds no database stores")
         return 0
@@ -816,42 +803,6 @@ def cmd_cache(args) -> int:
         for row in info.format_rows()[1:]:
             print(f"  {row}")
     return 1 if failures else 0
-
-
-def cmd_db_build(args) -> int:
-    """Build (or reuse) the database and persist it as an ``.rdb`` store."""
-    from pathlib import Path
-
-    from repro.store import describe, write_rdb
-
-    synth = _make_synthesizer(args)
-    synth.prepare(force_rebuild=args.force)
-    if args.output:
-        target = Path(args.output)
-        write_rdb(synth.database, target)
-    elif synth.store_path is not None:
-        target = synth.store_path
-        if not target.exists():
-            write_rdb(synth.database, target)
-    else:
-        print(
-            "error: --no-cache with no --output leaves nowhere to write",
-            file=sys.stderr,
-        )
-        return 2
-    info = describe(target)
-    print(f"store written: {target}")
-    for row in info.format_rows()[1:]:
-        print(f"  {row}")
-    return 0
-
-
-def cmd_db_convert(args) -> int:
-    from repro.store import convert
-
-    convert(args.src, args.dst)
-    print(f"converted {args.src} -> {args.dst}")
-    return 0
 
 
 def cmd_db_info(args) -> int:
@@ -872,7 +823,7 @@ def cmd_db_verify(args) -> int:
     except DatabaseError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    print(f"OK: {info.path} ({info.format}, {info.entries} entries)")
+    print(f"OK: {info.path} ({info.entries} entries)")
     return 0
 
 
@@ -942,8 +893,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_engines.set_defaults(func=cmd_engines)
 
-    p_build = sub.add_parser("build-db", help="pre-compute the database")
-    p_build.add_argument("--force", action="store_true")
+    p_build = sub.add_parser(
+        "build-db", help="build the database and write its .rdb store"
+    )
+    p_build.add_argument(
+        "--force", action="store_true",
+        help="rebuild and rewrite the store even when one is cached",
+    )
     _add_synth_options(p_build)
     p_build.set_defaults(func=cmd_build_db)
 
@@ -1254,33 +1210,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_arch.set_defaults(func=cmd_arch)
 
-    p_db = sub.add_parser(
-        "db", help="manage on-disk database stores (.rdb / legacy .npz)"
-    )
+    p_db = sub.add_parser("db", help="inspect on-disk .rdb database stores")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
-
-    p_db_build = db_sub.add_parser(
-        "build", help="build the database and persist an .rdb store"
-    )
-    p_db_build.add_argument("--force", action="store_true")
-    p_db_build.add_argument(
-        "-o", "--output", default=None,
-        help="write the .rdb here instead of the cache sidecar",
-    )
-    _add_synth_options(p_db_build)
-    p_db_build.set_defaults(func=cmd_db_build)
-
-    p_db_convert = db_sub.add_parser(
-        "convert", help="convert between .npz and .rdb store formats"
-    )
-    p_db_convert.add_argument("src", help="source store (.npz or .rdb)")
-    p_db_convert.add_argument("dst", help="destination store (.npz or .rdb)")
-    p_db_convert.set_defaults(func=cmd_db_convert)
 
     p_db_info = db_sub.add_parser(
         "info", help="print a store's parameters and Table 2 statistics"
     )
-    p_db_info.add_argument("path", help="store file (.npz or .rdb)")
+    p_db_info.add_argument("path", help=".rdb store file")
     p_db_info.set_defaults(func=cmd_db_info)
 
     p_db_verify = db_sub.add_parser(
@@ -1288,11 +1224,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="full integrity pass: header, checksum, probe consistency "
         "(exit 1 on failure)",
     )
-    p_db_verify.add_argument("path", help="store file (.npz or .rdb)")
+    p_db_verify.add_argument("path", help=".rdb store file")
     p_db_verify.set_defaults(func=cmd_db_verify)
 
     p_db_list = db_sub.add_parser(
-        "list", help="list cached stores with format, size, and stats"
+        "list", help="list cached stores with size and stats"
     )
     p_db_list.add_argument(
         "--dir", default=None,

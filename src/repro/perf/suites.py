@@ -3,12 +3,11 @@
 Two tiers:
 
 * ``quick`` -- the CI gate: the paper's Section 3.3 micro-ops (scalar
-  and vectorized), hash-table probing, a small BFS build, database
-  store cold starts (``.npz`` load-and-rebuild vs ``.rdb`` zero-copy
-  mmap) with mapped probing, one query per search path (database
-  hit / list scan / exhausted scan), the same hard query under the
-  racing engine, the cancel round-trip latency of a preempted scan,
-  the shard router's pure routing decision, an in-process sharded
+  and vectorized), hash-table probing, a small BFS build, the ``.rdb``
+  store's zero-copy cold start and mapped probing, one query per search
+  path (database hit / list scan / exhausted scan), the same hard query
+  under the racing engine, the cancel round-trip latency of a preempted
+  scan, the shard router's pure routing decision, an in-process sharded
   scatter/gather batch, and the function-form compile front-end (spec
   normalization, and an end-to-end don't-care compile).  A few seconds
   end to end at ``REPRO_BENCH_K=5``.
@@ -74,13 +73,24 @@ class BenchContext:
         self._service: Any = None
         self._shard_router: Any = None
         self._shard_clusters: "dict[int, Any]" = {}
-        self._cluster_tmp: "str | None" = None
-        self._store_paths: "tuple[Path, Path] | None" = None
-        self._store_tmp: "str | None" = None
+        self._tmp: "str | None" = None
 
     # ------------------------------------------------------------------
     # Lazy resources
     # ------------------------------------------------------------------
+    def store_dir(self) -> Path:
+        """Where the suite's ``.rdb`` store lives: the bench cache
+        directory, or a temp directory removed by :meth:`close`."""
+        if self.cache_dir:
+            cache = Path(self.cache_dir)
+            cache.mkdir(parents=True, exist_ok=True)
+            return cache
+        if self._tmp is None:
+            import tempfile
+
+            self._tmp = tempfile.mkdtemp(prefix="repro-bench-")
+        return Path(self._tmp)
+
     def optimal_engine(self) -> Any:
         """A prepared optimal engine at the suite's (k, m) scale."""
         if self._engine is None:
@@ -91,7 +101,7 @@ class BenchContext:
                 n_wires=4,
                 k=self.scale["k"],
                 max_list_size=self.scale["max_list_size"],
-                cache_dir=self.cache_dir if self.cache_dir else False,
+                cache_dir=self.store_dir(),
             ).prepare()
         return self._engine
 
@@ -164,63 +174,22 @@ class BenchContext:
 
     def process_cluster(self, count: int) -> Any:
         """A real ``count``-process shard cluster at the suite's k (full
-        suite only).  Shards share one pre-built ``.rdb`` store in the
-        bench cache directory (or a temp directory removed by
-        :meth:`close`); the 1-shard cluster is the single-daemon
+        suite only).  Shards share one pre-built ``.rdb`` store in
+        :meth:`store_dir`; the 1-shard cluster is the single-daemon
         baseline its 4-shard sibling is compared against.
         """
         if count not in self._shard_clusters:
-            import tempfile
-
             from repro.service.sharding import ShardCluster
 
-            if self.cache_dir:
-                cache = Path(self.cache_dir)
-                cache.mkdir(parents=True, exist_ok=True)
-            elif self._cluster_tmp is not None:
-                cache = Path(self._cluster_tmp)
-            else:
-                self._cluster_tmp = tempfile.mkdtemp(
-                    prefix="repro-bench-shards-"
-                )
-                cache = Path(self._cluster_tmp)
             cluster = ShardCluster.launch(
                 count,
                 k=self.scale["k"],
                 max_list_size=self.scale["max_list_size"],
-                cache_dir=cache,
+                cache_dir=self.store_dir(),
             )
             cluster.router.start()
             self._shard_clusters[count] = cluster
         return self._shard_clusters[count]
-
-    def db_store_paths(self) -> "tuple[Path, Path]":
-        """``(npz_path, rdb_path)`` persisted stores of the suite database.
-
-        Written into the bench cache directory when one is configured
-        (so reruns reuse them, keyed by k in the filename), otherwise
-        into a temp directory removed by :meth:`close`.
-        """
-        if self._store_paths is None:
-            import tempfile
-
-            db = self.optimal_engine().impl.database
-            if self.cache_dir:
-                base = Path(self.cache_dir)
-                base.mkdir(parents=True, exist_ok=True)
-            else:
-                self._store_tmp = tempfile.mkdtemp(prefix="repro-bench-db-")
-                base = Path(self._store_tmp)
-            npz = base / f"bench-db-n4-k{self.scale['k']}.npz"
-            rdb = npz.with_suffix(".rdb")
-            if not npz.exists():
-                db.save(npz)
-            if not rdb.exists():
-                from repro.store import write_rdb
-
-                write_rdb(db, rdb)
-            self._store_paths = (npz, rdb)
-        return self._store_paths
 
     def close(self) -> None:
         if self._service is not None:
@@ -232,17 +201,11 @@ class BenchContext:
         for cluster in self._shard_clusters.values():
             cluster.close()
         self._shard_clusters = {}
-        if self._cluster_tmp is not None:
+        if self._tmp is not None:
             import shutil
 
-            shutil.rmtree(self._cluster_tmp, ignore_errors=True)
-            self._cluster_tmp = None
-        if self._store_tmp is not None:
-            import shutil
-
-            shutil.rmtree(self._store_tmp, ignore_errors=True)
-            self._store_tmp = None
-        self._store_paths = None
+            shutil.rmtree(self._tmp, ignore_errors=True)
+            self._tmp = None
         self._race_engine = None
         self._engine = None
 
@@ -410,25 +373,17 @@ def _setup_bfs_build_n4(ctx: BenchContext) -> Callable[[], Any]:
     return lambda: build_database(4, k)
 
 
-def _setup_db_cold_start_npz(ctx: BenchContext) -> Callable[[], Any]:
-    from repro.store import open_database
-
-    npz, _rdb = ctx.db_store_paths()
-    return lambda: open_database(npz)
-
-
 def _setup_db_cold_start_mmap(ctx: BenchContext) -> Callable[[], Any]:
     from repro.store import map_database
 
-    _npz, rdb = ctx.db_store_paths()
+    rdb = ctx.optimal_engine().impl.store_path
     return lambda: map_database(rdb)
 
 
 def _setup_db_mapped_probe_batch(ctx: BenchContext) -> Callable[[], Any]:
     from repro.store import map_database
 
-    _npz, rdb = ctx.db_store_paths()
-    table = map_database(rdb).table
+    table = map_database(ctx.optimal_engine().impl.store_path).table
     words = _vector_words()
     # repro: allow[unrouted-lookup] the op times raw mapped probing over uniform random keys (nearly all misses); canonicalizing would change what is measured
     return lambda: table.lookup_batch(words)
@@ -438,8 +393,7 @@ def _setup_db_mapped_probe_batch_32(ctx: BenchContext) -> Callable[[], Any]:
     """One peel step's probe: 32 keys, where per-round overhead dominates."""
     from repro.store import map_database
 
-    _npz, rdb = ctx.db_store_paths()
-    table = map_database(rdb).table
+    table = map_database(ctx.optimal_engine().impl.store_path).table
     words = _vector_words(N_PEEL)
     # repro: allow[unrouted-lookup] the op times raw mapped probing over uniform random keys (nearly all misses); canonicalizing would change what is measured
     return lambda: table.lookup_batch(words)
@@ -719,10 +673,6 @@ _QUICK_OPS: tuple[BenchOp, ...] = (
     BenchOp("micro.hash_vectorized", _setup_hash_vectorized),
     BenchOp("table.lookup_batch", _setup_table_lookup_batch),
     BenchOp("bfs.build_n3", _setup_bfs_build_n3, min_samples=3, once=True),
-    BenchOp(
-        "db.cold_start_npz", _setup_db_cold_start_npz,
-        min_samples=3, once=True,
-    ),
     BenchOp("db.cold_start_mmap", _setup_db_cold_start_mmap),
     BenchOp("db.mapped_probe_batch", _setup_db_mapped_probe_batch),
     BenchOp("db.mapped_probe_batch_32", _setup_db_mapped_probe_batch_32),

@@ -506,17 +506,13 @@ class SynthesisService(RequestFront):
         memory-map -- every worker process touching it shares one
         page-cache copy (see ``docs/DATABASE.md``).
         """
-        from repro.store import is_mapped, mapped_path, store_format
+        from repro.store import is_mapped, mapped_path
 
         db = self.handle.database
-        path = mapped_path(db)
-        if path is None and self.handle.store_path is not None:
-            path = self.handle.store_path
-        elif path is None and self.handle.cache_path is not None:
-            path = self.handle.cache_path
+        path = mapped_path(db) or self.handle.store_path
         return {
             "store": str(path) if path is not None else None,
-            "format": store_format(path) if path is not None else None,
+            "format": "rdb" if path is not None else None,
             "mapped": is_mapped(db),
         }
 

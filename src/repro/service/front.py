@@ -177,8 +177,8 @@ class RequestFront:
         count.
 
         Raises a :class:`ReproError` whose envelope is the answer: a
-        wrong ``wires`` and a spec that does not parse are
-        ``invalid_spec``.
+        wrong ``wires``, a spec that does not parse, and a permutation
+        spec of another width are ``invalid_spec``.
         """
         if request.wires is not None and request.wires != self.n_wires:
             raise ProtocolError(
@@ -191,13 +191,20 @@ class RequestFront:
                 from repro.specs import spec_from_wire
 
                 return spec_from_wire(request.spec)
-            return Permutation.coerce(request.spec_value(), self.n_wires)
+            perm = Permutation.coerce(request.spec_value(), self.n_wires)
         except ReproError:
             raise
         except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"unparseable spec: {exc}", kind="invalid_spec"
             ) from exc
+        if perm.n_wires != self.n_wires:
+            raise ProtocolError(
+                f"this daemon serves n_wires={self.n_wires}, "
+                f"got a {perm.n_wires}-wire spec",
+                kind="invalid_spec",
+            )
+        return perm
 
     def _control(self, request: "protocol.Request") -> str:
         """Answer a control op (everything but work and ``batch``)."""

@@ -12,14 +12,12 @@ Process start-up strategy:
   and lists copy-on-write, so start-up is instant and memory is shared.
   The pool must be created before the daemon starts its serving threads
   (forking a multithreaded process is unsafe).
-* Under ``spawn`` (macOS/Windows default), each worker reopens the
-  handle's database *store* in its initializer, routed through the
-  :mod:`repro.store` resolver: an ``.rdb`` store memory-maps zero-copy
-  (so even spawned workers share one page-cache copy of the table and
-  start in O(page-fault) time), and only a legacy ``.npz``-only cache
-  pays a per-worker load-and-rebuild.  Pool restarts after a fault
-  re-run the same initializer with the same store path, so recovered
-  workers reopen the same mapping.
+* Under ``spawn`` (macOS/Windows default), each worker maps the
+  handle's ``.rdb`` store in its initializer, zero-copy, so even
+  spawned workers share one page-cache copy of the table and start in
+  O(page-fault) time.  Pool restarts after a fault re-run the same
+  initializer with the same store path, so recovered workers reopen
+  the same mapping.
 
 Workers never raise across the process boundary: outcomes (including
 proven lower bounds) travel back as plain tuples, so exceptions with
@@ -81,22 +79,6 @@ def _init_spawn_worker(n_wires, k, max_list_size, store_path) -> None:
     )
     synth.prepare_from_store(store_path)
     _WORKER_ENGINE = synth.handle().engine
-
-
-def _handle_store_path(handle):
-    """The store path a spawned/restarted worker should reopen.
-
-    Prefers the handle's ``.rdb`` store (zero-copy shared mapping);
-    falls back to the ``.rdb`` sidecar of its ``.npz`` cache path, then
-    to the ``.npz`` itself.  None when the handle was never persisted.
-    """
-    if handle.store_path is not None and handle.store_path.exists():
-        return handle.store_path
-    if handle.cache_path is not None and handle.cache_path.exists():
-        from repro.store import resolve_store
-
-        return resolve_store(handle.cache_path)
-    return None
 
 
 def solve_word(word: int) -> HardResult:
@@ -175,11 +157,11 @@ class HardQueryPool:
                 processes=self.processes, initializer=_init_fork_worker
             )
         else:
-            store_path = _handle_store_path(handle)
-            if store_path is None:
+            store_path = handle.store_path
+            if store_path is None or not store_path.exists():
                 raise ServiceError(
                     "spawn-based worker pool needs a persisted database "
-                    "store (.rdb or .npz; run with caching enabled)"
+                    "store (run with caching enabled)"
                 )
             self._pool = ctx.Pool(
                 processes=self.processes,

@@ -9,9 +9,8 @@ same store shares one copy of it in the page cache.  See
 
 Public surface:
 
-- :func:`open_database` / :func:`map_database` -- open a store
-  (``.rdb`` maps zero-copy, legacy ``.npz`` loads into RAM)
-- :func:`write_rdb` / :func:`convert` -- produce stores crash-safely
+- :func:`map_database` -- open a store, zero copy
+- :func:`write_rdb` -- write a store crash-safely
 - :func:`verify_store` / :func:`describe` -- integrity and Table 2 stats
 - :class:`MmapTable` -- the read-only mapped table itself
 """
@@ -26,23 +25,10 @@ from repro.store.format import (
 )
 from repro.store.mapped import is_mapped, map_database, mapped_path
 from repro.store.mmap_table import MmapTable
-from repro.store.registry import (
-    FORMAT_NPZ,
-    FORMAT_RDB,
-    StoreInfo,
-    convert,
-    describe,
-    open_database,
-    rdb_sidecar,
-    resolve_store,
-    store_format,
-    verify_store,
-)
+from repro.store.verify import StoreInfo, describe, verify_store
 from repro.store.writer import payload_checksum, write_rdb
 
 __all__ = [
-    "FORMAT_NPZ",
-    "FORMAT_RDB",
     "HEADER_SIZE",
     "MAX_K",
     "MmapTable",
@@ -50,17 +36,12 @@ __all__ = [
     "RDB_VERSION",
     "StoreHeader",
     "StoreInfo",
-    "convert",
     "describe",
     "is_mapped",
     "map_database",
     "mapped_path",
-    "open_database",
     "payload_checksum",
-    "rdb_sidecar",
     "read_header",
-    "resolve_store",
-    "store_format",
     "verify_store",
     "write_rdb",
 ]

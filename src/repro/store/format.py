@@ -169,8 +169,8 @@ class StoreHeader:
         if version != RDB_VERSION:
             raise DatabaseError(
                 f"database store {path} has format version {version}, "
-                f"this build reads version {RDB_VERSION}; re-run "
-                "'repro db convert' to migrate"
+                f"this build reads version {RDB_VERSION}; rebuild it "
+                "with 'repro build-db --force'"
             )
         if header_size != HEADER_SIZE:
             raise DatabaseError(

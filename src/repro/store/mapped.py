@@ -27,7 +27,7 @@ def map_database(path: "str | Path"):
     when the file is missing, truncated, version-skewed, or its header
     disagrees with its length.  The payload checksum is *not* verified
     here -- that would fault every page in and defeat the O(page-fault)
-    cold start; run :func:`repro.store.registry.verify_store` (or
+    cold start; run :func:`repro.store.verify.verify_store` (or
     ``repro db verify``) for the full integrity pass.
     """
     from repro.synth.database import OptimalDatabase

@@ -79,9 +79,9 @@ def write_rdb(db, path: "str | Path") -> Path:
     )
     assert header.expected_payload_len() == payload_len
 
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(header.pack())
             for section in sections:

@@ -16,10 +16,8 @@ the paper does, and the tests cross-check the two.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass, field
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -134,81 +132,8 @@ class OptimalDatabase:
         return sum(self.function_counts())
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Construction
     # ------------------------------------------------------------------
-    def save(self, path: "str | Path") -> None:
-        """Serialize to an ``.npz`` file (representatives per size)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        arrays = {
-            f"reps_{size}": reps for size, reps in enumerate(self.reps_by_size)
-        }
-        arrays["meta"] = np.array([self.n_wires, self.k], dtype=np.int64)
-        np.savez_compressed(path, **arrays)
-
-    @staticmethod
-    def load(path: "str | Path") -> "OptimalDatabase":
-        """Load a database previously written by :meth:`save`.
-
-        Raises :class:`DatabaseError` (never a raw ``KeyError``) when the
-        file is truncated or corrupt: a missing ``meta`` record, a
-        malformed ``meta``, or a missing ``reps_{size}`` array.
-        """
-        path = Path(path)
-        if not path.exists():
-            raise DatabaseError(f"database file not found: {path}")
-        try:
-            data = np.load(path)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise DatabaseError(
-                f"database file {path} is not a readable .npz archive: {exc}"
-            ) from exc
-        with data:
-            if "meta" not in data.files:
-                raise DatabaseError(
-                    f"database file {path} is corrupt: missing 'meta' record"
-                )
-            meta = np.asarray(data["meta"]).ravel()
-            if meta.shape[0] != 2:
-                raise DatabaseError(
-                    f"database file {path} is corrupt: 'meta' must hold "
-                    f"[n_wires, k], got {meta.tolist()}"
-                )
-            n_wires, k = (int(v) for v in meta)
-            if not (1 <= n_wires <= 4) or k < 0:
-                raise DatabaseError(
-                    f"database file {path} is corrupt: invalid meta "
-                    f"n_wires={n_wires}, k={k}"
-                )
-            missing = [
-                f"reps_{size}"
-                for size in range(k + 1)
-                if f"reps_{size}" not in data.files
-            ]
-            if missing:
-                raise DatabaseError(
-                    f"database file {path} is truncated: k={k} but missing "
-                    f"{', '.join(missing)}"
-                )
-            reps_by_size = [
-                data[f"reps_{size}"].astype(np.uint64) for size in range(k + 1)
-            ]
-        return OptimalDatabase.from_reps(n_wires, k, reps_by_size)
-
-    @staticmethod
-    def map(path: "str | Path") -> "OptimalDatabase":
-        """Memory-map a flat ``.rdb`` store written by
-        :func:`repro.store.write_rdb`.
-
-        Unlike :meth:`load`, nothing is deserialized: the hash table and
-        per-size representative arrays are read-only ``np.memmap`` views
-        over the file, shared page-cache-wide with every other process
-        mapping the same store.  See :mod:`repro.store`.
-        """
-        from repro.store import map_database
-
-        return map_database(path)
-
     @staticmethod
     def from_reps(
         n_wires: int, k: int, reps_by_size: list[np.ndarray]

@@ -6,7 +6,7 @@ Typical use::
     from repro.synth import OptimalSynthesizer
 
     synth = OptimalSynthesizer(n_wires=4, k=6, max_list_size=4)
-    synth.prepare()                       # builds or loads the BFS database
+    synth.prepare()                       # maps or builds the BFS database
     circuit = synth.synthesize("[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]")
     print(circuit)                        # TOF4(a,b,c,d) TOF(a,b,c) CNOT(a,b) NOT(a)
 
@@ -62,7 +62,6 @@ class SynthesisHandle:
     max_list_size: int
     database: OptimalDatabase
     engine: MeetInTheMiddleSearch
-    cache_path: "Path | None"
     store_path: "Path | None" = None
 
     @property
@@ -80,8 +79,8 @@ class OptimalSynthesizer:
         max_list_size: Depth m of the lists A_i; reachable size is
             ``L = k + m``.  Defaults to ``min(k, 3)`` -- raise it for
             deeper searches at the cost of per-query scan time.
-        cache_dir: Where to persist the database (None = default cache,
-            False = never persist).
+        cache_dir: Where to persist the ``.rdb`` store (None = default
+            cache, False = never persist).
         verbose: Print progress while building.
     """
 
@@ -104,12 +103,10 @@ class OptimalSynthesizer:
         self.max_list_size = max_list_size
         self.verbose = verbose
         if cache_dir is False:
-            self.cache_path = None
             self.store_path = None
         else:
             base = Path(cache_dir) if cache_dir else default_cache_dir()
-            self.cache_path = base / f"db-n{n_wires}-k{k}.npz"
-            self.store_path = self.cache_path.with_suffix(".rdb")
+            self.store_path = base / f"db-n{n_wires}-k{k}.rdb"
         self._db: "OptimalDatabase | None" = None
         self._search: "MeetInTheMiddleSearch | None" = None
 
@@ -117,69 +114,57 @@ class OptimalSynthesizer:
     # Lifecycle
     # ------------------------------------------------------------------
     def prepare(self, force_rebuild: bool = False) -> "OptimalSynthesizer":
-        """Build or load the database and materialize the search lists.
+        """Map the cached ``.rdb`` store, or build the database and write it.
 
-        Load order: the memory-mapped ``.rdb`` store sidecar when one
-        exists (zero-copy, O(page-fault) cold start), then the legacy
-        ``.npz`` cache, then a fresh BFS build.  Whenever the database
-        came from anywhere but the ``.rdb``, a fresh sidecar is written
-        (crash-safely, best-effort) so the *next* start maps instead of
+        A store that is missing, unreadable (corrupt, version-skewed) or
+        does not cover this synthesizer's parameters is replaced: a
+        fresh BFS build is written crash-safely (best-effort) to
+        :attr:`store_path`, so the *next* start maps instead of
         rebuilding.
         """
         if self._search is not None and not force_rebuild:
             return self
-        db = None
-        if not force_rebuild and self.store_path and self.store_path.exists():
-            self._log(f"mapping database store {self.store_path}")
+        from repro.store import map_database, write_rdb
+
+        path = self.store_path
+        if not force_rebuild and path is not None and path.exists():
+            self._log(f"mapping database store {path}")
             try:
-                db = OptimalDatabase.map(self.store_path)
+                return self._adopt(map_database(path), path)
             except DatabaseError as exc:
-                self._log(f"store unusable ({exc}); falling back")
-                db = None
-            if db is not None and (
-                db.n_wires != self.n_wires or db.k < self.k
-            ):
-                db = None
-        mapped = db is not None
-        if db is None and (
-            not force_rebuild and self.cache_path and self.cache_path.exists()
-        ):
-            self._log(f"loading database from {self.cache_path}")
-            db = OptimalDatabase.load(self.cache_path)
-            if db.n_wires != self.n_wires or db.k < self.k:
-                db = None
-        if db is None:
-            self._log(f"building database: n={self.n_wires}, k={self.k}")
-            start = time.perf_counter()
-            db = build_database(
-                self.n_wires,
-                self.k,
-                progress=self._progress if self.verbose else None,
-            )
-            self._log(f"built in {time.perf_counter() - start:.1f}s")
-            if self.cache_path:
-                db.save(self.cache_path)
-                self._log(f"saved to {self.cache_path}")
-        if not mapped:
-            self._write_store_sidecar(db)
-        self._db = db
-        self._log(f"building lists A_1..A_{self.max_list_size}")
-        lists = MeetInTheMiddleSearch.build_lists(db, self.max_list_size)
-        self._search = MeetInTheMiddleSearch(db, lists)
-        return self
+                self._log(f"store unusable ({exc}); rebuilding")
+        self._log(f"building database: n={self.n_wires}, k={self.k}")
+        start = time.perf_counter()
+        db = build_database(
+            self.n_wires,
+            self.k,
+            progress=self._progress if self.verbose else None,
+        )
+        self._log(f"built in {time.perf_counter() - start:.1f}s")
+        if path is not None:
+            try:
+                write_rdb(db, path)
+                self._log(f"wrote database store {path}")
+            except DatabaseError as exc:
+                self._log(f"could not write database store: {exc}")
+        return self._adopt(db, path)
 
     def prepare_from_store(self, path: "str | Path") -> "OptimalSynthesizer":
-        """Prepare directly from a database store at ``path``.
-
-        ``.rdb`` maps zero-copy (the route the daemon's spawned workers
-        take so they all share one page-cache copy); ``.npz`` loads into
-        RAM.  Raises :class:`DatabaseError` when the store is missing,
-        corrupt, or does not cover this synthesizer's parameters.
+        """Prepare from the ``.rdb`` store at ``path``, mapped zero-copy
+        (the route the daemon's spawned workers take so they all share
+        one page-cache copy).  Raises :class:`DatabaseError` when the
+        store is missing, corrupt, or does not cover this synthesizer's
+        parameters.
         """
-        from repro.store import open_database
+        from repro.store import map_database
 
         path = Path(path)
-        db = open_database(path)
+        return self._adopt(map_database(path), path)
+
+    def _adopt(
+        self, db: OptimalDatabase, path: "Path | None"
+    ) -> "OptimalSynthesizer":
+        """Check that ``db`` covers this synthesizer, then build the lists."""
         if db.n_wires != self.n_wires or db.k < self.k:
             raise DatabaseError(
                 f"database store {path} holds n_wires={db.n_wires}, "
@@ -191,18 +176,6 @@ class OptimalSynthesizer:
         lists = MeetInTheMiddleSearch.build_lists(db, self.max_list_size)
         self._search = MeetInTheMiddleSearch(db, lists)
         return self
-
-    def _write_store_sidecar(self, db: OptimalDatabase) -> None:
-        """Best-effort ``.rdb`` sidecar write next to the ``.npz`` cache."""
-        if not self.store_path:
-            return
-        from repro.store import write_rdb
-
-        try:
-            write_rdb(db, self.store_path)
-            self._log(f"wrote store sidecar {self.store_path}")
-        except DatabaseError as exc:
-            self._log(f"could not write store sidecar: {exc}")
 
     @property
     def database(self) -> OptimalDatabase:
@@ -236,7 +209,6 @@ class OptimalSynthesizer:
             max_list_size=self.max_list_size,
             database=self._db,
             engine=self._search,
-            cache_path=self.cache_path,
             store_path=store_path,
         )
 
@@ -249,7 +221,6 @@ class OptimalSynthesizer:
             max_list_size=handle.max_list_size,
             cache_dir=False,
         )
-        synth.cache_path = handle.cache_path
         synth.store_path = handle.store_path
         synth._db = handle.database
         synth._search = handle.engine

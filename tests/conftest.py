@@ -64,7 +64,6 @@ def handle4(db4_k4, engine4_l7):
         max_list_size=3,
         database=db4_k4,
         engine=engine4_l7,
-        cache_path=None,
     )
 
 

@@ -493,10 +493,10 @@ class TestStoreLayering:
     def test_passes_inside_store_package(self):
         assert findings(self.LOAD, path="src/repro/store/example.py") == []
 
-    def test_passes_legacy_codec_module(self):
-        assert findings(
+    def test_flags_database_module(self):
+        assert "store-layering" in findings(
             self.LOAD, path="src/repro/synth/database.py"
-        ) == []
+        )
 
     def test_non_persistence_numpy_calls_allowed(self):
         assert findings(

@@ -160,21 +160,16 @@ class TestOtherCommands:
 
 
 class TestDbCommands:
-    def _build(self, tmp_path):
-        rdb = tmp_path / "db.rdb"
-        code = main(
-            ["db", "build", "--wires", "3", "-k", "3", "--lists", "1",
-             "-o", str(rdb)]
-        )
+    def _build(self, tmp_path, k=3):
+        """``build-db`` into the cache directory; the store it wrote."""
+        code = main(["build-db", "--wires", "3", "-k", str(k), "--lists", "1"])
         assert code == 0
-        return rdb
+        return tmp_path / f"db-n3-k{k}.rdb"
 
     def test_db_build_writes_store(self, capsys, tmp_path):
         rdb = self._build(tmp_path)
-        out = capsys.readouterr().out
-        assert rdb.exists()
-        assert "format     rdb" in out
-        assert "Load Factor" in out
+        assert "Load Factor" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == [rdb.name]
 
     def test_db_verify_ok_and_fail(self, capsys, tmp_path):
         rdb = self._build(tmp_path)
@@ -187,26 +182,27 @@ class TestDbCommands:
         assert "FAIL" in capsys.readouterr().err
 
     def test_db_convert_and_info(self, capsys, tmp_path):
+        # .rdb is the only format: there is nothing to convert to, and
+        # `db info` reports on the store as written.
         rdb = self._build(tmp_path)
-        npz = tmp_path / "db.npz"
-        assert main(["db", "convert", str(rdb), str(npz)]) == 0
-        assert npz.exists()
-        assert main(["db", "info", str(npz)]) == 0
-        out = capsys.readouterr().out
-        assert "format     npz" in out
-
-    def test_db_list_both_formats(self, capsys, tmp_path):
-        # A dedicated directory: the autouse cache fixture points
-        # REPRO_CACHE_DIR at tmp_path, and `db build` persists its own
-        # cache stores there too.
-        stores = tmp_path / "stores"
-        stores.mkdir()
-        rdb = self._build(stores)
-        main(["db", "convert", str(rdb), str(stores / "db.npz")])
+        with pytest.raises(SystemExit) as exc:
+            main(["db", "convert", str(rdb), str(tmp_path / "db.npz")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "db.npz").exists()
         capsys.readouterr()
-        assert main(["db", "list", "--dir", str(stores)]) == 0
+        assert main(["db", "info", str(rdb)]) == 0
         out = capsys.readouterr().out
-        assert "db.rdb" in out and "db.npz" in out
+        assert f"path       {rdb}" in out
+        assert "k          3" in out
+        assert "Load Factor" in out
+
+    def test_db_list_reports_every_store(self, capsys, tmp_path):
+        self._build(tmp_path, k=2)
+        self._build(tmp_path, k=3)
+        capsys.readouterr()
+        assert main(["db", "list", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "db-n3-k2.rdb" in out and "db-n3-k3.rdb" in out
         assert out.count("Load Factor") == 2
 
     def test_db_list_reports_unreadable_store(self, capsys, tmp_path):
@@ -214,15 +210,12 @@ class TestDbCommands:
         assert main(["db", "list", "--dir", str(tmp_path)]) == 1
         assert "UNREADABLE" in capsys.readouterr().out
 
-    def test_info_lists_rdb_sidecars(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["build-db", "--wires", "3", "-k", "3",
-                     "--lists", "1"]) == 0
+    def test_info_lists_cache_stores(self, capsys, tmp_path):
+        self._build(tmp_path)
         capsys.readouterr()
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "db-n3-k3.npz  [npz]" in out
-        assert "db-n3-k3.rdb  [rdb]" in out
+        assert "  db-n3-k3.rdb  " in out
 
 
 class TestEngines:

@@ -1,11 +1,14 @@
 """Tests for OptimalDatabase: lookups, persistence, peeling."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import equivalence, packed
 from repro.core.gates import all_gates
 from repro.errors import DatabaseError
+from repro.store import map_database, read_header, write_rdb
 from repro.synth.database import OptimalDatabase
 
 
@@ -90,10 +93,10 @@ class TestLookups:
 
 
 class TestPersistence:
+    """The database round-trips through its ``.rdb`` store."""
+
     def test_save_load_roundtrip(self, db4_k4, tmp_path):
-        path = tmp_path / "db.npz"
-        db4_k4.save(path)
-        loaded = OptimalDatabase.load(path)
+        loaded = map_database(write_rdb(db4_k4, tmp_path / "db.rdb"))
         assert loaded.n_wires == 4 and loaded.k == 4
         assert loaded.reduced_counts() == db4_k4.reduced_counts()
         for a, b in zip(loaded.reps_by_size, db4_k4.reps_by_size):
@@ -101,61 +104,37 @@ class TestPersistence:
         assert loaded.size_of(packed.identity(4)) == 0
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(DatabaseError):
-            OptimalDatabase.load(tmp_path / "nope.npz")
+        with pytest.raises(DatabaseError, match="nope.rdb"):
+            map_database(tmp_path / "nope.rdb")
 
     def test_save_creates_directories(self, db4_k4, tmp_path):
-        path = tmp_path / "deep" / "nested" / "db.npz"
-        db4_k4.save(path)
+        path = tmp_path / "deep" / "nested" / "db.rdb"
+        write_rdb(db4_k4, path)
         assert path.exists()
 
-    def test_load_not_an_archive(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(DatabaseError, match="garbage.npz"):
-            OptimalDatabase.load(path)
+    def test_load_malformed_meta(self, db4_k4, tmp_path):
+        path = write_rdb(db4_k4, tmp_path / "bad_meta.rdb")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 512)  # header_size
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseError, match="header_size 512"):
+            map_database(path)
 
-    def test_load_truncated_zip(self, db4_k4, tmp_path):
-        """A file cut off mid-archive (still starting with the zip magic)
-        raises DatabaseError, not a raw zipfile.BadZipFile."""
-        path = tmp_path / "cut.npz"
-        db4_k4.save(path)
-        path.write_bytes(path.read_bytes()[:200])
-        with pytest.raises(DatabaseError, match="cut.npz"):
-            OptimalDatabase.load(path)
-
-    def test_load_missing_meta(self, tmp_path):
-        path = tmp_path / "no_meta.npz"
-        np.savez(path, reps_0=np.array([0], dtype=np.uint64))
-        with pytest.raises(DatabaseError, match="missing 'meta'"):
-            OptimalDatabase.load(path)
-
-    def test_load_malformed_meta(self, tmp_path):
-        path = tmp_path / "bad_meta.npz"
-        np.savez(path, meta=np.array([4], dtype=np.int64))
-        with pytest.raises(DatabaseError, match="meta"):
-            OptimalDatabase.load(path)
-
-    def test_load_invalid_meta_values(self, tmp_path):
-        path = tmp_path / "bad_values.npz"
-        np.savez(path, meta=np.array([9, -1], dtype=np.int64))
-        with pytest.raises(DatabaseError, match="invalid meta"):
-            OptimalDatabase.load(path)
+    def test_load_invalid_meta_values(self, db4_k4, tmp_path):
+        path = write_rdb(db4_k4, tmp_path / "bad_values.rdb")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 16, 9)  # n_wires
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseError, match="invalid n_wires=9"):
+            map_database(path)
 
     def test_load_truncated_reps(self, db4_k4, tmp_path):
-        """A save missing one reps_{size} array names the gap and the path."""
-        path = tmp_path / "truncated.npz"
-        arrays = {
-            f"reps_{size}": reps
-            for size, reps in enumerate(db4_k4.reps_by_size)
-            if size != 2
-        }
-        arrays["meta"] = np.array([4, 4], dtype=np.int64)
-        np.savez(path, **arrays)
-        with pytest.raises(DatabaseError) as excinfo:
-            OptimalDatabase.load(path)
-        assert "reps_2" in str(excinfo.value)
-        assert "truncated.npz" in str(excinfo.value)
+        """A store cut where reps_2 starts names the path."""
+        path = write_rdb(db4_k4, tmp_path / "truncated.rdb")
+        cut = read_header(path).reps_offsets()[2]
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DatabaseError, match="truncated.rdb"):
+            map_database(path)
 
     def test_from_reps_empty_rejected(self):
         with pytest.raises(DatabaseError, match="empty"):

@@ -219,6 +219,15 @@ class TestRunner:
         with pytest.raises(BenchDataError, match="unknown bench suite"):
             suite_ops("nightly")
 
+    def test_committed_baseline_covers_the_quick_suite(self):
+        # ``--compare`` only warns on a missing or new op, so a stale
+        # baseline would otherwise gate nothing.
+        root = Path(__file__).resolve().parents[1]
+        path = root / "benchmarks" / "BENCH_baseline.json"
+        baseline = BenchRecord.load(path)
+        assert baseline.suite == "quick"
+        assert set(baseline.ops) == {op.name for op in suite_ops("quick")}
+
     def test_run_suite_rejects_unknown_select(self):
         with pytest.raises(BenchDataError, match="unknown op"):
             run_suite("quick", select=["micro.typo"])

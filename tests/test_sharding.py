@@ -325,19 +325,36 @@ class TestRouter:
     ):
         # A named engine answers the daemon's one wire count like the
         # default engine does, at top level and as a batch entry.
+        self.assert_rejected_alike(
+            handle4,
+            {
+                "id": 7, "op": "synth", "engine": "heuristic",
+                "spec": "[1,0,2,3]", "wires": 2,
+            },
+            "this daemon serves n_wires=4, got wires=2",
+        )
+
+    @pytest.mark.parametrize("engine", [None, "heuristic"])
+    def test_narrow_spec_matches_single_daemon(self, handle4, engine):
+        # A 2-wire spec without ``wires`` is rejected, not read as a
+        # 4-wire word (default engine) or answered on 2 wires (named).
+        entry = {"id": 7, "op": "synth", "spec": "[1,0,2,3]"}
+        if engine is not None:
+            entry["engine"] = engine
+        self.assert_rejected_alike(
+            handle4, entry, "this daemon serves n_wires=4, got a 2-wire spec"
+        )
+
+    @staticmethod
+    def assert_rejected_alike(handle4, entry, message):
+        """A solo daemon and a 2-shard router answer ``entry`` with the
+        same ``invalid_spec`` line, at top level and as a batch entry."""
         router, _sup, _shards = make_cluster(handle4, count=2)
         single = make_service(handle4)
-        entry = {
-            "id": 7, "op": "synth", "engine": "heuristic",
-            "spec": "[1,0,2,3]", "wires": 2,
-        }
         wanted = {
-            "id": 7,
+            "id": entry["id"],
             "ok": False,
-            "error": {
-                "kind": "invalid_spec",
-                "message": "this daemon serves n_wires=4, got wires=2",
-            },
+            "error": {"kind": "invalid_spec", "message": message},
         }
         try:
             top = json.dumps(entry)

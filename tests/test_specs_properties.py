@@ -40,7 +40,6 @@ def engine3w(db3, engine3):
         max_list_size=4,
         database=db3,
         engine=engine3,
-        cache_path=None,
     )
     return create_engine("optimal", handle=handle)
 

@@ -3,9 +3,8 @@
 Covers the format round trip (write -> map -> byte-identical lookups),
 the corruption edges (truncated header, bad magic, version skew,
 checksum mismatch, capacity/length disagreement -- each a DatabaseError
-naming the path), the registry (extension resolution, conversion,
-sidecars), the read-only mapped table, and the db.map/db.verify trace
-spans.
+naming the path), describe/verify, the synthesizer's cache store, the
+read-only mapped table, and the db.map/db.verify trace spans.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import repro.perf as perf
 from repro import store
 from repro.errors import DatabaseError
 from repro.store.format import _FIXED  # noqa: PLC2701 - format edge tests
-from repro.synth.database import OptimalDatabase
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +89,6 @@ class TestRoundTrip:
         circuit = engine.minimal_circuit(word)
         assert circuit.gate_count == 3
 
-    def test_optimal_database_map_staticmethod(self, rdb3):
-        mapped = OptimalDatabase.map(rdb3)
-        assert store.is_mapped(mapped)
-        assert store.mapped_path(mapped) == rdb3
-
     def test_write_is_deterministic(self, tmp_path, db3):
         a = tmp_path / "a.rdb"
         b = tmp_path / "b.rdb"
@@ -106,24 +99,20 @@ class TestRoundTrip:
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=64))
-def test_hypothesis_npz_rdb_lookups_identical(tmp_path_factory, probes):
-    """Property: .npz -> .rdb conversion preserves every lookup result."""
+def test_hypothesis_rdb_lookups_identical(tmp_path_factory, probes):
+    """Property: write_rdb + map_database preserves every lookup result
+    of the in-RAM build."""
     base = tmp_path_factory.mktemp("hyp")
     from repro.synth.bfs import build_database
 
     db = build_database(2, 3)
-    npz = base / "db.npz"
-    rdb = base / "db.rdb"
-    db.save(npz)
-    store.convert(npz, rdb)
-    loaded = OptimalDatabase.load(npz)
-    mapped = store.map_database(rdb)
+    mapped = store.map_database(store.write_rdb(db, base / "db.rdb"))
     keys = np.concatenate([
         np.array(probes, dtype=np.uint64),
         _all_reps(db),
     ])
     assert np.array_equal(
-        mapped.table.lookup_batch(keys), loaded.table.lookup_batch(keys)
+        mapped.table.lookup_batch(keys), db.table.lookup_batch(keys)
     )
 
 
@@ -190,7 +179,7 @@ class TestCorruption:
         struct.pack_into("<I", raw, 8, store.RDB_VERSION + 1)
         skewed = tmp_path / "skewed.rdb"
         skewed.write_bytes(bytes(raw))
-        with pytest.raises(DatabaseError, match="repro db convert"):
+        with pytest.raises(DatabaseError, match="repro build-db --force"):
             store.map_database(skewed)
 
     def test_checksum_mismatch(self, tmp_path, rdb3):
@@ -241,58 +230,13 @@ class TestCorruption:
 
 
 # ----------------------------------------------------------------------
-# Registry: resolution, conversion, verify
+# Describe and verify
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_store_format(self):
-        assert store.store_format("x/a.rdb") == "rdb"
-        assert store.store_format("x/a.NPZ") == "npz"
-        with pytest.raises(DatabaseError, match="a.json"):
-            store.store_format("x/a.json")
-
-    def test_open_database_both_formats(self, tmp_path, db3):
-        npz = tmp_path / "db.npz"
-        rdb = tmp_path / "db.rdb"
-        db3.save(npz)
-        store.write_rdb(db3, rdb)
-        via_npz = store.open_database(npz)
-        via_rdb = store.open_database(rdb)
-        assert not store.is_mapped(via_npz)
-        assert store.is_mapped(via_rdb)
-        keys = _all_reps(db3)
-        assert np.array_equal(
-            via_npz.table.lookup_batch(keys), via_rdb.table.lookup_batch(keys)
-        )
-
-    def test_rdb_sidecar_and_resolution(self, tmp_path, db3):
-        npz = tmp_path / "db-n3-k8.npz"
-        db3.save(npz)
-        assert store.rdb_sidecar(npz) == tmp_path / "db-n3-k8.rdb"
-        assert store.resolve_store(npz) == npz  # no sidecar yet
-        store.write_rdb(db3, store.rdb_sidecar(npz))
-        assert store.resolve_store(npz) == tmp_path / "db-n3-k8.rdb"
-
-    def test_convert_rdb_to_npz(self, tmp_path, rdb3, db3):
-        npz = tmp_path / "exported.npz"
-        store.convert(rdb3, npz)
-        exported = OptimalDatabase.load(npz)
-        keys = _all_reps(db3)
-        assert np.array_equal(
-            exported.table.lookup_batch(keys), db3.table.lookup_batch(keys)
-        )
-
     def test_verify_ok(self, rdb3, db3):
         info = store.verify_store(rdb3)
-        assert info.format == "rdb"
         assert info.entries == len(db3.table)
         assert info.k == db3.k
-
-    def test_verify_npz(self, tmp_path, db3):
-        npz = tmp_path / "db.npz"
-        db3.save(npz)
-        info = store.verify_store(npz)
-        assert info.format == "npz"
-        assert info.entries == len(db3.table)
 
     def test_describe_reports_stats(self, rdb3, db3):
         info = store.describe(rdb3)
@@ -302,32 +246,62 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Synthesizer integration: sidecar write and store preference
+# Synthesizer integration: the cache store
 # ----------------------------------------------------------------------
 class TestSynthesizerIntegration:
     def test_prepare_writes_sidecar_then_maps(self, tmp_path):
+        """The first prepare writes the cache store; the next one maps it."""
         from repro.synth.synthesizer import OptimalSynthesizer
 
         first = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
         first.prepare()
-        assert first.store_path.exists(), "sidecar not written after build"
+        assert first.store_path == tmp_path / "db-n3-k3.rdb"
+        assert first.store_path.exists(), "store not written after build"
         assert not store.is_mapped(first.database)
 
         second = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
         second.prepare()
-        assert store.is_mapped(second.database), "sidecar not preferred"
+        assert store.is_mapped(second.database), "store not mapped"
         assert store.mapped_path(second.database) == first.store_path
 
-    def test_prepare_falls_back_on_corrupt_sidecar(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbage", "version_skew"])
+    def test_prepare_rewrites_corrupt_store(self, tmp_path, damage):
         from repro.synth.synthesizer import OptimalSynthesizer
 
         OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path).prepare()
-        sidecar = tmp_path / "db-n3-k3.rdb"
-        sidecar.write_bytes(b"garbage")
+        path = tmp_path / "db-n3-k3.rdb"
+        if damage == "garbage":
+            path.write_bytes(b"garbage")
+        else:
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, 8, store.RDB_VERSION + 1)
+            path.write_bytes(bytes(raw))
         synth = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
-        synth.prepare()  # must not raise: falls back to the .npz
+        synth.prepare()  # must not raise: rebuilds and rewrites the store
         assert not store.is_mapped(synth.database)
         assert synth.size("[1,0,3,2,5,4,7,6]") == 1
+        assert store.verify_store(path).k == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db-n3-k3.rdb"]
+
+        again = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
+        again.prepare()
+        assert store.mapped_path(again.database) == path
+
+    def test_build_db_force_repairs_version_skew(self, tmp_path, monkeypatch):
+        """The version-skew hint names a command that works."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["build-db", "--wires", "3", "-k", "3", "--lists", "1"]
+        assert main(argv) == 0
+        path = tmp_path / "db-n3-k3.rdb"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, store.RDB_VERSION + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseError, match="repro build-db --force"):
+            store.map_database(path)
+        assert main([*argv, "--force"]) == 0
+        assert store.map_database(path).k == 3
 
     def test_prepare_from_store(self, rdb3):
         from repro.synth.synthesizer import OptimalSynthesizer

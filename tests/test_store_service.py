@@ -5,7 +5,7 @@ The headline property of the ``.rdb`` format: one store file backs
 the same physical pages as the parent (mapping-identity evidence read
 from ``/proc/<pid>/maps``), and their answers are byte-identical.  Also
 covers the stats/health ``database`` block, spawn-worker store routing,
-and the mapped-vs-legacy cold-start ratio.
+and the mapped-vs-rebuild cold-start ratio.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
-    """A cache directory holding the n=4, k=4 .npz and its .rdb sidecar."""
+    """A cache directory holding the n=4, k=4 .rdb store."""
     cache = tmp_path_factory.mktemp("warm-cache")
     OptimalSynthesizer(n_wires=4, k=4, max_list_size=1, cache_dir=cache).prepare()
-    assert (cache / "db-n4-k4.npz").exists()
-    assert (cache / "db-n4-k4.rdb").exists()
+    assert [p.name for p in cache.iterdir()] == ["db-n4-k4.rdb"]
     return cache
 
 
@@ -133,13 +132,13 @@ class TestSharedMapping:
         reason="spawn start method unavailable",
     )
     def test_spawn_workers_reopen_the_store(self, warm_cache):
-        from repro.service.workers import HardQueryPool, _handle_store_path
+        from repro.service.workers import HardQueryPool
 
         synth = OptimalSynthesizer(
             n_wires=4, k=4, max_list_size=1, cache_dir=warm_cache
         )
         handle = synth.handle()
-        assert _handle_store_path(handle) == warm_cache / "db-n4-k4.rdb"
+        assert handle.store_path == warm_cache / "db-n4-k4.rdb"
         pool = HardQueryPool(handle, processes=1, start_method="spawn")
         try:
             word = _hard_word(handle.database)
@@ -159,7 +158,6 @@ class TestSharedMapping:
             max_list_size=3,
             database=db4_k4,
             engine=engine4_l7,
-            cache_path=None,
         )
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
@@ -168,12 +166,13 @@ class TestSharedMapping:
 
 
 class TestColdStart:
-    def test_mapped_cold_start_beats_npz_rebuild(self, warm_cache):
-        """The mapped open must be at least 5x faster than the legacy
-        load (the bench suite's db.* ops track the real ratio, ~100x at
-        k=5; the margin here is conservative for noisy CI hosts)."""
-        npz = warm_cache / "db-n4-k4.npz"
-        rdb = warm_cache / "db-n4-k4.rdb"
+    def test_mapped_cold_start_beats_npz_rebuild(self, db4_k5, tmp_path):
+        """The mapped open must be at least 5x faster than rebuilding the
+        table from the same representatives -- the rebuild an ``.npz``
+        load paid (~100x at k=5; the margin is conservative for noisy CI
+        hosts)."""
+        rdb = store.write_rdb(db4_k5, tmp_path / "db-n4-k5.rdb")
+        reps = db4_k5.reps_by_size
 
         def best_of(thunk, trials=3):
             times = []
@@ -183,9 +182,9 @@ class TestColdStart:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        legacy = best_of(lambda: OptimalDatabase.load(npz))
+        rebuild = best_of(lambda: OptimalDatabase.from_reps(4, 5, reps))
         mapped = best_of(lambda: store.map_database(rdb))
-        assert mapped * 5 < legacy, (
+        assert mapped * 5 < rebuild, (
             f"mapped cold start {mapped * 1e3:.2f}ms not >=5x faster than "
-            f"legacy {legacy * 1e3:.2f}ms"
+            f"the rebuild {rebuild * 1e3:.2f}ms"
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DatabaseError, SizeLimitExceededError
+from repro.store import map_database
 from repro.synth.synthesizer import OptimalSynthesizer, default_cache_dir
 
 
@@ -57,7 +58,7 @@ class TestCaching:
     def test_cache_roundtrip(self, tmp_path):
         first = OptimalSynthesizer(k=3, max_list_size=2, cache_dir=tmp_path)
         first.prepare()
-        assert (tmp_path / "db-n4-k3.npz").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["db-n4-k3.rdb"]
         second = OptimalSynthesizer(k=3, max_list_size=2, cache_dir=tmp_path)
         second.prepare()
         assert second.database.reduced_counts() == [1, 4, 33, 425]
@@ -66,15 +67,17 @@ class TestCaching:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         synth = OptimalSynthesizer(k=2, max_list_size=1, cache_dir=False)
         synth.prepare()
-        assert list(tmp_path.glob("*.npz")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_stale_cache_rebuilt(self, tmp_path):
-        # A k=2 cache cannot serve a k=3 synthesizer of the same file name;
-        # different k values use different files, so just confirm isolation.
-        OptimalSynthesizer(k=2, max_list_size=1, cache_dir=tmp_path).prepare()
+        # A store that does not cover the requested k is rebuilt in place.
+        shallow = OptimalSynthesizer(k=2, max_list_size=1, cache_dir=tmp_path)
+        shallow.prepare()
+        shallow.store_path.rename(tmp_path / "db-n4-k3.rdb")
         deeper = OptimalSynthesizer(k=3, max_list_size=1, cache_dir=tmp_path)
         deeper.prepare()
         assert deeper.database.k == 3
+        assert map_database(deeper.store_path).k == 3
 
     def test_default_cache_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
