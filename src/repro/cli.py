@@ -386,13 +386,7 @@ def cmd_query(args) -> int:
                     )
                     tag = result["source"]
                     if result.get("guarantee") == "upper_bound":
-                        # Batched-path degradation reports the reason at
-                        # the top level; engine-routed results (e.g. a
-                        # deadline-degraded race) carry it in extra.
-                        reason = result.get("degraded_reason") or result.get(
-                            "extra", {}
-                        ).get("degraded_reason")
-                        tag += f", upper bound ({reason})"
+                        tag += f", upper bound ({result.get('degraded_reason')})"
                     print(
                         f"{spec} -> {result['size']} gates "
                         f"[{tag}]: {result['circuit']}"

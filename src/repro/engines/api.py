@@ -173,8 +173,9 @@ class EngineCapabilities:
         servable: Whether the daemon will route queries to this engine.
         cancellable: Whether the engine honors a cooperative
             cancellation checkpoint passed as ``options["cancel"]``
-            (see :mod:`repro.service.tasks`); the racing engine only
-            cancels lanes whose engines declare this.
+            (see :mod:`repro.service.tasks`); the daemon passes every
+            named-engine request its work item's checkpoint, and only
+            engines declaring this can be preempted mid-query.
     """
 
     guarantee: str

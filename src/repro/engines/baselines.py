@@ -175,11 +175,9 @@ class SatEngine(Engine):
     def synthesize(self, request: SynthesisRequest) -> SynthesisResult:
         perm = request.permutation(4)
         started = time.perf_counter()
-        # Per-request budgets override the constructor defaults: the
-        # daemon propagates a request's remaining ``deadline_ms`` as
-        # ``time_budget`` and the racing engine threads a cancellation
-        # checkpoint as ``cancel``, so a served SAT solve never runs
-        # unbounded.
+        # Per-request budgets override the constructor defaults: a
+        # ``time_budget`` bounds the solve's wall clock and a ``cancel``
+        # checkpoint is called at every conflict.
         time_budget = request.options.get("time_budget", self.time_budget)
         cancel = request.options.get("cancel")
         outcome = sat_synthesize(

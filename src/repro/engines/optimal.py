@@ -88,8 +88,9 @@ class OptimalEngine(Engine):
     def synthesize(self, request: SynthesisRequest) -> SynthesisResult:
         perm = request.permutation(self.impl.n_wires)
         started = time.perf_counter()
-        # The racing engine threads a cooperative checkpoint through
-        # ``options["cancel"]``; the scan calls it between A_i lists.
+        # A cooperative checkpoint may ride in ``options["cancel"]``
+        # (the portfolio passes its own); the scan calls it between A_i
+        # lists.
         cancel = request.options.get("cancel")
         with trace("engine.synthesize", engine=self.name):
             outcome = self.impl.search(perm, cancel=cancel)

@@ -137,10 +137,10 @@ register_engine(
     "portfolio", "repro.engines.portfolio", "make_engine",
     "MMD upper bound, then optimal search, then SAT; reports the tier",
 )
+# The escalation engine's former name, still sent by wire clients.
 register_engine(
-    "race", "repro.engines.racing", "make_engine",
-    "races optimal scan, SAT, and MMD as cancellable lanes; first proof "
-    "wins, losers are preempted",
+    "race", "repro.engines.portfolio", "make_engine",
+    "alias of portfolio (MMD bound, optimal search, SAT gap closing)",
 )
 
 

@@ -102,10 +102,10 @@ class WorkerPoolError(ServiceError):
 class WorkCancelledError(ServiceError):
     """Raised at a cooperative cancellation checkpoint when the work
     item's :class:`repro.service.tasks.CancelToken` has been cancelled
-    (deadline expiry, breaker trip, a race already won, or shutdown).
+    (deadline expiry, breaker trip, or shutdown).
 
     Carries the cancellation ``reason`` so the layer that unwinds can
-    tell a blown deadline from a lost race.  Lives in the foundation
+    tell a blown deadline from a breaker trip.  Lives in the foundation
     layer so the synth/analysis scan loops and the engines can raise or
     catch it without importing the service layer.
     """

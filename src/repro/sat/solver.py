@@ -274,8 +274,9 @@ class Solver:
         ``satisfiable=False`` and ``exhausted=True``.  ``cancel`` is an
         optional zero-argument cooperative checkpoint called once per
         conflict and restart; whatever it raises propagates untouched
-        (the racing engine passes a ``CancelToken.checkpoint`` here so
-        a losing SAT lane stops within one conflict of being told to).
+        (the portfolio engine passes a ``CancelToken.checkpoint`` here
+        so a preempted SAT tier stops within one conflict of being told
+        to).
         """
         self._time_limit = (
             clock() + time_budget if time_budget is not None else None

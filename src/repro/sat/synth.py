@@ -46,8 +46,8 @@ def sat_synthesize_fixed_size(
 
     ``time_budget`` bounds the solve in wall-clock seconds and
     ``cancel`` is a cooperative checkpoint called at every conflict --
-    the hooks through which a request's ``deadline_ms`` and the racing
-    engine's loser cancellation reach the CDCL loop.
+    the hook through which a served request's deadline, a breaker trip,
+    or shutdown reaches the CDCL loop.
     """
     perm = Permutation.coerce(spec)
     encoding = encode_synthesis(perm, n_gates)

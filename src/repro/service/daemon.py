@@ -14,8 +14,9 @@ Architecture::
                 -> peel fast path      size <= k
                 -> HardQueryPool       A_i-list scans (size > k)
         -> compile, named engines      this connection thread, under the
-                                       engine's lock (no batch-wide fast
-                                       path to exploit)
+                                       engine's lock, as one cancellable
+                                       work item (no batch-wide fast path
+                                       to exploit)
 
 The front (:mod:`repro.service.front`) is shared with the shard router,
 so both answer a line through the same validation, error and degradation
@@ -30,16 +31,16 @@ Resilience (see :mod:`repro.service.resilience` and
 ``docs/RESILIENCE.md``): a :class:`WorkerSupervisor` bounds every
 ``A_i``-scan dispatch and restarts dead or hung pools, and a
 :class:`CircuitBreaker` sheds hard queries after consecutive failures or
-deadline misses.  Hard work (scans, compiles) runs as cancellable work
-items carrying the request's ``deadline_ms``.  Whatever stops the exact
-answer -- deadline, open breaker, pool failure, shutdown -- the request
-degrades in one place, :meth:`SynthesisService._degrade`, to an
-upper-bound answer from the fallback engine: a response is always
-written, never a hung connection.
+deadline misses.  Hard work (scans, compiles, named-engine requests)
+runs as cancellable work items carrying the request's ``deadline_ms``.
+Whatever stops the exact answer -- deadline, open breaker, pool failure,
+shutdown -- the request degrades in one place,
+:meth:`SynthesisService._degrade`, to an upper-bound answer from the
+fallback engine: a response is always written, never a hung connection.
 
 Named engines (from :mod:`repro.engines`) are created lazily on first
 use (options from ``config.extra["engine_options"]``) and cache their
-answers in their own keyspace of the shared :class:`ResultCache`.
+exact answers in their own keyspace of the shared :class:`ResultCache`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from repro import __version__
 from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
-from repro.engines import GUARANTEE_UPPER_BOUND, SynthesisRequest
+from repro.engines import SynthesisRequest
 from repro.engines.optimal import make_optimal_synthesizer
 from repro.errors import (
     ProtocolError,
@@ -78,6 +79,7 @@ from repro.service.front import RequestFront
 from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import (
     CircuitBreaker,
+    Deadline,
     ResilienceConfig,
     WorkerSupervisor,
 )
@@ -136,7 +138,7 @@ class SynthesisService(RequestFront):
             max_batch=self.config.max_batch,
             coalesce_window=self.config.batch_window,
         )
-        # Every hard unit of work (scan, compile, race lane) runs as a
+        # Every hard unit of work (scan, compile, named engine) runs as a
         # cancellable WorkItem tracked here; a breaker trip preempts all
         # of them instead of letting abandoned work burn on.
         self.tasks = TaskRegistry(metrics=self.metrics)
@@ -288,17 +290,9 @@ class SynthesisService(RequestFront):
             self.config.extra.get("engine_options", {}).get(name, {})
         )
         options.setdefault("n_wires", self.n_wires)
-        # Factories that declare them (the racing engine) get the
-        # service's work-item registry and warm database handle;
-        # ``create_engine`` drops both for the rest.
-        options.setdefault("tasks", self.tasks)
+        # Factories that declare it (portfolio) reuse the warm database
+        # handle; ``create_engine`` drops it for the rest.
         options.setdefault("handle", self.handle)
-        # A served race must never outlive the hard-path wall clock:
-        # without a client deadline an out-of-reach function would
-        # otherwise keep the SAT lane (and the per-engine lock) busy
-        # indefinitely.  Requests carrying ``deadline_ms`` still take the
-        # tighter budget.
-        options.setdefault("time_budget", self.resilience.hard_timeout)
         return options
 
     def _enqueue(self, request: "protocol.Request", word: int, deadline) -> str:
@@ -390,6 +384,13 @@ class SynthesisService(RequestFront):
         Engine answers are not class-invariant (relabeling changes the
         MMD heuristic's output), so the keyspace is keyed by exact word
         and the stored "circuit" is the full serialized wire result.
+
+        The engine call is one cancellable work item, as in
+        :meth:`_compile`.  Its token carries the request deadline, or
+        ``hard_timeout`` without one, and its checkpoint goes to the
+        engine as ``options["cancel"]``: expiry, breaker trips, and
+        shutdown preempt a cancellable engine at its next checkpoint,
+        after which the request degrades (and is never cached).
         """
         word, n = perm.word, perm.n_wires
         hit = self.cache.lookup(n, word, word, engine=name)
@@ -398,41 +399,37 @@ class SynthesisService(RequestFront):
             self.metrics.counter("served_from_cache").inc()
             body, source = json.loads(hit.circuit), "cache"
         else:
+            if deadline is None:
+                deadline = Deadline(self.resilience.hard_timeout)
+            work = self.tasks.create(name, payload=word, deadline=deadline)
+            work.start()
             started = time.perf_counter()
-            # The request's remaining budget rides along as options: the
-            # SAT engine turns ``time_budget`` into a solver wall-clock
-            # bound, the racing engine derives its lane deadline from
-            # ``deadline``.  Engines that read neither are unaffected.
-            options: dict = {}
-            if deadline is not None:
-                options["time_budget"] = max(0.0, deadline.remaining())
-                options["deadline"] = deadline
             try:
                 with lock, trace_span("service.engine", engine=name):
-                    result = engine.synthesize(
-                        SynthesisRequest(spec=perm, n_wires=n, options=options)
-                    )
+                    result = engine.synthesize(SynthesisRequest(
+                        spec=perm,
+                        n_wires=n,
+                        options={"cancel": work.token.checkpoint},
+                    ))
+            except WorkCancelledError as exc:
+                work.mark_cancelled()
+                return self._degrade(request, perm, exc.reason)
             except Exception as exc:
+                work.degrade(exc)
                 return self.error_line(request.id, exc)
+            work.finish(result.size)
             self.metrics.histogram(f"engine_seconds_{name}").observe(
                 time.perf_counter() - started
             )
             body, source = result.to_wire(), "engine"
-            if result.guarantee == GUARANTEE_UPPER_BOUND:
-                # A degraded (bound-only) answer -- a race that hit its
-                # deadline before any lane proved optimality -- is never
-                # cached: a later uncontended query deserves the exact
-                # answer.
-                self.metrics.counter("responses_degraded").inc()
-            else:
-                self.cache.store_circuit(
-                    n,
-                    word,
-                    word,
-                    result.size,
-                    json.dumps(body, sort_keys=True),
-                    engine=name,
-                )
+            self.cache.store_circuit(
+                n,
+                word,
+                word,
+                result.size,
+                json.dumps(body, sort_keys=True),
+                engine=name,
+            )
         if request.op == "size":
             body.pop("circuit", None)
         return self._ok(request.id, body, source)

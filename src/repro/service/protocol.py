@@ -38,8 +38,9 @@ Request::
 naming which
 synthesis engine answers (see :mod:`repro.engines`); omitted or
 ``"optimal"`` routes through the daemon's batched optimal pipeline,
-other servable engines (``heuristic``, ``depth``, ``linear``) are
-served with their own cache keyspace and metrics.  Unknown or
+other servable engines (``heuristic``, ``depth``, ``linear``,
+``portfolio`` and its alias ``race``) are served as one cancellable
+work item each, with their own cache keyspace and metrics.  Unknown or
 non-servable engine names get a ``protocol`` error envelope.
 
 Work requests may also carry ``deadline_ms``, a positive

@@ -1,15 +1,15 @@
 """Cancellable work items for the hard-query path.
 
-The hard ``A_i``-list scans, SAT solves, and heuristic bounds used to
-run as opaque blocking batches: the deadline/breaker machinery could
+The hard ``A_i``-list scans, compiles, and named-engine requests used
+to run as opaque blocking work: the deadline/breaker machinery could
 only *abandon* them (stop waiting) while the computation burned on.
 This module makes each unit of hard work a first-class
 :class:`WorkItem` with a :class:`CancelToken`, so the resilience layer
--- and the racing engine built on top -- can *preempt* work instead:
+can *preempt* work instead:
 
 * :class:`CancelToken` -- a thread-safe cancellation flag with an
-  optional monotonic deadline and parent chaining (cancelling a group
-  token cancels every lane derived from it).  Cooperative code calls
+  optional monotonic deadline and parent chaining (cancelling a parent
+  token cancels every child derived from it).  Cooperative code calls
   :meth:`CancelToken.checkpoint` at loop boundaries; the scan loops in
   ``repro.synth.search`` and ``repro.analysis.hard`` accept exactly
   such a callable.
@@ -75,8 +75,7 @@ class CancelToken:
             expires the token reads as cancelled with reason
             ``"deadline"`` without anyone calling :meth:`cancel`.
         parent: A token to chain from -- cancelling the parent cancels
-            this token too (the racing engine gives every lane a child
-            of the race's group token).
+            this token too.
     """
 
     __slots__ = ("_event", "_lock", "_reason", "deadline", "parent")
@@ -147,7 +146,8 @@ class WorkItem:
     """One cancellable unit of hard work.
 
     Args:
-        name: Label for traces and stats (``"scan"``, ``"sat"``, ...).
+        name: Label for traces and stats (``"scan"``, ``"compile"``,
+            an engine name, ...).
         fn: The work, called as ``fn(token)``; it should thread
             ``token.checkpoint`` into its inner loops.
         payload: Opaque identifier for the caller (the packed word for
@@ -314,8 +314,8 @@ class WorkItem:
             self.degrade(exc)
             return None
         if self.token.cancelled and self.mark_cancelled():
-            # The work returned but the token flipped while it ran --
-            # a lost race lane whose loop never hit a checkpoint again.
+            # The work returned but the token flipped while it ran,
+            # after its last checkpoint.
             return None
         try:
             self.finish(result)
@@ -339,8 +339,8 @@ class WorkItem:
 class TaskRegistry:
     """Tracks in-flight work items and counts outcomes for stats.
 
-    Thread-safe; shared by the dispatcher, the racing engine (via the
-    service), and shutdown.  ``metrics`` is an optional
+    Thread-safe; shared by the dispatcher, the connection threads
+    (compiles, named engines), and shutdown.  ``metrics`` is an optional
     :class:`repro.service.metrics.MetricsRegistry` that receives the
     ``cancel_latency_seconds`` histogram and per-outcome counters.
     """
@@ -362,14 +362,11 @@ class TaskRegistry:
         *,
         payload=None,
         deadline=None,
-        token: "CancelToken | None" = None,
     ) -> WorkItem:
         """A new tracked :class:`WorkItem` (in-flight until terminal)."""
-        if token is None:
-            token = CancelToken(deadline=deadline)
         item = WorkItem(
-            name, fn, payload=payload, token=token, registry=self,
-            clock=self._clock,
+            name, fn, payload=payload, token=CancelToken(deadline=deadline),
+            registry=self, clock=self._clock,
         )
         with self._lock:
             self._created += 1

@@ -22,7 +22,7 @@ Engines exposing the optimal synthesizer's fast surface (``database`` +
 ``size_or_bound`` on ``engine.impl``) get the full exhaustive/sampled
 completion search of :func:`repro.synth.embedding.synthesize_partial`
 -- sizing thousands of completions costs microseconds each against the
-database.  Other engines (heuristic, SAT, race, ...) evaluate a small
+database.  Other engines (heuristic, SAT, portfolio, ...) evaluate a small
 deterministic candidate set instead: every completion when the space is
 tiny, otherwise the structurally informed seeds (natural XOR extension,
 lexicographic base).

@@ -335,49 +335,57 @@ class TestNonCooperativeCancel:
 
 
 # ----------------------------------------------------------------------
-# Racing engine: every lane blows the deadline
+# Named escalation engine: preempted before any proof
 # ----------------------------------------------------------------------
 class TestRaceAllLanesBlowDeadline:
     def test_race_degrades_to_tagged_upper_bound_never_cached(self, handle4):
-        svc = make_service(handle4)
+        # The delay fault sleeps past the 1 ms budget before the engine
+        # starts, so the deadline has expired at the scan's first
+        # checkpoint.
+        svc = make_service(handle4, extra={"fault_plan": [
+            {"kind": "delay", "op": "synth", "delay": 0.01},
+        ]})
         try:
-            # 1 ms cannot fit any proof lane for a size-5 function: the
-            # race must come back as a *tagged* upper bound, not an
-            # error, not an exact answer, not a hang.
+            # 1 ms cannot fit the scan for a size-5 function: the request
+            # must come back as a *tagged* upper bound, not an error, not
+            # an exact answer, not a hang.
             body = submit(
                 svc, "synth", spec=HARD_SPEC, engine="race", deadline_ms=1
             )
             assert body["ok"], body
             result = body["result"]
             assert result["guarantee"] == "upper_bound"
-            assert result["extra"]["degraded_reason"] == "deadline"
-            assert result["extra"]["winner"] is None
+            assert result["source"] == "degraded"
+            assert result["degraded_reason"] == "deadline"
             circuit = Circuit.parse(result["circuit"], 4)
             assert circuit.implements(Permutation.coerce(HARD_SPEC, 4))
-            # The preempted lanes are observable, by reason, in stats.
+            # The preempted work is observable, by reason, in stats.
             stats = svc.stats()
             assert stats["tasks"]["cancelled_by_reason"].get("deadline", 0) >= 1
-            # Degraded race answers are never cached: the uncontended
-            # retry gets the provably-optimal answer from the engine.
+            # Degraded answers are never cached: the uncontended retry
+            # gets the provably-optimal answer from the engine.
             again = submit(svc, "synth", spec=HARD_SPEC, engine="race", id=2)
             assert again["ok"], again
             assert again["result"]["source"] == "engine"
             assert again["result"]["guarantee"] == "optimal"
             assert again["result"]["size"] == 5
-            assert again["result"]["extra"]["winner"] in (
-                "optimal", "sat", "heuristic"
-            )
+            assert again["result"]["extra"]["tier"] == "optimal"
         finally:
             svc.shutdown()
 
     def test_served_race_without_deadline_is_bounded(self, handle4):
-        # hwb4 is out of reach at L=7: the optimal lane can only prove a
-        # bound and the SAT lane would grind for a very long time.  A
-        # *served* race must inherit the daemon's hard_timeout as its
-        # default budget and degrade, not park the engine lock.
+        # hwb4 is out of reach at L=7: the optimal tier can only prove a
+        # bound, and with SAT allowed up to 20 gates the SAT tier would
+        # grind for a very long time.  A *served* request must inherit
+        # the daemon's hard_timeout as its deadline and degrade, not
+        # park the engine lock.
         out_of_reach = "[0,2,4,12,8,5,9,11,1,6,10,13,3,14,7,15]"
         svc = make_service(
-            handle4, extra={"resilience": {"hard_timeout": 0.2}}
+            handle4,
+            extra={
+                "resilience": {"hard_timeout": 0.2},
+                "engine_options": {"race": {"sat_gate_limit": 20}},
+            },
         )
         try:
             started = time.monotonic()
@@ -386,10 +394,70 @@ class TestRaceAllLanesBlowDeadline:
             assert body["ok"], body
             result = body["result"]
             assert result["guarantee"] == "upper_bound"
-            assert result["extra"]["degraded_reason"] == "deadline"
+            assert result["degraded_reason"] == "deadline"
             assert elapsed < 30.0
             circuit = Circuit.parse(result["circuit"], 4)
             assert circuit.implements(Permutation.coerce(out_of_reach, 4))
+        finally:
+            svc.shutdown()
+
+
+class TestNamedEnginePreemption:
+    @pytest.mark.parametrize("reason", ["breaker_open", "shutdown"])
+    def test_preempted_request_degrades_and_is_never_cached(
+        self, handle4, tmp_path, reason
+    ):
+        # hwb4 is out of reach at L=7; with SAT allowed up to 20 gates
+        # the SAT tier outlasts the preemption by far.  A breaker trip or
+        # a shutdown mid-request must answer the tagged upper bound with
+        # that reason -- and never leave it in the cache, not even in
+        # the file saved at shutdown.
+        out_of_reach = "[0,2,4,12,8,5,9,11,1,6,10,13,3,14,7,15]"
+        extra = {
+            "resilience": {"breaker_failure_threshold": 1},
+            "engine_options": {"race": {"sat_gate_limit": 20}},
+        }
+        cache_path = str(tmp_path / "results.json")
+        svc = make_service(handle4, extra=extra, result_cache_path=cache_path)
+        answers = []
+        worker = threading.Thread(target=lambda: answers.append(
+            submit(svc, "synth", spec=out_of_reach, engine="race")
+        ))
+        try:
+            worker.start()
+            started = time.monotonic()
+            while svc.tasks.in_flight == 0 and time.monotonic() - started < 10:
+                time.sleep(0.01)
+            time.sleep(0.5)  # well into the SAT tier
+            assert svc.tasks.in_flight >= 1
+            if reason == "breaker_open":
+                svc.breaker.record_failure()  # trips: preempts in-flight work
+            else:
+                svc.shutdown()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            (body,) = answers
+            assert body["ok"], body
+            result = body["result"]
+            assert result["source"] == "degraded"
+            assert result["guarantee"] == "upper_bound"
+            assert result["degraded_reason"] == reason
+            circuit = Circuit.parse(result["circuit"], 4)
+            assert circuit.implements(Permutation.coerce(out_of_reach, 4))
+            tasks = svc.stats()["tasks"]
+            assert tasks["cancelled_by_reason"].get(reason, 0) == 1
+            assert tasks["in_flight"] == 0
+            if reason == "shutdown":
+                # The next request meets the cache the drain saved.
+                svc = make_service(
+                    handle4, extra=extra, result_cache_path=cache_path
+                )
+            again = submit(
+                svc, "synth", spec=out_of_reach, engine="race",
+                deadline_ms=300, id=2,
+            )
+            assert again["ok"], again
+            assert again["result"]["source"] != "cache"
         finally:
             svc.shutdown()
 

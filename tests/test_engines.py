@@ -25,7 +25,11 @@ from repro.engines import (
     register_engine,
     servable_engine_names,
 )
-from repro.errors import SizeLimitExceededError, SynthesisError
+from repro.errors import (
+    SizeLimitExceededError,
+    SynthesisError,
+    WorkCancelledError,
+)
 
 NOT_A_3 = "[1,0,3,2,5,4,7,6]"  # NOT(a) on 3 wires
 SHIFT4 = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
@@ -54,7 +58,9 @@ class TestRegistry:
 
     def test_servable_subset(self):
         servable = servable_engine_names()
-        assert servable == ["depth", "heuristic", "linear", "optimal", "race"]
+        assert servable == [
+            "depth", "heuristic", "linear", "optimal", "portfolio", "race",
+        ]
         for name in servable:
             assert engine_capabilities(name).servable
 
@@ -224,6 +230,78 @@ class TestPortfolio:
         assert result.extra["upper_bound"] == 4
         spec = Permutation.from_spec("[0,1,7,6,4,3,2,5]")
         assert result.circuit_obj.implements(spec)
+
+    def test_sat_answer_past_exhausted_budget_is_not_optimal(self):
+        # Under a 150-conflict budget a SAT size can run out of budget
+        # without proving UNSAT; the 8-gate circuit found after that is
+        # not minimal (the optimum is 6), so it must not claim to be.
+        engine = create_engine(
+            "portfolio", n_wires=3, k=2, max_list_size=0, cache_dir=False,
+            conflict_budget=150, sat_gate_limit=8,
+        )
+        result = engine.synthesize(SynthesisRequest(spec="[7,2,1,5,4,3,6,0]"))
+        assert result.extra["tier"] == "sat"
+        assert result.guarantee == GUARANTEE_HEURISTIC
+        assert result.size == 8
+        assert result.extra["lower_bound"] == 3
+        assert result.extra["upper_bound"] == 9
+        spec = Permutation.from_spec("[7,2,1,5,4,3,6,0]")
+        assert result.circuit_obj.implements(spec)
+
+    def test_checkpoint_stops_optimal_tier(self, monkeypatch):
+        # A size-3 function needs the A_1 scan at k=2: the checkpoint
+        # fires before the first list and nothing after it runs.
+        sat_sizes = _record_sat_sizes(monkeypatch)
+        engine = create_engine(
+            "portfolio", n_wires=3, k=2, max_list_size=1, cache_dir=False
+        )
+        with pytest.raises(WorkCancelledError) as exc_info:
+            engine.synthesize(SynthesisRequest(
+                spec="[0,1,7,6,4,3,2,5]",
+                options={"cancel": _cancelled("deadline")},
+            ))
+        assert exc_info.value.reason == "deadline"
+        assert sat_sizes == []
+
+    def test_checkpoint_stops_sat_tier(self, monkeypatch):
+        # No lists (L = 2), so the checkpoint's only callers are the SAT
+        # solver's conflicts; the first one preempts the gap closing.
+        sat_sizes = _record_sat_sizes(monkeypatch)
+        engine = create_engine(
+            "portfolio", n_wires=3, k=2, max_list_size=0, cache_dir=False,
+            sat_gate_limit=8,
+        )
+        with pytest.raises(WorkCancelledError) as exc_info:
+            engine.synthesize(SynthesisRequest(
+                spec="[7,2,1,5,4,3,6,0]",
+                options={"cancel": _cancelled("shutdown")},
+            ))
+        assert exc_info.value.reason == "shutdown"
+        assert sat_sizes == [3]
+
+
+def _cancelled(reason: str):
+    """A checkpoint that reports cancellation at its first call."""
+
+    def checkpoint() -> None:
+        raise WorkCancelledError(f"work cancelled ({reason})", reason=reason)
+
+    return checkpoint
+
+
+def _record_sat_sizes(monkeypatch) -> list:
+    """Record the gate count of every SAT tier call the portfolio makes."""
+    from repro.engines import portfolio
+
+    sizes = []
+    real = portfolio.sat_synthesize_fixed_size
+
+    def recording(perm, n_gates, **kwargs):
+        sizes.append(n_gates)
+        return real(perm, n_gates, **kwargs)
+
+    monkeypatch.setattr(portfolio, "sat_synthesize_fixed_size", recording)
+    return sizes
 
 
 @pytest.fixture(scope="module")

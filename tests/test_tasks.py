@@ -3,8 +3,7 @@
 Covers :mod:`repro.service.tasks`: token semantics (first-call-wins,
 deadline auto-cancel, parent chaining), the work-item state machine
 (including the hypothesis property that no operation sequence escapes
-the pending -> running -> terminal DAG), registry accounting, and the
-racing engine built on top.
+the pending -> running -> terminal DAG), and registry accounting.
 """
 
 from __future__ import annotations
