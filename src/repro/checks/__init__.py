@@ -26,8 +26,9 @@ With ``--graph`` a whole-program pass (:mod:`repro.checks.graph`) adds
 cross-module rules on top of the per-file ones: ``lock-order-cycle``
 (an interprocedural deadlock detector), ``cross-unmasked-op`` (mask64
 taint that survives call boundaries), and ``layer-violation`` (the
-declarative architecture DAG from ``[tool.repro.checks]``).  The
-``repro arch`` subcommand dumps the underlying import/lock graphs.
+declarative architecture DAG in :class:`CheckConfig`, the checker's one
+policy).  The ``repro arch`` subcommand dumps the underlying import/lock
+graphs.
 
 Run it as ``repro check <paths>`` (or ``python -m repro check``).
 Findings are suppressed inline with ``# repro: allow[rule-id] reason``;
@@ -37,7 +38,7 @@ reference.
 
 from __future__ import annotations
 
-from repro.checks.config import CheckConfig, load_config
+from repro.checks.config import CheckConfig
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import (
     ProjectRule,
@@ -49,7 +50,6 @@ from repro.checks.registry import (
 from repro.checks.report import render_json, render_sarif, render_text
 from repro.checks.runner import (
     CheckReport,
-    changed_python_files,
     check_paths,
     check_source,
 )
@@ -62,11 +62,9 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "changed_python_files",
     "check_paths",
     "check_source",
     "get_rule",
-    "load_config",
     "register",
     "render_json",
     "render_sarif",

@@ -3,19 +3,16 @@
 Every rule family has a *scope* -- path fragments a file must match for
 the rule to run -- and some have exemption lists (e.g. metrics code is
 allowed to read the wall clock).  The defaults below encode this
-repository's layout; a ``[tool.repro.checks]`` table in ``pyproject.toml``
-can override any field, so the policy lives with the code it governs::
+repository's layout and are the checker's only policy: no file outside
+the code changes them, so a verdict does not depend on the working
+directory.  Tests build variants with keyword arguments::
 
-    [tool.repro.checks]
-    determinism-exempt = ["repro/service/metrics.py"]
-    mask64-word-names = ["word", "p", "q", "key"]
+    CheckConfig(exclude=("/tests/",), mask64_word_names=("word",))
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 
 def _tuple(*items: str) -> tuple[str, ...]:
@@ -68,6 +65,9 @@ class CheckConfig:
     )
     #: Files where every wait()/join() must carry a timeout (the
     #: unbounded-wait rule): the service layer's no-hung-thread policy.
+    #: The work-item machinery (``repro/service/tasks.py`` and friends)
+    #: and the shard router (``repro/service/sharding/``) are inside it
+    #: and must never park a thread without a bound.
     wait_scope: tuple[str, ...] = _tuple("repro/service/",)
     #: Method names the unbounded-wait rule treats as waits.
     wait_methods: tuple[str, ...] = _tuple("wait", "join")
@@ -131,6 +131,8 @@ class CheckConfig:
     )
 
     # --- architecture (layer DAG) ------------------------------------
+    #: The architecture layer DAG, enforced whole-program by the
+    #: ``layer-violation`` rule under ``repro check --graph``.
     #: Layer definitions: ``"name: fragment [fragment ...]"``.  A module
     #: belongs to the layer owning the longest fragment found in its
     #: path; unmatched modules are unconstrained.
@@ -145,18 +147,22 @@ class CheckConfig:
         "stabilizer: repro/stabilizer/",
         "synth: repro/synth/",
         "engines: repro/engines/",
+        "specs: repro/specs/",
         "public: repro/__init__.py",
         "analysis: repro/analysis/",
         "apps: repro/apps/",
         "io: repro/io/",
         "data: repro/benchmarks_data/",
         "service: repro/service/",
+        "sharding: repro/service/sharding/",
         "checks: repro/checks/",
         "app: repro/cli.py repro/__main__.py",
     )
     #: Allowed module-scope (top-level) dependencies per layer:
     #: ``"layer -> dep [dep ...]"``.  Same-layer imports are always
-    #: allowed; lazy (function-scoped) imports are exempt from the DAG.
+    #: allowed; lazy (function-scoped) imports are exempt from the DAG
+    #: -- they are the sanctioned pattern for upward references that
+    #: must not exist at import time.
     arch_allow: tuple[str, ...] = _tuple(
         "perf -> foundation",
         "core -> foundation perf",
@@ -167,12 +173,19 @@ class CheckConfig:
         "stabilizer -> foundation",
         "synth -> core foundation hashing perf rng",
         "engines -> core foundation perf sat synth",
+        # The function-form front-end: normalizes specs and drives any
+        # engine through the completion search.
+        "specs -> core engines foundation perf rng synth",
         "public -> core foundation synth",
         "analysis -> core foundation rng",
         "apps -> core foundation",
         "io -> core foundation",
         "data -> core",
-        "service -> core engines foundation perf public synth",
+        "service -> core engines foundation perf public specs synth",
+        # The sharding layer sits *above* service (routers wrap daemons
+        # and clients) and additionally reaches the hashing layer for
+        # the rendezvous scores; service itself never imports sharding.
+        "sharding -> core engines foundation hashing perf public service specs synth",
         "checks -> foundation",
         "app -> foundation public",
     )
@@ -182,12 +195,10 @@ class CheckConfig:
     todo_markers: tuple[str, ...] = _tuple("TODO", "FIXME", "XXX")
 
     # --- global ------------------------------------------------------
-    #: Per-rule scope overrides: rule id -> path fragments.
-    scopes: dict = field(default_factory=dict)
-    #: Path fragments excluded from every rule.
-    exclude: tuple[str, ...] = _tuple(
-        "/tests/", "/benchmarks/", "/examples/", "/scripts/"
-    )
+    #: Path fragments excluded from every rule.  Benchmarks and scripts
+    #: are checked in CI too (``repro check src benchmarks scripts``);
+    #: only tests and examples stay out of scope.
+    exclude: tuple[str, ...] = _tuple("/tests/", "/examples/")
 
     def in_scope(self, path: str, scope: tuple[str, ...]) -> bool:
         """True when ``path`` (posix form) matches ``scope``."""
@@ -198,64 +209,4 @@ class CheckConfig:
         return any(fragment in path for fragment in scope)
 
 
-#: Mapping from pyproject keys ([tool.repro.checks]) to config fields.
-_PYPROJECT_KEYS = {
-    "mask64-scope": "mask64_scope",
-    "mask64-word-names": "mask64_word_names",
-    "mask64-mask-names": "mask64_mask_names",
-    "mask64-exempt-suffixes": "mask64_exempt_suffixes",
-    "lock-scope": "lock_scope",
-    "lock-names": "lock_names",
-    "blocking-methods": "blocking_methods",
-    "wait-scope": "wait_scope",
-    "wait-methods": "wait_methods",
-    "determinism-scope": "determinism_scope",
-    "determinism-exempt": "determinism_exempt",
-    "allowed-time-functions": "allowed_time_functions",
-    "canonical-arg-names": "canonical_arg_names",
-    "layering-engine-names": "layering_engine_names",
-    "layering-allowed": "layering_allowed",
-    "store-allowed": "store_allowed",
-    "store-calls": "store_persistence_calls",
-    "arch-layers": "arch_layers",
-    "arch-allow": "arch_allow",
-    "todo-markers": "todo_markers",
-    "exclude": "exclude",
-}
-
-
-def load_config(root: "Path | str | None" = None) -> CheckConfig:
-    """Build a config, merging ``[tool.repro.checks]`` from pyproject.toml.
-
-    ``root`` is the directory searched for pyproject.toml (defaults to
-    the current directory); a missing file or section yields defaults.
-    """
-    config = CheckConfig()
-    base = Path(root) if root is not None else Path.cwd()
-    pyproject = base / "pyproject.toml"
-    if not pyproject.is_file():
-        return config
-    if sys.version_info < (3, 11):  # pragma: no cover - py3.10 fallback
-        return config
-    import tomllib
-
-    try:
-        data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-    except (OSError, tomllib.TOMLDecodeError):  # pragma: no cover
-        return config
-    section = data.get("tool", {}).get("repro", {}).get("checks", {})
-    if not isinstance(section, dict):
-        return config
-    updates: dict = {}
-    for key, value in section.items():
-        target = _PYPROJECT_KEYS.get(key)
-        if target is None:
-            continue
-        if isinstance(value, list):
-            updates[target] = tuple(str(v) for v in value)
-    valid = {f.name for f in fields(CheckConfig)}
-    updates = {k: v for k, v in updates.items() if k in valid}
-    return replace(config, **updates) if updates else config
-
-
-__all__ = ["CheckConfig", "load_config"]
+__all__ = ["CheckConfig"]

@@ -1,10 +1,9 @@
 """Whole-program analysis layer for :mod:`repro.checks`.
 
 Per-file rules see one AST at a time; the invariants they guard are
-whole-program facts.  This package parses the tree once into a symbol
-index (:mod:`~repro.checks.graph.index`), caches it per file keyed on
-content hash (:mod:`~repro.checks.graph.cache`), and derives three
-artifacts (:mod:`~repro.checks.graph.project`):
+whole-program facts.  This package folds each parsed file into a symbol
+index (:mod:`~repro.checks.graph.index`) and derives three artifacts
+(:mod:`~repro.checks.graph.project`):
 
 * the **import graph** -- module-level dependency edges, split into
   top-level (import-time) and lazy (function-scoped) edges;
@@ -19,21 +18,19 @@ Three rule families run on top (:mod:`~repro.checks.graph.rules`):
 ``lock-order-cycle`` (a real deadlock detector), ``cross-unmasked-op``
 (mask64 taint that survives call boundaries via function summaries),
 and ``layer-violation`` (the declarative architecture DAG in
-``[tool.repro.checks]``, which also rejects import cycles).
+:class:`~repro.checks.config.CheckConfig`, which also rejects import
+cycles).
 
 Entry points: ``repro check --graph`` and ``repro arch``.
 """
 
 from __future__ import annotations
 
-from repro.checks.graph.cache import IndexCache
-from repro.checks.graph.index import INDEX_VERSION, FileIndex, build_file_index
+from repro.checks.graph.index import FileIndex, build_file_index
 from repro.checks.graph.project import ProjectContext, ProjectIndex, build_project
 
 __all__ = [
-    "INDEX_VERSION",
     "FileIndex",
-    "IndexCache",
     "ProjectContext",
     "ProjectIndex",
     "build_file_index",

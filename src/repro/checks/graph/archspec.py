@@ -1,7 +1,7 @@
-"""Declarative architecture spec: the layer DAG in ``[tool.repro.checks]``.
+"""Declarative architecture spec: the layer DAG in :class:`CheckConfig`.
 
 One spec replaces the two ad-hoc layering rules the checker used to
-carry: each layer names the path fragments it owns, and ``arch-allow``
+carry: each layer names the path fragments it owns, and ``arch_allow``
 lists which *lower* layers its modules may import at module scope.
 Lazy (function-scoped) imports are exempt from the DAG -- they are the
 sanctioned pattern for upward references that must not exist at import
@@ -10,17 +10,16 @@ daemon) -- but they still appear in ``repro arch`` output as soft
 edges, and the protected-name rules (``engine-layering``,
 ``store-layering``) apply to them like everywhere else.
 
-Config syntax (mirrored by the defaults in
-:class:`~repro.checks.config.CheckConfig`)::
+Entry syntax (the defaults in :class:`~repro.checks.config.CheckConfig`
+are the repository's DAG; tests build small ones)::
 
-    [tool.repro.checks]
-    arch-layers = [
-        "core: repro/core/ repro/hashing/",
-        "engines: repro/engines/",
-    ]
-    arch-allow = [
-        "engines -> core",
-    ]
+    CheckConfig(
+        arch_layers=(
+            "core: repro/core/ repro/hashing/",
+            "engines: repro/engines/",
+        ),
+        arch_allow=("engines -> core",),
+    )
 
 A module matches the layer owning the longest fragment that appears in
 its path; unmatched modules are unconstrained.  Malformed entries are

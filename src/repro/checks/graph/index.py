@@ -1,4 +1,4 @@
-"""Per-file symbol index: the cacheable unit of the whole-program pass.
+"""Per-file symbol index: the unit the whole-program pass is built from.
 
 One :class:`FileIndex` captures everything the graph layer needs to know
 about a file *without* keeping its AST around: the module name derived
@@ -7,11 +7,8 @@ sites (with the locks held at each one), lock acquisitions (with the
 locks already held), and ``self.attr = ClassName(...)`` constructor
 assignments used to resolve attribute method calls.
 
-The index is a pure value: built from an AST by :func:`build_file_index`,
-round-tripped through JSON by :meth:`FileIndex.to_json` /
-:meth:`FileIndex.from_json` so :mod:`repro.checks.graph.cache` can key
-it on content hash.  Bump :data:`INDEX_VERSION` whenever the shape or
-the extraction semantics change -- stale cache entries are then misses.
+The index is a pure value, built from an AST by :func:`build_file_index`
+and assembled into a project by :mod:`repro.checks.graph.project`.
 """
 
 from __future__ import annotations
@@ -20,9 +17,6 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.checks.astutil import expr_text, is_lock_expr
-
-#: Cache-format version; bump on any change to extraction or shape.
-INDEX_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -34,25 +28,6 @@ class ImportEdge:
     alias: str
     line: int
     top_level: bool
-
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "module": self.module,
-            "name": self.name,
-            "alias": self.alias,
-            "line": self.line,
-            "top_level": self.top_level,
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "ImportEdge":
-        return ImportEdge(
-            module=str(data["module"]),
-            name=None if data["name"] is None else str(data["name"]),
-            alias=str(data["alias"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            top_level=bool(data["top_level"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -70,23 +45,6 @@ class CallSite:
     col: int
     held: tuple[str, ...]
 
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "held": list(self.held),
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "CallSite":
-        return CallSite(
-            callee=str(data["callee"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            held=tuple(str(h) for h in data["held"]),  # type: ignore[union-attr]
-        )
-
 
 @dataclass(frozen=True)
 class LockAcquire:
@@ -96,23 +54,6 @@ class LockAcquire:
     line: int
     col: int
     held: tuple[str, ...]
-
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "lock": self.lock,
-            "line": self.line,
-            "col": self.col,
-            "held": list(self.held),
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "LockAcquire":
-        return LockAcquire(
-            lock=str(data["lock"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            held=tuple(str(h) for h in data["held"]),  # type: ignore[union-attr]
-        )
 
 
 @dataclass(frozen=True)
@@ -127,33 +68,6 @@ class FunctionInfo:
     calls: tuple[CallSite, ...]
     acquires: tuple[LockAcquire, ...]
 
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "name": self.name,
-            "line": self.line,
-            "params": list(self.params),
-            "calls": [c.to_json() for c in self.calls],
-            "acquires": [a.to_json() for a in self.acquires],
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "FunctionInfo":
-        return FunctionInfo(
-            qualname=str(data["qualname"]),
-            cls=None if data["cls"] is None else str(data["cls"]),
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            params=tuple(str(p) for p in data["params"]),  # type: ignore[union-attr]
-            calls=tuple(
-                CallSite.from_json(c) for c in data["calls"]  # type: ignore[union-attr]
-            ),
-            acquires=tuple(
-                LockAcquire.from_json(a) for a in data["acquires"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ClassInfo:
@@ -166,26 +80,6 @@ class ClassInfo:
     #: attr name -> raw dotted constructor text, resolved at project level.
     attr_types: "dict[str, str]" = field(default_factory=dict)
 
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "attr_types": dict(self.attr_types),
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "ClassInfo":
-        return ClassInfo(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            bases=tuple(str(b) for b in data["bases"]),  # type: ignore[union-attr]
-            attr_types={
-                str(k): str(v)
-                for k, v in data["attr_types"].items()  # type: ignore[union-attr]
-            },
-        )
-
 
 @dataclass(frozen=True)
 class FileIndex:
@@ -196,37 +90,6 @@ class FileIndex:
     imports: tuple[ImportEdge, ...]
     functions: tuple[FunctionInfo, ...]
     classes: tuple[ClassInfo, ...]
-
-    def to_json(self) -> "dict[str, object]":
-        return {
-            "version": INDEX_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "imports": [i.to_json() for i in self.imports],
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-        }
-
-    @staticmethod
-    def from_json(data: "dict[str, object]") -> "FileIndex":
-        if data.get("version") != INDEX_VERSION:
-            raise ValueError(
-                f"index version mismatch: {data.get('version')!r} "
-                f"!= {INDEX_VERSION}"
-            )
-        return FileIndex(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            imports=tuple(
-                ImportEdge.from_json(i) for i in data["imports"]  # type: ignore[union-attr]
-            ),
-            functions=tuple(
-                FunctionInfo.from_json(f) for f in data["functions"]  # type: ignore[union-attr]
-            ),
-            classes=tuple(
-                ClassInfo.from_json(c) for c in data["classes"]  # type: ignore[union-attr]
-            ),
-        )
 
 
 def module_name_for(path: str) -> str:
@@ -466,7 +329,6 @@ def build_file_index(
 
 
 __all__ = [
-    "INDEX_VERSION",
     "CallSite",
     "ClassInfo",
     "FileIndex",

@@ -1,6 +1,6 @@
 """Project index: whole-program graphs derived from per-file indexes.
 
-:func:`build_project` turns a set of parsed (or cached) files into one
+:func:`build_project` turns a set of parsed files into one
 :class:`ProjectIndex`, which lazily derives:
 
 * **import graph** -- module -> module edges with line numbers, split
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.checks.config import CheckConfig
-from repro.checks.graph.cache import IndexCache, config_digest
 from repro.checks.graph.index import (
     CallSite,
     FileIndex,
@@ -412,18 +411,15 @@ class ProjectContext:
 def build_project(
     sources: "Iterable[tuple[str, str]]",
     config: CheckConfig,
-    cache: "IndexCache | None" = None,
     trees: "dict[str, ast.Module] | None" = None,
 ) -> ProjectContext:
     """Index ``(path, source)`` pairs into a :class:`ProjectContext`.
 
     ``trees`` supplies already-parsed ASTs (the runner has them from the
-    per-file pass); missing entries are parsed here, consulting the
-    ``cache`` first so unchanged files skip both parse and extraction.
-    Files matching the config's global ``exclude`` fragments and files
-    that fail to parse are left out of the index.
+    per-file pass); missing entries are parsed here.  Files matching the
+    config's global ``exclude`` fragments and files that fail to parse
+    are left out of the index.
     """
-    digest = config_digest(config.lock_names)
     files: "dict[str, FileIndex]" = {}
     source_map: "dict[str, str]" = {}
     tree_map: "dict[str, ast.Module]" = dict(trees or {})
@@ -432,11 +428,6 @@ def build_project(
         if any(fragment in posix for fragment in config.exclude):
             continue
         source_map[posix] = source
-        key = IndexCache.key(source, digest)
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None and cached.path == posix:
-            files[posix] = cached
-            continue
         tree = tree_map.get(posix) or tree_map.get(path)
         if tree is None:
             try:
@@ -444,10 +435,7 @@ def build_project(
             except SyntaxError:
                 continue
             tree_map[posix] = tree
-        index = build_file_index(posix, tree, config.lock_names)
-        files[posix] = index
-        if cache is not None:
-            cache.put(key, index)
+        files[posix] = build_file_index(posix, tree, config.lock_names)
     project = ProjectIndex(files, config)
     context = ProjectContext(
         index=project,

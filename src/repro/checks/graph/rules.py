@@ -116,7 +116,7 @@ class LayerViolationRule(ProjectRule):
     family = "layering"
     description = (
         "top-level import crosses the layer DAG declared in "
-        "[tool.repro.checks] arch-layers/arch-allow, or modules form an "
+        "CheckConfig arch_layers/arch_allow, or modules form an "
         "import cycle (requires --graph)"
     )
     scope_field = None
@@ -125,7 +125,7 @@ class LayerViolationRule(ProjectRule):
         spec = ArchSpec.from_config(project.config)
         for problem in spec.problems:
             yield _finding(
-                self, "pyproject.toml", 1, 0, problem,
+                self, "src/repro/checks/config.py", 1, 0, problem,
                 severity=Severity.WARNING,
             )
         index = project.index

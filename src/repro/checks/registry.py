@@ -78,9 +78,6 @@ class Rule:
 
     def applies_to(self, path: str, config: CheckConfig) -> bool:
         """True when the rule should run on ``path``."""
-        override = config.scopes.get(self.id)
-        if override is not None:
-            return config.in_scope(path, tuple(override))
         if self.scope_field is None:
             return config.in_scope(path, ())
         return config.in_scope(path, getattr(config, self.scope_field))

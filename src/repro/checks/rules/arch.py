@@ -1,11 +1,12 @@
 """Architecture boundary rules: protected names stay behind their layer.
 
 The *shape* of the architecture -- which layer may import which -- is
-declared once in ``[tool.repro.checks]`` (``arch-layers`` /
-``arch-allow``) and enforced whole-program by the ``layer-violation``
-rule under ``repro check --graph``.  What remains here are the two
-*protected-name* boundaries that need per-file syntax, not graph
-reachability, and therefore run in every mode including single-file:
+declared once in :class:`~repro.checks.config.CheckConfig`
+(``arch_layers`` / ``arch_allow``) and enforced whole-program by the
+``layer-violation`` rule under ``repro check --graph``.  What remains
+here are the two *protected-name* boundaries that need per-file syntax,
+not graph reachability, and therefore run in every mode including
+single-file:
 
 * ``engine-layering`` -- concrete synthesizers
   (``OptimalSynthesizer``, ``mmd_synthesize``, ...) may only be

@@ -5,23 +5,20 @@ Entry points:
 * :func:`check_paths` -- run rules over files/directories, as the
   ``repro check`` CLI does.  With ``graph=True`` the per-file pass is
   followed by a whole-program pass: every parsed file is folded into a
-  :class:`~repro.checks.graph.project.ProjectIndex` (consulting the
-  content-hash ``cache`` when given) and the registered
+  :class:`~repro.checks.graph.project.ProjectIndex` and the registered
   :class:`~repro.checks.registry.ProjectRule` rules run once over it;
 * :func:`check_source` -- run per-file rules over an in-memory source
   string (used by the self-tests; ``path`` still matters because rule
-  scopes match on it);
-* :func:`changed_python_files` -- the ``--changed`` file set from git.
+  scopes match on it).
 """
 
 from __future__ import annotations
 
 import ast
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.checks.config import CheckConfig, load_config
+from repro.checks.config import CheckConfig
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import (
     FileContext,
@@ -79,42 +76,6 @@ def iter_python_files(paths: "list[str | Path]") -> "list[Path]":
             if key not in seen:
                 seen.add(key)
                 result.append(candidate)
-    return result
-
-
-def changed_python_files(
-    root: "Path | str | None" = None,
-    base_ref: str = "origin/main",
-) -> "list[Path] | None":
-    """``.py`` files changed since ``merge-base HEAD base_ref``, plus
-    untracked ones; ``None`` when git is unavailable or the base ref
-    does not exist (callers fall back to the full tree)."""
-    cwd = str(root) if root is not None else None
-
-    def _git(*argv: str) -> str:
-        return subprocess.run(
-            ["git", *argv],
-            capture_output=True, text=True, check=True, cwd=cwd, timeout=30,
-        ).stdout
-
-    try:
-        top = _git("rev-parse", "--show-toplevel").strip()
-        base = _git("merge-base", "HEAD", base_ref).strip()
-        diff = _git("diff", "--name-only", "-z", base, "--")
-        untracked = _git("ls-files", "--others", "--exclude-standard", "-z")
-    except (OSError, subprocess.SubprocessError):
-        return None
-    names = {
-        name
-        for blob in (diff, untracked)
-        for name in blob.split("\0")
-        if name.endswith(".py")
-    }
-    result: "list[Path]" = []
-    for name in sorted(names):
-        path = Path(top) / name
-        if path.is_file():
-            result.append(path)
     return result
 
 
@@ -186,7 +147,6 @@ def _run_project_rules(
     trees: "dict[str, ast.Module]",
     suppression_map: "dict[str, list[Suppression]]",
     config: CheckConfig,
-    cache=None,
 ) -> CheckReport:
     """Whole-program pass: build the project index, run ProjectRules."""
     from repro.checks.graph.project import build_project
@@ -195,9 +155,7 @@ def _run_project_rules(
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     if not project_rules:
         return report
-    project = build_project(
-        sources.items(), config, cache=cache, trees=trees
-    )
+    project = build_project(sources.items(), config, trees=trees)
     for rule in project_rules:
         raw = [
             finding for finding in rule.check_project(project)
@@ -219,21 +177,15 @@ def check_paths(
     paths: "list[str | Path]",
     config: "CheckConfig | None" = None,
     select: "tuple[str, ...] | list[str] | None" = None,
-    root: "Path | str | None" = None,
     graph: bool = False,
-    cache=None,
 ) -> CheckReport:
     """Run the (selected) rules over files and directory trees.
 
-    ``config`` defaults to :func:`load_config` relative to ``root`` (the
-    current directory when omitted), so a ``[tool.repro.checks]`` table
-    in pyproject.toml is honored automatically.  ``graph=True`` adds the
-    whole-program pass; ``cache`` is an optional
-    :class:`~repro.checks.graph.cache.IndexCache` that lets unchanged
-    files skip re-indexing between runs.
+    ``config`` defaults to :class:`CheckConfig` (the checker's policy);
+    ``graph=True`` adds the whole-program pass.
     """
     if config is None:
-        config = load_config(root)
+        config = CheckConfig()
     rules = select_rules(select)
     report = CheckReport()
     sources: "dict[str, str]" = {}
@@ -263,7 +215,7 @@ def check_paths(
             suppression_map[posix] = suppressions
     if graph:
         report.merge(_run_project_rules(
-            rules, sources, trees, suppression_map, config, cache=cache
+            rules, sources, trees, suppression_map, config
         ))
     report.sort()
     return report
@@ -271,7 +223,6 @@ def check_paths(
 
 __all__ = [
     "CheckReport",
-    "changed_python_files",
     "check_paths",
     "check_source",
     "iter_python_files",

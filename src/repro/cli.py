@@ -674,7 +674,6 @@ def cmd_clifford(args) -> int:
 def cmd_check(args) -> int:
     from repro.checks import (
         all_rules,
-        changed_python_files,
         check_paths,
         render_json,
         render_sarif,
@@ -693,30 +692,7 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    paths = list(args.paths)
-    if args.changed:
-        changed = changed_python_files()
-        if changed is None:
-            print(
-                "warning: cannot determine changed files from git; "
-                "checking the full tree",
-                file=sys.stderr,
-            )
-        else:
-            from repro.checks.runner import iter_python_files
-
-            requested = {p.resolve() for p in iter_python_files(paths)}
-            paths = [p for p in changed if p.resolve() in requested]
-            if not paths:
-                print("ok: no changed python files under the given paths")
-                return 0
-    cache = None
-    if args.graph:
-        from repro.checks.graph.cache import IndexCache, default_cache_dir
-
-        cache_dir = args.cache_dir or default_cache_dir()
-        cache = IndexCache(cache_dir) if cache_dir else None
-    report = check_paths(paths, select=select, graph=args.graph, cache=cache)
+    report = check_paths(args.paths, select=select, graph=args.graph)
     if args.format == "json":
         rendered = render_json(report)
     elif args.format == "sarif":
@@ -728,22 +704,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_arch(args) -> int:
-    from repro.checks import load_config
+    from repro.checks import CheckConfig
     from repro.checks.graph import emit
-    from repro.checks.graph.cache import IndexCache, default_cache_dir
     from repro.checks.graph.project import build_project
     from repro.checks.runner import iter_python_files
 
-    config = load_config()
-    cache_dir = args.cache_dir or default_cache_dir()
-    cache = IndexCache(cache_dir) if cache_dir else None
     sources = []
     for path in iter_python_files(args.paths):
         try:
             sources.append((path.as_posix(), path.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError):
             continue
-    project = build_project(sources, config, cache=cache)
+    project = build_project(sources, CheckConfig())
     renderers = {
         ("imports", "dot"): emit.import_graph_dot,
         ("imports", "json"): emit.import_graph_json,
@@ -1170,16 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add the whole-program pass (lock-order-cycle, "
         "cross-unmasked-op, layer-violation)",
     )
-    p_check.add_argument(
-        "--changed", action="store_true",
-        help="only check .py files changed since merge-base with "
-        "origin/main (falls back to the full tree without git)",
-    )
-    p_check.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="per-file index cache directory for --graph "
-        "(default: $REPRO_CHECKS_CACHE when set, else no cache)",
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_arch = sub.add_parser(
@@ -1196,11 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_arch.add_argument(
         "--format", choices=("dot", "json"), default="dot",
         help="output format (default: dot)",
-    )
-    p_arch.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="per-file index cache directory "
-        "(default: $REPRO_CHECKS_CACHE when set, else no cache)",
     )
     p_arch.set_defaults(func=cmd_arch)
 

@@ -8,8 +8,7 @@ This module makes each unit of hard work a first-class
 can *preempt* work instead:
 
 * :class:`CancelToken` -- a thread-safe cancellation flag with an
-  optional monotonic deadline and parent chaining (cancelling a parent
-  token cancels every child derived from it).  Cooperative code calls
+  optional monotonic deadline.  Cooperative code calls
   :meth:`CancelToken.checkpoint` at loop boundaries; the scan loops in
   ``repro.synth.search`` and ``repro.analysis.hard`` accept exactly
   such a callable.
@@ -74,18 +73,15 @@ class CancelToken:
             :class:`repro.service.resilience.Deadline`); when it
             expires the token reads as cancelled with reason
             ``"deadline"`` without anyone calling :meth:`cancel`.
-        parent: A token to chain from -- cancelling the parent cancels
-            this token too.
     """
 
-    __slots__ = ("_event", "_lock", "_reason", "deadline", "parent")
+    __slots__ = ("_event", "_lock", "_reason", "deadline")
 
-    def __init__(self, deadline=None, parent: "CancelToken | None" = None) -> None:
+    def __init__(self, deadline=None) -> None:
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._reason: "str | None" = None
         self.deadline = deadline
-        self.parent = parent
 
     def cancel(self, reason: str = "cancelled") -> bool:
         """Request cancellation; the first call wins and sets the
@@ -99,15 +95,12 @@ class CancelToken:
 
     @property
     def cancelled(self) -> bool:
-        """Whether the token reads as cancelled (explicitly, via its
-        deadline, or via its parent chain)."""
+        """Whether the token reads as cancelled (explicitly or via its
+        deadline)."""
         if self._event.is_set():
             return True
         if self.deadline is not None and self.deadline.expired():
             self.cancel("deadline")
-            return True
-        if self.parent is not None and self.parent.cancelled:
-            self.cancel(self.parent.reason or "cancelled")
             return True
         return False
 
@@ -130,16 +123,6 @@ class CancelToken:
             raise WorkCancelledError(
                 f"work cancelled ({reason})", reason=reason
             )
-
-    def wait_cancelled(self, timeout: float) -> bool:
-        """Bounded wait for cancellation; True when cancelled."""
-        if self.cancelled:
-            return True
-        return self._event.wait(timeout=timeout)
-
-    def child(self) -> "CancelToken":
-        """A token chained to this one (shares the deadline)."""
-        return CancelToken(deadline=self.deadline, parent=self)
 
 
 class WorkItem:

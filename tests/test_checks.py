@@ -723,15 +723,6 @@ class TestReporters:
 # Config
 # ---------------------------------------------------------------------------
 class TestConfig:
-    def test_scope_override_per_rule(self):
-        config = CheckConfig(scopes={"unmasked-op": ["src/other/"]})
-        report = check_source(
-            "def f(word):\n    return word << 4\n",
-            path=CORE,
-            config=config,
-        )
-        assert report.findings == []
-
     def test_excluded_paths_skip_all_rules(self):
         report = check_source(
             "def f(word):\n    return word << 4\n",

@@ -73,33 +73,6 @@ class TestCancelToken:
         assert token.cancelled
         assert token.reason == "deadline"
 
-    def test_parent_cancel_propagates_reason(self):
-        parent = CancelToken()
-        child = parent.child()
-        assert not child.cancelled
-        parent.cancel("lost_race")
-        assert child.cancelled
-        assert child.reason == "lost_race"
-
-    def test_child_shares_parent_deadline(self):
-        deadline = FakeDeadline()
-        child = CancelToken(deadline=deadline).child()
-        deadline.expire()
-        assert child.cancelled
-        assert child.reason == "deadline"
-
-    def test_child_cancel_does_not_touch_parent(self):
-        parent = CancelToken()
-        child = parent.child()
-        child.cancel("lost_race")
-        assert not parent.cancelled
-
-    def test_wait_cancelled_is_bounded(self):
-        token = CancelToken()
-        assert token.wait_cancelled(timeout=0.01) is False
-        token.cancel()
-        assert token.wait_cancelled(timeout=0.01) is True
-
     def test_explicit_cancel_beats_later_deadline(self):
         deadline = FakeDeadline()
         token = CancelToken(deadline=deadline)
