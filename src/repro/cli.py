@@ -275,7 +275,6 @@ def cmd_serve(args) -> int:
         n_wires=args.wires,
         k=args.k,
         max_list_size=args.lists,
-        workers=args.workers,
         batch_window=args.batch_window / 1000.0,
         max_batch=args.max_batch,
         result_cache_path=args.result_cache,
@@ -298,8 +297,7 @@ def cmd_serve(args) -> int:
     host, port = daemon.address
     print(
         f"repro daemon listening on {host}:{port} "
-        f"(n={args.wires}, k={args.k}, L={service.handle.max_size}, "
-        f"workers={args.workers})",
+        f"(n={args.wires}, k={args.k}, L={service.handle.max_size})",
         flush=True,
     )
     daemon.serve_forever()
@@ -330,7 +328,6 @@ def _serve_sharded(args) -> int:
         n_wires=args.wires,
         k=args.k,
         max_list_size=args.lists,
-        workers=args.workers,
     )
     router = cluster.router.start()
     daemon = TCPDaemon(router, host=args.host, port=args.port)
@@ -882,17 +879,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the JSONL protocol over stdin/stdout instead of TCP",
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for hard queries (0 = inline)",
-    )
-    p_serve.add_argument(
         "--shards",
         type=int,
         default=0,
         help="run a sharded cluster: N shard daemons behind a "
-        "consistent-hash router (0 = single daemon)",
+        "consistent-hash router, the way to use more cores "
+        "(0 = single daemon)",
     )
     p_serve.add_argument(
         "--batch-window",
@@ -912,8 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--hard-timeout",
         type=float,
         default=None,
-        help="seconds one hard-query batch may run before the worker "
-        "pool is presumed dead and restarted (default 120)",
+        help="seconds a scan, compile or named-engine request without "
+        "deadline_ms may run before it degrades (default 120)",
     )
     p_serve.add_argument(
         "--breaker-threshold",

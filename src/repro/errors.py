@@ -92,13 +92,6 @@ class ServiceTimeoutError(ServiceError):
         self.phase = phase
 
 
-class WorkerPoolError(ServiceError):
-    """Raised when the hard-query worker pool fails to produce results:
-    a worker died mid-batch, the pool is broken, or a batch exceeded its
-    supervision timeout.  The supervisor restarts the pool and requeues
-    the batch before letting this escape to the dispatcher."""
-
-
 class WorkCancelledError(ServiceError):
     """Raised at a cooperative cancellation checkpoint when the work
     item's :class:`repro.service.tasks.CancelToken` has been cancelled

@@ -4,14 +4,15 @@ The paper's database is "compute once, query forever"; this package is
 the *query forever* half.  A daemon loads the :class:`OptimalDatabase`
 once, then serves synthesis queries over a newline-delimited-JSON
 protocol (TCP or stdio) with batch coalescing through the vectorized
-lookup path, a result cache keyed by canonical representative, a
-multiprocessing pool for hard queries, and a metrics registry exposed
-via the ``stats`` request.  See ``docs/SERVICE.md``.
+lookup path, a result cache keyed by canonical representative,
+cancellable ``A_i``-list scans for hard queries, and a metrics registry
+exposed via the ``stats`` request.  See ``docs/SERVICE.md``.  More cores
+come from the sharded router (:mod:`repro.service.sharding`).
 
 The hard-query path is wrapped in a resilience layer -- circuit
-breaker, worker supervision, per-request deadlines with graceful
-degradation, crash-safe cache persistence, and a deterministic
-fault-injection harness -- documented in ``docs/RESILIENCE.md``.
+breaker, per-request deadlines with graceful degradation, crash-safe
+cache persistence, and a deterministic fault-injection harness --
+documented in ``docs/RESILIENCE.md``.
 """
 
 from repro.service.batching import BatchQueue, PendingRequest
@@ -30,10 +31,9 @@ from repro.service.resilience import (
     Deadline,
     ResilienceConfig,
     RetryPolicy,
-    WorkerSupervisor,
 )
 from repro.service.tasks import CancelToken, TaskRegistry, WorkItem
-from repro.service.workers import HardQueryPool, HardResult, WorkPreempted
+from repro.service.workers import HardResult
 
 __all__ = [
     "BatchQueue",
@@ -46,7 +46,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "Gauge",
-    "HardQueryPool",
     "HardResult",
     "Histogram",
     "MetricsRegistry",
@@ -60,7 +59,5 @@ __all__ = [
     "TCPDaemon",
     "TaskRegistry",
     "WorkItem",
-    "WorkPreempted",
-    "WorkerSupervisor",
     "serve_stdio",
 ]

@@ -303,7 +303,7 @@ class ServiceClient:
         return self.request("stats")
 
     def health(self) -> dict:
-        """The daemon's resilience status (breaker, pool, cache)."""
+        """The daemon's resilience status (breaker, tasks, cache)."""
         return self.request("health")
 
     def shutdown(self) -> dict:

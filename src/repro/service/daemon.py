@@ -12,7 +12,8 @@ Architecture::
                                        pass (lookup_with_keys) per batch
                 -> ResultCache         keyed by canonical representative
                 -> peel fast path      size <= k
-                -> HardQueryPool       A_i-list scans (size > k)
+                -> A_i-list scan       size > k, one cancellable work
+                                       item per request, in order
         -> compile, named engines      this connection thread, under the
                                        engine's lock, as one cancellable
                                        work item (no batch-wide fast path
@@ -27,14 +28,17 @@ Graceful shutdown closes the queue (new work gets a ``shutdown`` error
 envelope), drains everything already accepted, persists the result
 cache, and only then stops the transports.
 
+One daemon uses one core for its hard work; ``repro serve --shards N``
+is how to use more (see ``docs/SHARDING.md``).
+
 Resilience (see :mod:`repro.service.resilience` and
-``docs/RESILIENCE.md``): a :class:`WorkerSupervisor` bounds every
-``A_i``-scan dispatch and restarts dead or hung pools, and a
-:class:`CircuitBreaker` sheds hard queries after consecutive failures or
-deadline misses.  Hard work (scans, compiles, named-engine requests)
-runs as cancellable work items carrying the request's ``deadline_ms``.
-Whatever stops the exact answer -- deadline, open breaker, pool failure,
-shutdown -- the request degrades in one place,
+``docs/RESILIENCE.md``): a :class:`CircuitBreaker` sheds hard queries
+after consecutive deadline misses.  Hard work (scans, compiles,
+named-engine requests) runs as cancellable work items bounded by the
+request's ``deadline_ms``, or by ``hard_timeout`` without one; an
+answer that comes in late is still returned exact, and counted as a
+deadline miss.  Whatever stops the exact answer -- deadline, open
+breaker, shutdown -- the request degrades in one place,
 :meth:`SynthesisService._degrade`, to an upper-bound answer from the
 fallback engine: a response is always written, never a hung connection.
 
@@ -77,14 +81,9 @@ from repro.service.cache import DEFAULT_ENGINE, ResultCache
 from repro.service.faults import FaultInjector
 from repro.service.front import RequestFront
 from repro.service.metrics import MetricsRegistry
-from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    ResilienceConfig,
-    WorkerSupervisor,
-)
+from repro.service.resilience import CircuitBreaker, Deadline, ResilienceConfig
 from repro.service.tasks import CANCELLED, DEGRADED, TaskRegistry
-from repro.service.workers import HardQueryPool
+from repro.service.workers import solve_with_engine
 from repro.synth.search import peel_minimal_circuit
 from repro.synth.synthesizer import SynthesisHandle
 
@@ -98,7 +97,6 @@ class ServiceConfig:
     n_wires: int = 4
     k: int = 6
     max_list_size: "int | None" = None
-    workers: int = 0
     batch_window: float = 0.002
     max_batch: int = 256
     cache_capacity: int = 65536
@@ -147,7 +145,6 @@ class SynthesisService(RequestFront):
             cooldown=self.resilience.breaker_cooldown,
             on_trip=lambda: self.tasks.cancel_in_flight("breaker_open"),
         )
-        self.supervisor: "WorkerSupervisor | None" = None
         self._dispatcher: "threading.Thread | None" = None
 
     # ------------------------------------------------------------------
@@ -172,25 +169,13 @@ class SynthesisService(RequestFront):
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SynthesisService":
-        """Create the worker pool and start the dispatcher.
-
-        The pool is created first, before any serving threads exist:
-        fork-starting workers from a multithreaded process is unsafe.
-        """
+        """Start the dispatcher."""
         if self._dispatcher is not None:
             return self
         if self.config.extra.get("trace"):
             # Feed every completed span into the metrics registry so
             # span timings ride the existing stats/snapshot plumbing.
             _perf_enable(sink=self._span_sink)
-        pool = HardQueryPool(self.handle, processes=self.config.workers)
-        self.supervisor = WorkerSupervisor(
-            pool,
-            hard_timeout=self.resilience.hard_timeout,
-            max_restarts=self.resilience.max_restarts,
-            metrics=self.metrics,
-            faults=self.faults,
-        )
         self._started_at = time.monotonic()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-dispatcher", daemon=True
@@ -201,12 +186,6 @@ class SynthesisService(RequestFront):
     def _span_sink(self, name: str, seconds: float) -> None:
         """Bridge completed trace spans into per-name histograms."""
         self.metrics.histogram(f"span_{name}").observe(seconds)
-
-    @property
-    def pool(self) -> "HardQueryPool | None":
-        """The *current* hard-query pool (changes across supervisor
-        restarts); None before :meth:`start`."""
-        return self.supervisor.pool if self.supervisor is not None else None
 
     def _drain(self, save_cache: bool) -> None:
         """Close the queue, drain accepted work, persist the cache.
@@ -229,8 +208,6 @@ class SynthesisService(RequestFront):
                 pending.request.id,
                 ServiceShutdownError("service stopped before dispatch"),
             ))
-        if self.supervisor is not None:
-            self.supervisor.close()
         if save_cache and self.cache.path is not None:
             try:
                 self.cache.save()
@@ -312,8 +289,8 @@ class SynthesisService(RequestFront):
         response = pending.wait(self.resilience.request_timeout)
         if response is None:
             # The connection thread is abandoning the request -- preempt
-            # any hard work still attached to it so the pool does not
-            # keep scanning for an answer nobody will read.
+            # any hard work still attached to it so the dispatcher does
+            # not keep scanning for an answer nobody will read.
             if pending.work_item is not None:
                 pending.work_item.cancel("abandoned")
             self.metrics.counter("responses_timeout").inc()
@@ -330,9 +307,11 @@ class SynthesisService(RequestFront):
         """Answer a ``compile`` op: spec form in, circuit + embedding out.
 
         The completion search is one cancellable work item whose token
-        carries the request deadline: expiry, breaker trips, and shutdown
-        preempt it at the next completion boundary, after which the
-        request degrades instead of erroring.  Compile answers are never
+        carries the request deadline, or ``hard_timeout`` without one:
+        expiry, breaker trips, and shutdown preempt it at the next
+        completion boundary, after which the request degrades instead of
+        erroring.  A late answer counts as a deadline miss, as a late
+        scan does (:meth:`_count_if_late`).  Compile answers are never
         cached: the result is keyed by the *spec* (not a permutation
         class), and the embedding payload already makes re-compilation
         cheap to reason about.
@@ -352,7 +331,7 @@ class SynthesisService(RequestFront):
                 ),
             )
         work = self.tasks.create(
-            "compile", payload=spec.kind, deadline=deadline
+            "compile", deadline=self._hard_deadline(deadline)
         )
         work.start()
         started = time.perf_counter()
@@ -373,6 +352,7 @@ class SynthesisService(RequestFront):
             work.degrade(exc)
             return self.error_line(request.id, exc)
         work.finish(result.size)
+        self._count_if_late(work)
         self.metrics.histogram("compile_seconds").observe(
             time.perf_counter() - started
         )
@@ -390,7 +370,9 @@ class SynthesisService(RequestFront):
         ``hard_timeout`` without one, and its checkpoint goes to the
         engine as ``options["cancel"]``: expiry, breaker trips, and
         shutdown preempt a cancellable engine at its next checkpoint,
-        after which the request degrades (and is never cached).
+        after which the request degrades (and is never cached).  An
+        engine that finishes late (or ignores the checkpoint) answers
+        exact, and the miss is counted.
         """
         word, n = perm.word, perm.n_wires
         hit = self.cache.lookup(n, word, word, engine=name)
@@ -399,9 +381,9 @@ class SynthesisService(RequestFront):
             self.metrics.counter("served_from_cache").inc()
             body, source = json.loads(hit.circuit), "cache"
         else:
-            if deadline is None:
-                deadline = Deadline(self.resilience.hard_timeout)
-            work = self.tasks.create(name, payload=word, deadline=deadline)
+            work = self.tasks.create(
+                name, deadline=self._hard_deadline(deadline)
+            )
             work.start()
             started = time.perf_counter()
             try:
@@ -418,6 +400,7 @@ class SynthesisService(RequestFront):
                 work.degrade(exc)
                 return self.error_line(request.id, exc)
             work.finish(result.size)
+            self._count_if_late(work)
             self.metrics.histogram(f"engine_seconds_{name}").observe(
                 time.perf_counter() - started
             )
@@ -440,11 +423,27 @@ class SynthesisService(RequestFront):
     def _degrade(self, request: "protocol.Request", target, reason: str) -> str:
         """The daemon's one degradation point: the fallback engine's
         upper-bound answer (``reason`` is ``deadline``, ``breaker_open``,
-        ``pool_failure``, ``shutdown``, ``scan_error`` or another
-        cancellation reason)."""
+        ``shutdown``, ``scan_error`` or another cancellation reason)."""
         if reason == "deadline":
             self._deadline_missed()
         return self.degraded(request, target, reason)
+
+    def _hard_deadline(self, deadline: "Deadline | None") -> Deadline:
+        """The one bound on a unit of hard work: the request's deadline,
+        or ``hard_timeout`` from now when it carries none."""
+        if deadline is None:
+            return Deadline(self.resilience.hard_timeout)
+        return deadline
+
+    def _count_if_late(self, work) -> bool:
+        """The one rule for a finished hard work item: an exact answer
+        past its deadline still goes out (discarding computed work helps
+        nobody), but the miss counts toward tripping the breaker.
+        Returns whether it was late."""
+        late = work.token.deadline.expired()
+        if late:
+            self._deadline_missed()
+        return late
 
     def _deadline_missed(self) -> None:
         """Count a blown deadline toward tripping the breaker."""
@@ -471,7 +470,6 @@ class SynthesisService(RequestFront):
                 "k": self.handle.k,
                 "max_list_size": self.handle.max_list_size,
                 "max_size": self.handle.max_size,
-                "workers": self.config.workers,
                 "batch_window": self.config.batch_window,
                 "max_batch": self.config.max_batch,
             },
@@ -486,21 +484,14 @@ class SynthesisService(RequestFront):
             "metrics": self.metrics.snapshot(),
             "trace": self._trace_stats(),
             "tasks": self.tasks.snapshot(),
-            "resilience": {
-                "breaker": self.breaker.snapshot(),
-                "pool": (
-                    self.supervisor.liveness()
-                    if self.supervisor is not None
-                    else None
-                ),
-            },
+            "resilience": {"breaker": self.breaker.snapshot()},
         }
 
     def _database_info(self) -> dict:
         """Where the database lives and whether it is a shared mapping.
 
         ``mapped: True`` means the table is a read-only ``.rdb``
-        memory-map -- every worker process touching it shares one
+        memory-map -- every shard process mapping it shares one
         page-cache copy (see ``docs/DATABASE.md``).
         """
         from repro.store import is_mapped, mapped_path
@@ -524,15 +515,12 @@ class SynthesisService(RequestFront):
         """Resilience status (the ``health`` op payload).
 
         ``status`` is ``"ok"`` when everything is nominal, ``"degraded"``
-        when the breaker is not closed, workers are dead, or the
+        when the breaker is not closed, the dispatcher died, or the
         persisted cache was quarantined, and ``"stopping"`` during
         shutdown.  Cheap enough for tight poll loops: no engine work, no
         queue traffic.
         """
         breaker = self.breaker.snapshot()
-        pool = (
-            self.supervisor.liveness() if self.supervisor is not None else None
-        )
         cache = self.cache.health()
         dispatcher_alive = (
             self._dispatcher is not None and self._dispatcher.is_alive()
@@ -541,7 +529,6 @@ class SynthesisService(RequestFront):
             status = "stopping"
         elif (
             breaker["state"] != CircuitBreaker.CLOSED
-            or (pool is not None and pool["dead"] > 0)
             or cache["quarantined"] is not None
             or not dispatcher_alive
         ):
@@ -553,7 +540,6 @@ class SynthesisService(RequestFront):
             "version": __version__,
             "dispatcher_alive": dispatcher_alive,
             "breaker": breaker,
-            "pool": pool,
             "cache": cache,
             "tasks": self.tasks.snapshot(),
             "database": self._database_info(),
@@ -644,10 +630,10 @@ class SynthesisService(RequestFront):
                 self._scan(hard)
 
     def _scan(self, hard: "list[tuple[PendingRequest, int]]") -> None:
-        """Fan hard queries out to the worker pool -- unless the service
-        is draining, the breaker is open, or a request's deadline cannot
-        fit a scan; those degrade instead (never an error, never a hung
-        connection)."""
+        """Run the ``A_i``-list scans for hard queries, one at a time on
+        this thread -- unless the service is draining, the breaker is
+        open, or a request's deadline cannot fit a scan; those degrade
+        instead (never an error, never a hung connection)."""
         if self.stopping:
             # Draining after shutdown: queued requests still get valid
             # answers, but no new multi-second scan starts.
@@ -673,32 +659,26 @@ class SynthesisService(RequestFront):
         scan_started = time.perf_counter()
         self.metrics.counter("hard_queries").inc(len(scans))
         # Each hard query becomes one cancellable WorkItem.  The token
-        # carries the request's deadline, so expiry mid-scan preempts
-        # the unit (cooperatively inline, process-level in the pool)
-        # instead of merely being noticed afterwards; breaker trips,
-        # shutdown, and abandoning connection threads reach the same
-        # tokens through the registry / PendingRequest.work_item.
+        # carries the request's deadline (or hard_timeout), so expiry
+        # mid-scan preempts the unit at its next A_i boundary instead of
+        # merely being noticed afterwards; breaker trips, shutdown, and
+        # abandoning connection threads reach the same tokens through
+        # the registry / PendingRequest.work_item.
+        engine = self.handle.engine
         items = []
         for pending, _ in scans:
             work = self.tasks.create(
-                "scan", payload=pending.word, deadline=pending.deadline
+                "scan",
+                lambda token, w=pending.word: solve_with_engine(
+                    engine, w, cancel=token.checkpoint
+                ),
+                deadline=self._hard_deadline(pending.deadline),
             )
             pending.work_item = work
             items.append(work)
-        try:
-            with trace_span("service.scan", queries=len(scans)):
-                self.supervisor.solve_items(items)
-        except ServiceError as exc:
-            # The pool kept failing even across restarts.  The breaker
-            # counts it; the requests degrade rather than error -- the
-            # fallback engine runs in-process and owes nothing to the pool.
-            self.breaker.record_failure()
-            log.error("hard-query batch failed after restarts: %s", exc)
-            for (pending, _), work in zip(scans, items):
-                if not work.finished:
-                    work.cancel("pool_failure", force=True)
-                self._shed(pending, "pool_failure")
-            return
+        with trace_span("service.scan", queries=len(scans)):
+            for work in items:
+                work.run()
         self.metrics.histogram("scan_seconds").observe(
             time.perf_counter() - scan_started
         )
@@ -726,12 +706,7 @@ class SynthesisService(RequestFront):
             )
             self._shed(pending, "scan_error")
             return False
-        late = pending.deadline is not None and pending.deadline.expired()
-        if late:
-            # The scan finished but blew the budget: the exact answer
-            # still goes out (discarding computed work helps nobody),
-            # but the miss counts toward tripping the breaker.
-            self._deadline_missed()
+        late = self._count_if_late(work)
         result = work.result
         n = self.n_wires
         if result.lower_bound is not None:

@@ -17,8 +17,6 @@ kind                 stage         effect
                                    request's ``deadline_ms`` budget)
 ``drop_connection``  response      the TCP handler closes the connection
                                    instead of writing the response
-``kill_worker``      hard          SIGKILL every live hard-pool worker right
-                                   after a batch is dispatched to the pool
 ``corrupt_cache``    cache_save    garble the persisted result-cache file
                                    after a successful save (simulates a torn
                                    write for the next load)
@@ -39,8 +37,6 @@ visible in ``health`` via :meth:`FaultInjector.snapshot`.
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -51,7 +47,6 @@ from repro.errors import ServiceError
 FAULT_STAGES = {
     "delay": "request",
     "drop_connection": "response",
-    "kill_worker": "hard",
     "corrupt_cache": "cache_save",
     "kill_shard": "shard_kill",
     "partition_shard": "shard_partition",
@@ -171,7 +166,7 @@ class FaultInjector:
         return None
 
     # ------------------------------------------------------------------
-    # Injection points (called by the daemon / supervisor / transports)
+    # Injection points (called by the daemon / router / transports)
     # ------------------------------------------------------------------
     def delay_request(self, op: str) -> float:
         """Stage ``request``: sleep on the connection thread; returns the
@@ -186,20 +181,6 @@ class FaultInjector:
         """Stage ``response``: should the transport drop instead of
         writing the response?"""
         return self._take("response") is not None
-
-    def kill_workers(self, pool) -> int:
-        """Stage ``hard``: SIGKILL every live pool worker; returns how
-        many were killed (0 when unarmed or the pool is inline)."""
-        if self._take("hard") is None:
-            return 0
-        killed = 0
-        for pid in pool.worker_pids():
-            try:
-                os.kill(pid, signal.SIGKILL)
-                killed += 1
-            except OSError:  # already gone
-                pass
-        return killed
 
     def corrupt_cache_file(self, path) -> bool:
         """Stage ``cache_save``: garble the saved cache file (truncate to

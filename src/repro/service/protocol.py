@@ -18,7 +18,7 @@ Request::
                    :data:`repro.specs.SPEC_KINDS`) to a circuit,
                    embedding map included -- see ``docs/COMPILE.md``.
 * ``stats``     -- metrics snapshot and service configuration.
-* ``health``    -- resilience status: circuit breaker, pool liveness,
+* ``health``    -- resilience status: circuit breaker, work items,
                    cache persistence state.
 * ``ping``      -- liveness check.
 * ``shutdown``  -- ask the daemon to drain pending requests and exit.

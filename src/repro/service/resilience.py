@@ -9,16 +9,11 @@ invites.  This module collects that machinery:
 * :class:`Deadline` -- a monotonic per-request budget carried from the
   protocol's ``deadline_ms`` field through the batch queue.
 * :class:`CircuitBreaker` -- closed/open/half-open state around the
-  hard-query pool; trips on consecutive pool failures *or* deadline
-  misses, sheds hard queries into the degraded fallback while open,
+  hard path; trips on consecutive deadline misses (or recorded
+  failures), sheds hard queries into the degraded fallback while open,
   and probes its way closed again after a cooldown.
 * :class:`RetryPolicy` -- client-side exponential backoff with bounded,
   deterministic (seeded-RNG) jitter.
-* :class:`WorkerSupervisor` -- owns the :class:`HardQueryPool`, bounds
-  every batch with a wall-clock timeout, detects dead or hung workers
-  (a killed worker's task is silently lost by ``multiprocessing.Pool``,
-  so the timeout *is* the detector), restarts the pool, and requeues
-  the in-flight batch.
 * :class:`ResilienceConfig` -- all tuning knobs, read from
   ``ServiceConfig.extra["resilience"]``.
 
@@ -34,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 
-from repro.errors import ServiceError, WorkerPoolError
+from repro.errors import ServiceError
 
 
 @dataclass(frozen=True)
@@ -46,17 +41,15 @@ class ResilienceConfig:
     not grow a field per knob.
     """
 
-    #: Consecutive hard-path failures (pool errors or deadline misses)
-    #: that trip the breaker open.
+    #: Consecutive hard-path failures (deadline misses) that trip the
+    #: breaker open.
     breaker_failure_threshold: int = 5
     #: Seconds the breaker stays open before letting a probe through.
     breaker_cooldown: float = 30.0
-    #: Wall-clock bound on one hard-query batch; a batch that exceeds it
-    #: is treated as a dead/hung worker and the pool is restarted.
+    #: Seconds a scan, compile or named-engine request may run when it
+    #: carries no ``deadline_ms``; past it the work is preempted and the
+    #: request degrades like one that blew its own deadline.
     hard_timeout: float = 120.0
-    #: Pool restarts attempted per batch before giving up on the scan
-    #: (the batch then degrades instead of erroring).
-    max_restarts: int = 2
     #: Server-side cap on how long a connection thread stays parked on
     #: a queued request; the backstop that guarantees no hung connection.
     request_timeout: float = 600.0
@@ -67,7 +60,7 @@ class ResilienceConfig:
     @classmethod
     def from_extra(cls, extra: "dict | None") -> "ResilienceConfig":
         """Build from ``ServiceConfig.extra``; unknown keys are errors
-        (a typo silently disabling supervision would be worse)."""
+        (a typo silently dropping a bound would be worse)."""
         raw = dict((extra or {}).get("resilience", {}))
         valid = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - valid)
@@ -112,13 +105,13 @@ class Deadline:
 
 
 class CircuitBreaker:
-    """Closed/open/half-open breaker around the hard-query pool.
+    """Closed/open/half-open breaker around the hard path.
 
     * **closed** -- normal operation; consecutive failures are counted.
     * **open** -- tripped by ``failure_threshold`` consecutive failures
       or deadline misses; every :meth:`allow` is refused (the dispatcher
-      degrades hard queries without touching the pool) until
-      ``cooldown`` seconds have passed.
+      degrades hard queries without scanning) until ``cooldown``
+      seconds have passed.
     * **half-open** -- after the cooldown one probe batch is allowed
       through; success closes the breaker, failure re-opens it and
       restarts the cooldown.
@@ -159,7 +152,7 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """May a hard query touch the pool right now?
+        """May a hard query be scanned right now?
 
         While open, flips to half-open (and allows the probe) once the
         cooldown has elapsed.
@@ -183,7 +176,7 @@ class CircuitBreaker:
             self._opened_at = None
 
     def record_failure(self) -> None:
-        """A hard batch failed (pool error after supervision gave up)."""
+        """A hard batch failed; counts toward tripping."""
         self._note_failure()
 
     def record_deadline_miss(self) -> None:
@@ -257,131 +250,9 @@ class RetryPolicy:
         return max(0.0, base * (1.0 + spread))
 
 
-class WorkerSupervisor:
-    """Owns the hard-query pool and keeps it answering.
-
-    ``multiprocessing.Pool`` silently loses the task of a worker that
-    dies mid-computation (the pool respawns the process, but nobody
-    re-submits the work), and a hung worker blocks ``map`` forever.  The
-    supervisor therefore bounds every batch with ``hard_timeout``; a
-    timeout or pool error is treated as a dead/hung worker, the pool is
-    torn down and rebuilt, and the whole in-flight batch is requeued on
-    the fresh pool.  After ``max_restarts`` failed attempts the batch
-    error escapes to the dispatcher, which degrades those requests to
-    upper-bound answers instead of failing them.
-    """
-
-    def __init__(
-        self,
-        pool,
-        *,
-        hard_timeout: float = 120.0,
-        max_restarts: int = 2,
-        metrics=None,
-        faults=None,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._pool = pool
-        self.hard_timeout = hard_timeout
-        self.max_restarts = max_restarts
-        self.metrics = metrics
-        self.faults = faults
-        self._restarts = 0
-        self._batch_retries = 0
-        self._closed = False
-
-    @property
-    def pool(self):
-        with self._lock:
-            return self._pool
-
-    @property
-    def restarts(self) -> int:
-        return self._restarts
-
-    def solve_items(self, items: list) -> list:
-        """Solve a group of work items, restarting the pool and
-        requeueing on worker death or hang; raises
-        :class:`WorkerPoolError` only after ``max_restarts`` attempts
-        failed.  Also handles preemption:
-
-        * :class:`WorkPreempted` (every in-flight item cancelled while
-          running in worker processes) restarts the pool -- the
-          process-level kill for non-cooperative work -- and returns
-          immediately; the cancelled items are already terminal.
-        * A timeout or pool error restarts and resubmits only the items
-          that are not yet terminal, so finished work survives retries.
-        """
-        from repro.service.workers import WorkPreempted
-
-        attempts = 0
-        while True:
-            open_items = [item for item in items if not item.finished]
-            if not open_items:
-                return items
-            pool = self.pool
-            try:
-                pool.solve_items(
-                    open_items,
-                    timeout=self.hard_timeout,
-                    on_dispatch=self._on_dispatch,
-                )
-                return items
-            except WorkPreempted:
-                self.restart()
-                return items
-            except WorkerPoolError:
-                attempts += 1
-                if attempts > self.max_restarts:
-                    raise
-                self.restart()
-                with self._lock:
-                    self._batch_retries += 1
-                if self.metrics is not None:
-                    self.metrics.counter("hard_batch_retries").inc()
-
-    def _on_dispatch(self, pool) -> None:
-        """Fault-injection hook: runs after a batch is handed to the
-        pool but before the supervisor starts waiting on it."""
-        if self.faults is not None:
-            self.faults.kill_workers(pool)
-
-    def restart(self) -> None:
-        """Tear down the current pool and build a fresh one."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError("supervisor is closed")
-            old = self._pool
-            self._pool = old.restarted()
-            self._restarts += 1
-        if self.metrics is not None:
-            self.metrics.counter("pool_restarts").inc()
-
-    def liveness(self) -> dict:
-        """JSON-ready pool status for ``health``/``stats``."""
-        pool = self.pool
-        alive = pool.alive_workers()
-        dead = max(0, pool.processes - alive) if pool.is_parallel else 0
-        return {
-            "parallel": pool.is_parallel,
-            "processes": pool.processes,
-            "alive": alive,
-            "dead": dead,
-            "restarts": self._restarts,
-            "batch_retries": self._batch_retries,
-        }
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            pool = self._pool
-        pool.close()
-
-
 __all__ = [
     "CircuitBreaker",
     "Deadline",
     "ResilienceConfig",
     "RetryPolicy",
-    "WorkerSupervisor",
 ]

@@ -54,7 +54,6 @@ def shard_command(
     n_wires: int = 4,
     k: int = 6,
     max_list_size: "int | None" = None,
-    workers: int = 0,
 ) -> "list[str]":
     """The ``repro serve`` invocation for one shard.
 
@@ -74,8 +73,6 @@ def shard_command(
         str(n_wires),
         "-k",
         str(k),
-        "--workers",
-        str(workers),
     ]
     if max_list_size is not None:
         command.extend(["--lists", str(max_list_size)])
@@ -100,7 +97,6 @@ class ShardCluster:
         n_wires: int = 4,
         k: int = 6,
         max_list_size: "int | None" = None,
-        workers: int = 0,
         cache_dir=None,
         config: "ShardingConfig | None" = None,
         faults=None,
@@ -126,7 +122,6 @@ class ShardCluster:
             n_wires=n_wires,
             k=k,
             max_list_size=max_list_size,
-            workers=workers,
         )
         env = shard_environment(cache_dir)
 

@@ -163,15 +163,13 @@ class ShardRouter(RequestFront):
         """Forward one validated work request to the owner of ``canon``
         (walking the preference list); degrade when no shard answers."""
         payload = self._forward_payload(request, deadline)
-        work = self.tasks.create(
-            "forward", payload=request.op, deadline=deadline
-        )
+        work = self.tasks.create("forward", deadline=deadline)
         work.start()
         envelope, shard_id, reason = self._forward(
             canon, payload, work, deadline
         )
         if envelope is not None:
-            self._finish(work, shard_id)
+            work.finish(shard_id)
             self.metrics.counter("responses_forwarded").inc()
             if envelope.get("ok"):
                 return protocol.encode_response(
@@ -346,9 +344,7 @@ class ShardRouter(RequestFront):
         managed = (
             self.supervisor.get(owner) if owner is not None else None
         )
-        work = self.tasks.create(
-            "slice", payload=owner or "unrouted", deadline=deadline
-        )
+        work = self.tasks.create("slice", deadline=deadline)
         work.start()
         if managed is not None and self.faults is not None:
             if self.faults.kill_shard(managed.backend):
@@ -385,7 +381,7 @@ class ShardRouter(RequestFront):
                     items, answers
                 ):
                     results[index] = answer
-                self._finish(work, owner)
+                work.finish(owner)
                 self.metrics.counter("slices_forwarded").inc()
                 return
         # The slice failed: dead/partitioned owner, drain race, or a
@@ -534,17 +530,6 @@ class ShardRouter(RequestFront):
         snap = self.supervisor.snapshot()
         snap["stopping"] = self.stopping
         return snap
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _finish(work, value) -> None:
-        try:
-            if not work.finished:
-                work.finish(value)
-        except ServiceError:  # lost a race against force-cancel
-            pass
 
 
 __all__ = ["ShardRouter"]

@@ -1,9 +1,9 @@
 """Shard backends and the shard lifecycle states.
 
 A *shard* is one complete synthesis daemon -- its own dispatcher,
-result-cache partition, worker pool, breaker, and supervisor -- mapping
-the shared read-only ``.rdb`` store.  The router talks to shards through
-a small backend duck type:
+result-cache partition, and breaker -- mapping the shared read-only
+``.rdb`` store.  The router talks to shards through a small backend
+duck type:
 
 * ``shard_id``                   -- stable identity (the ring member).
 * ``call(payload, timeout)``     -- one request dict in, one decoded

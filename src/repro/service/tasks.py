@@ -26,8 +26,8 @@ can *preempt* work instead:
   exact answer (an error, an exhausted budget) and the caller should
   fall back; ``cancelled`` means it was preempted on purpose.
 * :class:`TaskRegistry` -- tracks in-flight items and counts outcomes
-  (including cancellations by reason and forced process-level kills)
-  for the daemon's ``stats``/``health`` payloads, and offers
+  (including cancellations by reason) for the daemon's
+  ``stats``/``health`` payloads, and offers
   :meth:`TaskRegistry.cancel_in_flight` -- the one call behind
   deadline-expiry, breaker-trip, and shutdown preemption.
 
@@ -133,8 +133,6 @@ class WorkItem:
             an engine name, ...).
         fn: The work, called as ``fn(token)``; it should thread
             ``token.checkpoint`` into its inner loops.
-        payload: Opaque identifier for the caller (the packed word for
-            scan items); carried through untouched.
         token: The cancellation token (a fresh one when omitted).
         registry: Owning :class:`TaskRegistry`, notified on terminal
             transitions.
@@ -145,14 +143,12 @@ class WorkItem:
         name: str,
         fn=None,
         *,
-        payload=None,
         token: "CancelToken | None" = None,
         registry: "TaskRegistry | None" = None,
         clock=time.monotonic,
     ) -> None:
         self.name = name
         self.fn = fn
-        self.payload = payload
         self.token = token if token is not None else CancelToken()
         self.registry = registry
         self._clock = clock
@@ -184,7 +180,7 @@ class WorkItem:
         ``apply`` runs under the lock after validation and before the
         state flips, so payload writes (result, error) are only visible
         on transitions that actually happen -- a late ``finish`` racing
-        a force-cancel must not clobber anything.
+        a cancellation must not clobber anything.
         """
         with self._lock:
             allowed = TRANSITIONS.get(self._state)
@@ -225,15 +221,13 @@ class WorkItem:
 
         self._transition(DEGRADED, _apply)
 
-    def cancel(self, reason: str = "cancelled", *, force: bool = False) -> bool:
+    def cancel(self, reason: str = "cancelled") -> bool:
         """Request cancellation.
 
         A pending item is cancelled immediately (it never ran).  A
         running item has its token flipped and reaches ``cancelled``
-        when the work observes the checkpoint -- unless ``force`` is
-        set, which marks it cancelled *now* (the supervisor does this
-        after killing a non-cooperative worker process).  Returns True
-        when the item reached the cancelled state in this call.
+        when the work observes the checkpoint.  Returns True when the
+        item reached the cancelled state in this call.
         """
         with trace("task.cancel", item=self.name, reason=reason):
             self.token.cancel(reason)
@@ -241,20 +235,14 @@ class WorkItem:
                 state = self._state
                 if self.cancel_requested_at is None:
                     self.cancel_requested_at = self._clock()
-            if state == PENDING:
-                try:
-                    self._transition(CANCELLED)
-                except ServiceError:
-                    # Lost the race against start()/a concurrent cancel.
-                    return False
-                return True
-            if state == RUNNING and force:
-                try:
-                    self._transition(CANCELLED)
-                except ServiceError:
-                    return False
-                return True
-            return False
+            if state != PENDING:
+                return False
+            try:
+                self._transition(CANCELLED)
+            except ServiceError:
+                # Lost the race against start()/a concurrent cancel.
+                return False
+            return True
 
     def mark_cancelled(self) -> bool:
         """running -> cancelled, from the thread running the work (the
@@ -300,11 +288,7 @@ class WorkItem:
             # The work returned but the token flipped while it ran,
             # after its last checkpoint.
             return None
-        try:
-            self.finish(result)
-        except ServiceError:
-            # A concurrent force-cancel beat us to the terminal state.
-            return None
+        self.finish(result)
         return result
 
     def wait(self, timeout: float) -> bool:
@@ -336,19 +320,11 @@ class TaskRegistry:
         self._created = 0
         self._outcomes = {DONE: 0, CANCELLED: 0, DEGRADED: 0}
         self._cancelled_by_reason: "dict[str, int]" = {}
-        self._forced_kills = 0
 
-    def create(
-        self,
-        name: str,
-        fn=None,
-        *,
-        payload=None,
-        deadline=None,
-    ) -> WorkItem:
+    def create(self, name: str, fn=None, *, deadline=None) -> WorkItem:
         """A new tracked :class:`WorkItem` (in-flight until terminal)."""
         item = WorkItem(
-            name, fn, payload=payload, token=CancelToken(deadline=deadline),
+            name, fn, token=CancelToken(deadline=deadline),
             registry=self, clock=self._clock,
         )
         with self._lock:
@@ -372,13 +348,6 @@ class TaskRegistry:
                 self.metrics.histogram("cancel_latency_seconds").observe(
                     latency
                 )
-
-    def note_forced_kill(self, count: int = 1) -> None:
-        """Record ``count`` process-level kills of non-cooperative work."""
-        with self._lock:
-            self._forced_kills += count
-        if self.metrics is not None:
-            self.metrics.counter("tasks_forced_kills").inc(count)
 
     @property
     def in_flight(self) -> int:
@@ -407,7 +376,6 @@ class TaskRegistry:
                 "cancelled_by_reason": dict(
                     sorted(self._cancelled_by_reason.items())
                 ),
-                "forced_kills": self._forced_kills,
             }
 
 

@@ -6,7 +6,7 @@ layout vs. physical length) and returns a fully functional
 are read-only ``np.memmap`` views.  Nothing is deserialized: cold start
 is the cost of a few page faults, and N processes mapping the same
 path share one copy of the table in the page cache -- the property the
-daemon's forked (and spawned) hard-query workers rely on.
+shards of ``repro serve --shards N`` rely on.
 """
 
 from __future__ import annotations

@@ -47,14 +47,13 @@ class SynthesisHandle:
 
     The handle bundles the loaded database and the materialized search
     engine with their parameters, so long-lived consumers (the service
-    daemon, worker processes, benchmarks) can pass the expensive state
-    around without re-triggering :meth:`OptimalSynthesizer.prepare` or
-    carrying the whole facade.  All referenced state is read-only after
-    preparation and safe to share across threads; across *processes* it
-    is shared for free under ``fork`` (copy-on-write) or reopened from
-    ``store_path`` under ``spawn`` -- a memory-mapped ``.rdb`` store
-    shares its pages across *all* processes either way, so N workers
-    hold one physical copy of the table.
+    daemon, benchmarks) can pass the expensive state around without
+    re-triggering :meth:`OptimalSynthesizer.prepare` or carrying the
+    whole facade.  All referenced state is read-only after preparation
+    and safe to share across threads.  Across *processes* nothing is
+    passed: each shard of ``repro serve --shards N`` maps the same
+    ``.rdb`` store at ``store_path``, so N shards hold one physical copy
+    of the table.
     """
 
     n_wires: int
@@ -148,18 +147,6 @@ class OptimalSynthesizer:
             except DatabaseError as exc:
                 self._log(f"could not write database store: {exc}")
         return self._adopt(db, path)
-
-    def prepare_from_store(self, path: "str | Path") -> "OptimalSynthesizer":
-        """Prepare from the ``.rdb`` store at ``path``, mapped zero-copy
-        (the route the daemon's spawned workers take so they all share
-        one page-cache copy).  Raises :class:`DatabaseError` when the
-        store is missing, corrupt, or does not cover this synthesizer's
-        parameters.
-        """
-        from repro.store import map_database
-
-        path = Path(path)
-        return self._adopt(map_database(path), path)
 
     def _adopt(
         self, db: OptimalDatabase, path: "Path | None"

@@ -3,7 +3,7 @@
 Every test arms a :class:`FaultPlan` via ``ServiceConfig.extra``, drives
 the daemon into the planned failure, and then proves the *recovery*:
 subsequent queries answer correctly, degraded answers are valid circuits
-labeled ``upper_bound``, and the breaker/supervisor state is visible in
+labeled ``upper_bound``, and the breaker and shard state is visible in
 ``stats``/``health``.  No randomness, no sleeps-and-hope: each fault
 fires a counted number of times at a fixed injection stage.
 """
@@ -11,7 +11,6 @@ fires a counted number of times at a fixed injection stage.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 
@@ -32,15 +31,15 @@ from repro.service import (
 #: so they always take the hard (A_i-list scan) path on first sight.
 HARD_SPEC = "[8,3,2,9,7,12,5,14,0,11,10,1,15,4,13,6]"
 HARD_SPEC_2 = "[6,7,13,5,0,1,10,3,15,14,4,12,8,9,2,11]"
-#: Size-7 spec: the scan runs to the last list (A_3), so its worker is
-#: still busy for milliseconds after the ``kill_worker`` fault fires and
-#: the kill lands mid-task, not after the worker has replied.
-SLOW_HARD_SPEC = "[10,11,12,8,2,3,0,5,6,7,1,4,14,15,13,9]"
 
 IDENTITY = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+#: A truth table with two don't-care rows (tests/test_service_compile.py).
+DC_SPEC = {
+    "kind": "truth_table",
+    "n_inputs": 4,
+    "rows": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, None, 1, 1, None, 1, 1],
+}
 
 
 def make_service(handle4, extra=None, **config_kwargs) -> SynthesisService:
@@ -109,6 +108,53 @@ class TestDeadlineDegradation:
             body = submit(svc, "synth", spec=HARD_SPEC, deadline_ms=600_000)
             assert body["result"]["size"] == 5
             assert body["result"]["source"] == "scan"
+        finally:
+            svc.shutdown()
+
+    def test_late_named_engine_answer_counts_as_deadline_miss(self, handle4):
+        # The delay burns the 10 ms budget before the engine starts.  The
+        # heuristic engine has no checkpoint, so its answer comes back
+        # exact -- and late, which counts like a late scan answer.
+        svc = make_service(handle4, extra={
+            "fault_plan": [{"kind": "delay", "delay": 0.05, "op": "synth"}],
+        })
+        try:
+            body = submit(
+                svc, "synth", spec=HARD_SPEC, engine="heuristic",
+                deadline_ms=10,
+            )
+            assert body["ok"], body
+            assert body["result"]["source"] == "engine"
+            assert svc.metrics.counter("deadline_misses").value == 1
+            assert svc.breaker.snapshot()["deadline_misses"] == 1
+        finally:
+            svc.shutdown()
+
+    def test_compile_without_deadline_is_bounded_by_hard_timeout(
+        self, handle4
+    ):
+        svc = make_service(
+            handle4, extra={"resilience": {"hard_timeout": 1e-6}}
+        )
+        try:
+            body = submit(svc, "compile", spec=DC_SPEC)
+            assert body["ok"], body
+            assert body["result"]["source"] == "degraded"
+            assert body["result"]["degraded_reason"] == "deadline"
+        finally:
+            svc.shutdown()
+
+    def test_scan_without_deadline_is_bounded_by_hard_timeout(self, handle4):
+        svc = make_service(
+            handle4, extra={"resilience": {"hard_timeout": 1e-6}}
+        )
+        try:
+            body = submit(svc, "synth", spec=HARD_SPEC)
+            assert body["ok"], body
+            assert body["result"]["source"] == "degraded"
+            assert body["result"]["degraded_reason"] == "deadline"
+            circuit = Circuit.parse(body["result"]["circuit"], 4)
+            assert circuit.implements(Permutation.coerce(HARD_SPEC, 4))
         finally:
             svc.shutdown()
 
@@ -198,44 +244,6 @@ class TestDropConnection:
 
 
 # ----------------------------------------------------------------------
-# Killed workers mid-query -> supervisor restarts and requeues
-# ----------------------------------------------------------------------
-class TestKillWorker:
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_supervisor_restarts_pool_and_answers(self, handle4):
-        svc = make_service(
-            handle4,
-            workers=2,
-            extra={
-                "fault_plan": [{"kind": "kill_worker"}],
-                "resilience": {"hard_timeout": 1.0, "max_restarts": 2},
-            },
-        )
-        try:
-            # The fault SIGKILLs every worker right after the batch is
-            # dispatched; the bounded wait detects the lost tasks, the
-            # supervisor rebuilds the pool and requeues, and the query
-            # still comes back exact.
-            body = submit(svc, "synth", spec=SLOW_HARD_SPEC)
-            assert body["ok"], body
-            assert body["result"]["size"] == 7
-            assert body["result"]["source"] == "scan"
-            circuit = Circuit.parse(body["result"]["circuit"], 4)
-            assert circuit.implements(Permutation.coerce(SLOW_HARD_SPEC, 4))
-            health = svc.health()
-            assert health["pool"]["restarts"] == 1
-            assert health["pool"]["alive"] == 2
-            assert health["faults"]["fired"] == {"kill_worker": 1}
-            assert svc.metrics.counter("pool_restarts").value == 1
-            assert svc.metrics.counter("hard_batch_retries").value == 1
-            # The daemon keeps serving afterwards.
-            again = submit(svc, "size", spec=HARD_SPEC_2, id=2)
-            assert again["ok"] and again["result"]["size"] == 5
-        finally:
-            svc.shutdown()
-
-
-# ----------------------------------------------------------------------
 # Corrupt persisted cache -> quarantine and keep serving
 # ----------------------------------------------------------------------
 class TestCorruptCache:
@@ -271,67 +279,6 @@ class TestCorruptCache:
         third = ResultCache(path=cache_path)
         assert third.quarantined is None
         assert len(third) > 0
-
-
-# ----------------------------------------------------------------------
-# Non-cooperative cancellation -> process-level kill
-# ----------------------------------------------------------------------
-class TestNonCooperativeCancel:
-    """Work running inside pool processes cannot observe cooperative
-    checkpoints; cancelling all of it must escalate to killing the pool."""
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_ignored_cancel_escalates_to_pool_kill(self, handle4):
-        from repro.service import WorkerSupervisor
-        from repro.service.metrics import MetricsRegistry
-        from repro.service.tasks import CANCELLED, TaskRegistry
-        from repro.service.workers import HardQueryPool
-
-        metrics = MetricsRegistry()
-        registry = TaskRegistry(metrics=metrics)
-        pool = HardQueryPool(handle4, processes=2)
-        supervisor = WorkerSupervisor(
-            pool, hard_timeout=30.0, max_restarts=2, metrics=metrics
-        )
-        words = [
-            Permutation.coerce(HARD_SPEC, 4).word,
-            Permutation.coerce(HARD_SPEC_2, 4).word,
-        ]
-        items = [registry.create("scan", payload=w) for w in words]
-
-        class CancelAtDispatch:
-            """Injected in the fault slot: fires after the batch is in
-            the workers' hands, i.e. exactly when cooperative cancel can
-            no longer reach it."""
-
-            def kill_workers(self, _pool) -> None:
-                for item in items:
-                    item.token.cancel("breaker_open")
-
-        supervisor.faults = CancelAtDispatch()
-        old_pids = set(pool.worker_pids())
-        try:
-            supervisor.solve_items(items)
-            # Every item was preempted: terminal, counted, and the
-            # non-cooperative workers were killed with the pool.
-            assert all(item.state == CANCELLED for item in items)
-            snap = registry.snapshot()
-            assert snap["cancelled"] == 2
-            assert snap["cancelled_by_reason"] == {"breaker_open": 2}
-            assert snap["forced_kills"] == 2
-            assert snap["in_flight"] == 0
-            assert supervisor.restarts == 1
-            assert metrics.counter("pool_restarts").value == 1
-            assert metrics.counter("tasks_forced_kills").value == 2
-            # The rebuilt pool is fresh processes and still answers.
-            supervisor.faults = None
-            new_pool = supervisor.pool
-            assert set(new_pool.worker_pids()).isdisjoint(old_pids)
-            fresh = [registry.create("scan", payload=w) for w in words]
-            supervisor.solve_items(fresh)
-            assert [item.result.size for item in fresh] == [5, 5]
-        finally:
-            supervisor.close()
 
 
 # ----------------------------------------------------------------------

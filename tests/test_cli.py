@@ -265,7 +265,7 @@ class TestServeAndQuery:
 
     def test_parser_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.port == 7878 and args.workers == 0 and not args.stdio
+        assert args.port == 7878 and args.shards == 0 and not args.stdio
 
     def test_parser_query_flags(self):
         args = build_parser().parse_args(

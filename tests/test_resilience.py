@@ -1,9 +1,8 @@
 """Unit tests for the service resilience layer: deadlines, the circuit
-breaker, retry policy, worker supervision, fault plans, crash-safe cache
-persistence, and the typed client timeout errors.
+breaker, retry policy, fault plans, crash-safe cache persistence, and
+the typed client timeout errors.
 
-Everything here runs with fake clocks, fake pools, and throwaway
-sockets -- no synthesis database is needed.  End-to-end recovery against
+Everything here runs with fake clocks and throwaway sockets -- no synthesis database is needed.  End-to-end recovery against
 a real daemon lives in ``tests/test_chaos.py``.
 """
 
@@ -19,7 +18,6 @@ from repro.errors import (
     ServiceConnectError,
     ServiceError,
     ServiceTimeoutError,
-    WorkerPoolError,
 )
 from repro.service import (
     CircuitBreaker,
@@ -31,8 +29,6 @@ from repro.service import (
     ResultCache,
     RetryPolicy,
     ServiceClient,
-    TaskRegistry,
-    WorkerSupervisor,
 )
 from repro.service.client import SAFE_RETRY_OPS
 
@@ -61,10 +57,10 @@ class TestResilienceConfig:
 
     def test_overrides(self):
         config = ResilienceConfig.from_extra(
-            {"resilience": {"hard_timeout": 1.5, "max_restarts": 0}}
+            {"resilience": {"hard_timeout": 1.5, "breaker_cooldown": 0.5}}
         )
         assert config.hard_timeout == 1.5
-        assert config.max_restarts == 0
+        assert config.breaker_cooldown == 0.5
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ServiceError, match="unknown resilience option"):
@@ -222,7 +218,7 @@ class TestFaultPlan:
             ({"kind": "explode"}, "unknown fault kind"),
             ({"kind": "delay"}, "positive 'delay'"),
             ({"kind": "delay", "delay": 0.1, "times": 0}, "times"),
-            ({"kind": "kill_worker", "op": "synth"}, "only supported"),
+            ({"kind": "drop_connection", "op": "synth"}, "only supported"),
             ({"kind": "delay", "delay": 0.1, "zap": 1}, "unknown fault field"),
         ],
     )
@@ -268,90 +264,6 @@ class TestFaultInjector:
         target.write_text("{}")
         assert not injector.corrupt_cache_file(target)
         assert target.read_text() == "{}"
-
-
-# ----------------------------------------------------------------------
-# WorkerSupervisor (with a scriptable fake pool)
-# ----------------------------------------------------------------------
-class FakePool:
-    """Pool double whose first ``fail_times`` dispatches raise."""
-
-    def __init__(self, fail_times: int = 0) -> None:
-        self.fail_times = fail_times
-        self.calls = 0
-        self.closed = False
-        self.processes = 2
-        self.is_parallel = True
-
-    def solve_items(self, items, timeout=None, on_dispatch=None):
-        self.calls += 1
-        if on_dispatch is not None:
-            on_dispatch(self)
-        if self.fail_times > 0:
-            self.fail_times -= 1
-            raise WorkerPoolError("worker died")
-        for item in items:
-            item.start()
-            item.finish(f"answer:{item.payload}")
-        return items
-
-    def restarted(self):
-        fresh = FakePool(fail_times=self.fail_times)
-        fresh.processes = self.processes
-        self.closed = True
-        return fresh
-
-    def alive_workers(self):
-        return self.processes
-
-    def close(self):
-        self.closed = True
-
-
-def scan_items(*words) -> list:
-    registry = TaskRegistry()
-    return [registry.create("scan", payload=word) for word in words]
-
-
-class TestWorkerSupervisor:
-    def test_passthrough_when_healthy(self):
-        supervisor = WorkerSupervisor(FakePool(), hard_timeout=1.0)
-        items = scan_items(1, 2)
-        assert supervisor.solve_items(items) is items
-        assert [item.result for item in items] == ["answer:1", "answer:2"]
-        assert supervisor.restarts == 0
-
-    def test_restart_and_requeue_on_failure(self):
-        first = FakePool(fail_times=1)
-        supervisor = WorkerSupervisor(first, hard_timeout=1.0, max_restarts=2)
-        (item,) = supervisor.solve_items(scan_items(7))
-        assert item.result == "answer:7"
-        assert supervisor.restarts == 1
-        assert first.closed  # the dead pool was torn down
-        assert supervisor.pool is not first
-
-    def test_gives_up_after_max_restarts(self):
-        supervisor = WorkerSupervisor(
-            FakePool(fail_times=5), hard_timeout=1.0, max_restarts=2
-        )
-        with pytest.raises(WorkerPoolError):
-            supervisor.solve_items(scan_items(1))
-        assert supervisor.restarts == 2
-
-    def test_liveness_shape(self):
-        supervisor = WorkerSupervisor(FakePool(), hard_timeout=1.0)
-        live = supervisor.liveness()
-        assert live["parallel"] is True
-        assert live["alive"] == 2 and live["dead"] == 0
-        assert live["restarts"] == 0
-
-    def test_close_prevents_restart(self):
-        pool = FakePool()
-        supervisor = WorkerSupervisor(pool, hard_timeout=1.0)
-        supervisor.close()
-        assert pool.closed
-        with pytest.raises(ServiceError, match="closed"):
-            supervisor.restart()
 
 
 # ----------------------------------------------------------------------

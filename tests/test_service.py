@@ -1,5 +1,5 @@
 """Tests for the synthesis service layer: protocol, cache, batching,
-metrics, workers, and the daemon end to end over TCP and stdio."""
+metrics, the boxed scan, and the daemon end to end over TCP and stdio."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.errors import (
 )
 from repro.service import (
     BatchQueue,
-    HardQueryPool,
     MetricsRegistry,
     PendingRequest,
     ResultCache,
@@ -30,7 +29,6 @@ from repro.service import (
     serve_stdio,
 )
 from repro.service import protocol
-from repro.service.tasks import DONE, TaskRegistry
 from repro.service.workers import solve_with_engine
 
 # Specs with optimal size 5 and 6: above the k=4 database depth of the
@@ -473,77 +471,24 @@ class TestServiceCore:
 
 
 # ----------------------------------------------------------------------
-# Worker pool
+# The boxed A_i scan
 # ----------------------------------------------------------------------
-def solve(pool, words) -> list:
-    """Solve ``words`` as one scan work item each; their results."""
-    registry = TaskRegistry()
-    items = [registry.create("scan", payload=word) for word in words]
-    assert pool.solve_items(items) is items
-    assert all(item.state == DONE for item in items)
-    return [item.result for item in items]
-
-
-class TestWorkerPool:
-    def test_inline_pool_matches_engine(self, handle4):
-        pool = HardQueryPool(handle4, processes=0)
+class TestSolveWithEngine:
+    def test_matches_engine(self, handle4):
         words = [Permutation.from_spec(s).word for s in HARD_SPECS[:2]]
-        results = solve(pool, words)
+        results = [solve_with_engine(handle4.engine, w) for w in words]
         assert [r.size for r in results] == [5, 5]
         for word, result in zip(words, results):
             direct = handle4.engine.search(word)
             assert result.circuit == str(direct.circuit)
-        pool.close()
 
-    def test_inline_pool_reports_bound(self, handle4):
-        pool = HardQueryPool(handle4, processes=0)
+    def test_reports_bound(self, handle4):
         word = Permutation.from_spec(OUT_OF_REACH).word
-        (result,) = solve(pool, [word])
+        result = solve_with_engine(handle4.engine, word)
         # The exhausted search is a proof, boxed as a bound (the daemon
         # answers it with a size_limit envelope), not an exception.
         assert result.size is None and result.lower_bound == 8
         assert "requires more than 7 gates" in result.message
-        pool.close()
-
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_fork_pool_matches_inline(self, handle4):
-        words = [Permutation.from_spec(s).word for s in HARD_SPECS]
-        inline = [solve_with_engine(handle4.engine, w) for w in words]
-        with HardQueryPool(handle4, processes=2, start_method="fork") as pool:
-            assert pool.is_parallel
-            forked = solve(pool, words)
-        assert [r.size for r in forked] == [r.size for r in inline]
-        assert [r.circuit for r in forked] == [r.circuit for r in inline]
-
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_close_is_bounded_with_a_wedged_result_queue(self, handle4):
-        # A worker SIGKILLed while sending its result leaves the pool's
-        # result-queue lock taken for good, and the stdlib Pool.join
-        # after close then waits forever.  Holding the lock here has the
-        # same effect; close must still return, via its terminate
-        # fallback, within two grace periods.
-        pool = HardQueryPool(handle4, processes=1, start_method="fork")
-        lock = pool._pool._outqueue._wlock
-        lock.acquire()
-        try:
-            started = time.monotonic()
-            pool.close(grace=0.5)
-            elapsed = time.monotonic() - started
-        finally:
-            lock.release()
-        assert 0.5 <= elapsed < 3.0
-        assert not pool.is_parallel
-
-    def test_solve_items_empty(self, handle4):
-        pool = HardQueryPool(handle4, processes=0)
-        assert pool.solve_items([]) == []
-        pool.close()
 
 
 # ----------------------------------------------------------------------

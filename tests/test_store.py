@@ -303,21 +303,6 @@ class TestSynthesizerIntegration:
         assert main([*argv, "--force"]) == 0
         assert store.map_database(path).k == 3
 
-    def test_prepare_from_store(self, rdb3):
-        from repro.synth.synthesizer import OptimalSynthesizer
-
-        synth = OptimalSynthesizer(n_wires=3, k=8, cache_dir=False)
-        synth.prepare_from_store(rdb3)
-        assert store.is_mapped(synth.database)
-        assert synth.size("[1,0,3,2,5,4,7,6]") == 1
-
-    def test_prepare_from_store_rejects_mismatch(self, rdb3):
-        from repro.synth.synthesizer import OptimalSynthesizer
-
-        synth = OptimalSynthesizer(n_wires=4, k=4, cache_dir=False)
-        with pytest.raises(DatabaseError, match="n_wires"):
-            synth.prepare_from_store(rdb3)
-
     def test_handle_carries_store_path(self, tmp_path):
         from repro.synth.synthesizer import OptimalSynthesizer
 

@@ -1,16 +1,15 @@
 """Service-level tests for the mapped database store.
 
 The headline property of the ``.rdb`` format: one store file backs
-*every* process that maps it -- the daemon's forked workers serve from
-the same physical pages as the parent (mapping-identity evidence read
-from ``/proc/<pid>/maps``), and their answers are byte-identical.  Also
-covers the stats/health ``database`` block, spawn-worker store routing,
-and the mapped-vs-rebuild cold-start ratio.
+*every* process that maps it -- the shards of ``repro serve --shards N``
+serve from the same physical pages (mapping-identity evidence read from
+``/proc/<pid>/maps``), and their answers are byte-identical.  Also
+covers the stats/health ``database`` block and the mapped-vs-rebuild
+cold-start ratio.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ import pytest
 from repro import store
 from repro.core import packed
 from repro.service import ServiceConfig, SynthesisService
-from repro.service.tasks import DONE, TaskRegistry
+from repro.service.protocol import word_to_hex
 from repro.synth.database import OptimalDatabase
 from repro.synth.synthesizer import OptimalSynthesizer
 
@@ -39,7 +38,7 @@ def warm_cache(tmp_path_factory):
 
 
 def _hard_word(db) -> int:
-    """A word of size k+1: must go through the hard-query pool."""
+    """A word of size k+1: must go through the A_i scan."""
     for a in db.reps_by_size[db.k][:64]:
         for b in db.reps_by_size[1]:
             word = packed.compose(int(a), int(b), 4)
@@ -48,21 +47,11 @@ def _hard_word(db) -> int:
     raise AssertionError("no beyond-database word found")
 
 
-def _solve(pool, words, timeout) -> list:
-    """Solve ``words`` as one scan work item each; their results."""
-    registry = TaskRegistry()
-    items = [registry.create("scan", payload=word) for word in words]
-    pool.solve_items(items, timeout=timeout)
-    assert all(item.state == DONE for item in items)
-    return [item.result for item in items]
-
-
-def _mapped_store_service(cache, workers: int) -> SynthesisService:
+def _mapped_store_service(cache) -> SynthesisService:
     config = ServiceConfig(
         n_wires=4,
         k=4,
         max_list_size=1,
-        workers=workers,
         batch_window=0.0,
         db_cache_dir=cache,
     )
@@ -70,55 +59,49 @@ def _mapped_store_service(cache, workers: int) -> SynthesisService:
 
 
 class TestSharedMapping:
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_two_workers_share_one_rdb_mapping(self, warm_cache):
-        service = _mapped_store_service(warm_cache, workers=2)
+    def test_two_shards_share_one_rdb_mapping(self, warm_cache):
+        from repro.service.sharding import ShardCluster
+
+        if not Path("/proc").is_dir():
+            pytest.skip("/proc unavailable; cannot read process maps")
+        rdb = warm_cache / "db-n4-k4.rdb"
+        word = _hard_word(store.map_database(rdb))
+        cluster = ShardCluster.launch(
+            2, n_wires=4, k=4, max_list_size=1, cache_dir=warm_cache
+        )
         try:
-            rdb = warm_cache / "db-n4-k4.rdb"
-            # The parent's database is the zero-copy mapping of the store.
-            assert store.is_mapped(service.handle.database)
-            assert store.mapped_path(service.handle.database) == rdb
+            backends = [
+                managed.backend for managed in cluster.supervisor.shards()
+            ]
+            assert len(backends) == 2
 
-            service.start()
-            pids = service.pool.worker_pids()
-            assert len(pids) == 2
-
-            # Mapping-identity evidence: every worker process holds a
+            # Mapping-identity evidence: every shard process holds a
             # live mapping of the same .rdb file.
-            if not Path("/proc").is_dir():
-                pytest.skip("/proc unavailable; cannot read process maps")
-            for pid in pids:
+            for backend in backends:
+                pid = backend.describe()["pid"]
                 maps = Path(f"/proc/{pid}/maps").read_text()
-                assert str(rdb) in maps, (
-                    f"worker {pid} does not map {rdb}"
-                )
+                assert str(rdb) in maps, f"shard {pid} does not map {rdb}"
 
-            # Byte-identical answers: the same hard word solved many
-            # times lands on both workers (one pool task per item) and
-            # every answer must agree exactly.
-            word = _hard_word(service.handle.database)
-            results = _solve(service.pool, [word] * 8, timeout=120)
-            assert len(results) == 8
-            first = results[0]
-            assert first.size == 5
-            for other in results[1:]:
-                assert other.size == first.size
-                assert other.circuit == first.circuit
+            # Byte-identical answers: the same beyond-database word,
+            # scanned on each shard, comes back as the same circuit.
+            request = {"id": 1, "op": "synth", "word": word_to_hex(word)}
+            results = [backend.call(request)["result"] for backend in backends]
+            assert results[0]["size"] == 5
+            assert results[0]["source"] == "scan"
+            assert results[1] == results[0]
 
-            # The stats/health payloads advertise the mapping.
-            for body in (service.stats(), service.health()):
-                database = body["database"]
+            # Every shard's health payload advertises the mapping.
+            for backend in backends:
+                health = backend.call({"id": 2, "op": "health"})["result"]
+                database = health["database"]
                 assert database["mapped"] is True
                 assert database["format"] == "rdb"
                 assert database["store"] == str(rdb)
         finally:
-            service.shutdown(save_cache=False)
+            cluster.close()
 
     def test_inline_service_reports_database_block(self, warm_cache):
-        service = _mapped_store_service(warm_cache, workers=0)
+        service = _mapped_store_service(warm_cache)
         try:
             service.start()
             database = service.health()["database"]
@@ -126,43 +109,6 @@ class TestSharedMapping:
             assert database["format"] == "rdb"
         finally:
             service.shutdown(save_cache=False)
-
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
-    def test_spawn_workers_reopen_the_store(self, warm_cache):
-        from repro.service.workers import HardQueryPool
-
-        synth = OptimalSynthesizer(
-            n_wires=4, k=4, max_list_size=1, cache_dir=warm_cache
-        )
-        handle = synth.handle()
-        assert handle.store_path == warm_cache / "db-n4-k4.rdb"
-        pool = HardQueryPool(handle, processes=1, start_method="spawn")
-        try:
-            word = _hard_word(handle.database)
-            (result,) = _solve(pool, [word], timeout=300)
-            assert result.size == 5
-        finally:
-            pool.terminate()
-
-    def test_spawn_pool_requires_persisted_store(self, db4_k4, engine4_l7):
-        from repro.errors import ServiceError
-        from repro.service.workers import HardQueryPool
-        from repro.synth.synthesizer import SynthesisHandle
-
-        handle = SynthesisHandle(
-            n_wires=4,
-            k=4,
-            max_list_size=3,
-            database=db4_k4,
-            engine=engine4_l7,
-        )
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
-        with pytest.raises(ServiceError, match="persisted database store"):
-            HardQueryPool(handle, processes=1, start_method="spawn")
 
 
 class TestColdStart:

@@ -108,12 +108,6 @@ class TestWorkItemStateMachine:
         assert item.mark_cancelled() is True
         assert item.state == CANCELLED
 
-    def test_running_force_cancel_is_immediate(self):
-        item = WorkItem("scan")
-        item.start()
-        assert item.cancel("breaker_open", force=True) is True
-        assert item.state == CANCELLED
-
     def test_terminal_states_latch(self):
         item = WorkItem("scan")
         item.start()
@@ -207,7 +201,7 @@ class TestWorkItemStateMachine:
     # transition, terminal states latch, and the terminal transition
     # happens exactly once.
     # ------------------------------------------------------------------
-    OPS = ("start", "finish", "degrade", "cancel", "force_cancel", "mark")
+    OPS = ("start", "finish", "degrade", "cancel", "mark")
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(OPS), min_size=0, max_size=12))
@@ -226,8 +220,6 @@ class TestWorkItemStateMachine:
                     item.degrade(RuntimeError("x"))
                 elif op == "cancel":
                     item.cancel("prop")
-                elif op == "force_cancel":
-                    item.cancel("prop", force=True)
                 elif op == "mark":
                     item.mark_cancelled()
             except ServiceError:
@@ -283,11 +275,6 @@ class TestTaskRegistry:
         assert snap["cancelled"] == 2
         assert snap["cancelled_by_reason"] == {"breaker_open": 2}
 
-    def test_forced_kills_counted(self):
-        registry = TaskRegistry()
-        registry.note_forced_kill(2)
-        assert registry.snapshot()["forced_kills"] == 2
-
     def test_metrics_plumbing(self):
         metrics = MetricsRegistry()
         registry = TaskRegistry(metrics=metrics)
@@ -310,8 +297,9 @@ class TestTaskRegistry:
         assert item.token.reason == "deadline"
 
     def test_concurrent_cancel_and_finish_settles_once(self):
-        # A worker finishing races a force-cancel: exactly one terminal
-        # transition may win, and the registry counts exactly one outcome.
+        # The work finishing races a cancel whose checkpoint fires:
+        # exactly one terminal transition may win, and the registry
+        # counts exactly one outcome.
         for _ in range(25):
             registry = TaskRegistry()
             item = registry.create("a")
@@ -327,7 +315,8 @@ class TestTaskRegistry:
 
             def canceller():
                 barrier.wait()
-                item.cancel("breaker_open", force=True)
+                item.cancel("breaker_open")
+                item.mark_cancelled()
 
             threads = [
                 threading.Thread(target=finisher),
