@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from functools import cache
 
 
 def factorial(n: int) -> int:
@@ -59,6 +60,13 @@ def plain_changes(n: int) -> list[int]:
     if len(swaps) != factorial(n) - 1:
         raise AssertionError("plain changes schedule has wrong length")
     return swaps
+
+
+@cache
+def plain_changes_schedule(n: int) -> tuple[int, ...]:
+    """:func:`plain_changes` as a tuple, computed once per ``n`` for the
+    canonicalization loops that walk it on every call."""
+    return tuple(plain_changes(n))
 
 
 def arrangements_in_plain_changes_order(n: int) -> list[tuple[int, ...]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.core import packed
 from repro.core.combinatorics import (
     arrangements_in_plain_changes_order,
-    plain_changes,
+    plain_changes_schedule,
 )
 from repro.perf.trace import trace
 
@@ -33,7 +33,7 @@ def conjugates(word: int, n_wires: int) -> list[int]:
     """
     out = [word]
     cur = word
-    for pair in plain_changes(n_wires):
+    for pair in plain_changes_schedule(n_wires):
         cur = packed.conjugate_adjacent(cur, pair, n_wires)
         out.append(cur)
     return out
@@ -72,7 +72,7 @@ def canonical(word: int, n_wires: int) -> int:
     with trace("equivalence.canonical"):
         best = word
         cur = word
-        schedule = plain_changes(n_wires)
+        schedule = plain_changes_schedule(n_wires)
         for pair in schedule:
             cur = packed.conjugate_adjacent(cur, pair, n_wires)
             if cur < best:

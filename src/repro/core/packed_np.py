@@ -12,13 +12,14 @@ scalars may be passed as plain Python ints where noted.
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core import packed
 from repro.core.bitops import permute_bits
-from repro.core.combinatorics import plain_changes
+from repro.core.combinatorics import plain_changes_schedule
 
 _U = np.uint64
 NIBBLE_MASK = _U(0xF)
@@ -93,23 +94,11 @@ def conjugate_adjacent_np(words: U64Array, pair: int, n_wires: int) -> U64Array:
     return (words & keep) | ((words & bit_lo) << _U(1)) | ((words & bit_hi) >> _U(1))
 
 
-_SCHEDULE_CACHE: dict[int, list[int]] = {}
-
-
-def _conjugation_schedule(n_wires: int) -> list[int]:
-    """Plain-changes swap schedule reused for every canonicalization call."""
-    sched = _SCHEDULE_CACHE.get(n_wires)
-    if sched is None:
-        sched = plain_changes(n_wires)
-        _SCHEDULE_CACHE[n_wires] = sched
-    return sched
-
-
 def _fold_conjugates_min(words: U64Array, n_wires: int, best: U64Array) -> None:
     """Fold ``min`` over all conjugates of ``words`` into ``best`` in place."""
     np.minimum(best, words, out=best)
     cur = words.copy()
-    for pair in _conjugation_schedule(n_wires):
+    for pair in plain_changes_schedule(n_wires):
         cur = conjugate_adjacent_np(cur, pair, n_wires)
         np.minimum(best, cur, out=best)
 
@@ -169,28 +158,75 @@ def _relabel_tables(n_wires: int) -> _RelabelTables:
     return tables
 
 
-def _canonical_gather(words: U64Array, n_wires: int) -> U64Array:
-    """Small-batch :func:`canonical_np` kernel: all ``2 * n!`` variants of
-    each word by table lookups instead of a swap-by-swap fold.
+def _gather_variants(
+    both: npt.NDArray[np.integer[Any]], tables: _RelabelTables
+) -> U64Array:
+    """The ``(count, 2 * n!)`` variant matrix from the bytes of each word.
 
-    Inverts each word by ``argsort`` of its nibbles, looks up every
+    ``both[j, i]`` holds byte j of word i and byte j of its inverse; the
+    OR over bytes runs byte-major, over whole slices.  Column ``v`` is
+    relabeling ``v % n!`` of the word (``v < n!``) or of its inverse.
+    """
+    terms = np.take(tables.terms, both[:, :, :, None] + tables.offsets)
+    conjugates = np.bitwise_or.reduce(terms, axis=0)
+    return conjugates.reshape(both.shape[1], tables.variants)
+
+
+def _variant_matrix(words: U64Array, n_wires: int) -> U64Array:
+    """All ``2 * n!`` variants of each word by table lookups instead of a
+    swap-by-swap fold, in the column order of :func:`_gather_variants`.
+
+    Inverts each word by ``argsort`` of its nibbles and looks up every
     relabeling of the bytes of ``f`` and ``f⁻¹`` in one gather
-    (:class:`_RelabelTables`), ORs the bytes' terms and takes the
-    minimum.  About a dozen numpy calls per batch against the fold's
-    ~770, but ``2 * n! * 2^n / 2`` lookups per word, so the fold wins on
-    large arrays.
+    (:class:`_RelabelTables`).  About a dozen numpy calls per batch
+    against the fold's ~770, but ``2 * n! * 2^n / 2`` lookups per word,
+    so the fold wins on large arrays.
     """
     tables = _relabel_tables(n_wires)
     count = words.shape[0]
     words = np.ascontiguousarray(words, dtype="<u8")
     inverse = np.argsort((words[:, None] >> tables.shifts) & NIBBLE_MASK, axis=1)
-    # Byte j of f and of f⁻¹, byte-major so the OR runs over whole slices.
     both = np.empty((tables.n_bytes, count, 2), dtype=np.intp)
     both[:, :, 0] = words.view(np.uint8).reshape(count, 8)[:, : tables.n_bytes].T
     both[:, :, 1] = (inverse[:, 0::2] | (inverse[:, 1::2] << 4)).T
-    terms = np.take(tables.terms, both[:, :, :, None] + tables.offsets)
-    conjugates = np.bitwise_or.reduce(terms, axis=0)
-    return conjugates.reshape(count, tables.variants).min(axis=1)
+    return _gather_variants(both, tables)
+
+
+def _canonical_gather(words: U64Array, n_wires: int) -> U64Array:
+    """Small-batch :func:`canonical_np` kernel: the minimum of each row
+    of :func:`_variant_matrix`."""
+    return _variant_matrix(words, n_wires).min(axis=1)
+
+
+def canonical_variant(word: int, n_wires: int) -> "tuple[int, int, bool]":
+    """One word's canonical representative and the variant that won.
+
+    Returns ``(canonical, relabeling, inverted)``: the canonical word is
+    relabeling ``relabeling`` (a column of :func:`relabelings_np`) of
+    ``word``, or of its inverse when ``inverted``.  Same gather as
+    :func:`canonical_np`, with the inverse taken by scalar
+    :func:`repro.core.packed.inverse`, which beats ``argsort`` on one
+    word.
+    """
+    tables = _relabel_tables(n_wires)
+    raw = word.to_bytes(8, "little") + packed.inverse(word, n_wires).to_bytes(
+        8, "little"
+    )
+    both = np.frombuffer(raw, dtype=np.uint8).reshape(2, 8)[:, : tables.n_bytes]
+    variants = _gather_variants(both.T[:, None, :], tables)[0]
+    best = int(variants.argmin())
+    n_perms = tables.variants // 2
+    return int(variants[best]), best % n_perms, best >= n_perms
+
+
+def relabelings_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
+    """Every wire relabeling of each word, shape ``(len(words), n!)``.
+
+    Column ``s`` is the relabeling :func:`canonical_variant` reports as
+    ``s``.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    return _variant_matrix(words, n_wires)[:, : _relabel_tables(n_wires).variants // 2]
 
 
 #: Largest batch :func:`canonical_np` hands to :func:`_canonical_gather`.
@@ -244,7 +280,7 @@ def all_variants_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
     than ``2 * n!`` (symmetric functions).
     """
     words = np.asarray(words, dtype=np.uint64)
-    sched = _conjugation_schedule(n_wires)
+    sched = plain_changes_schedule(n_wires)
     n_conj = len(sched) + 1
     out = np.empty((2 * n_conj, words.shape[0]), dtype=np.uint64)
     cur = words.copy()

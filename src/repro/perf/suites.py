@@ -43,7 +43,8 @@ __all__ = ["BenchContext", "BenchOp", "suite_names", "suite_ops", "suite_scale"]
 #: Vector length for the vectorized micro-ops (matches bench_micro_ops).
 N_VECTOR = 1 << 16
 
-#: Batch size of one database peel step: one word per library gate.
+#: Small-batch size: one word per library gate, the neighbourhood of
+#: one word (the database's mask pass and verifier, small lookups).
 N_PEEL = 32
 
 
@@ -325,7 +326,7 @@ def _setup_canonical_vectorized(_ctx: BenchContext) -> Callable[[], Any]:
 
 
 def _setup_canonical_vectorized_32(_ctx: BenchContext) -> Callable[[], Any]:
-    """One peel step's canonicalization: the small-batch kernel."""
+    """A 32-word canonicalization: the small-batch gather kernel."""
     from repro.core.packed_np import canonical_np
 
     words = _vector_words(N_PEEL)
@@ -379,7 +380,7 @@ def _setup_db_mapped_probe_batch(ctx: BenchContext) -> Callable[[], Any]:
 
 
 def _setup_db_mapped_probe_batch_32(ctx: BenchContext) -> Callable[[], Any]:
-    """One peel step's probe: 32 keys, where per-round overhead dominates."""
+    """A 32-key probe, where per-round overhead dominates."""
     from repro.store import map_database
 
     table = map_database(ctx.optimal_engine().impl.store_path).table

@@ -1,4 +1,4 @@
-"""The ``.rdb`` flat binary database format (version 1).
+"""The ``.rdb`` flat binary database format (version 2).
 
 Layout -- every integer little-endian, sections written back to back::
 
@@ -20,6 +20,13 @@ Layout -- every integer little-endian, sections written back to back::
       slot_values  uint8 [1 << capacity_bits]   circuit sizes
       pad to 8-byte alignment
       reps_0 .. reps_k  uint64[reps_counts[s]]  per-size representatives
+      peel_masks   uint64[sum(reps_counts)]     one per representative,
+                                                in reps order
+
+Bits 0-31 of a representative's peel mask mark the library gates that
+can end a minimal circuit for it, bits 32-63 those that can start one
+(:mod:`repro.synth.database`).  Version 1 had no mask extent; a version-1
+store fails the version check and is rebuilt.
 
 The slot arrays are the *exact* in-RAM probing layout of
 :class:`repro.hashing.table.LinearProbingTable` (Wang-hashed home slot,
@@ -44,7 +51,7 @@ from repro.errors import DatabaseError
 RDB_MAGIC = b"reproRDB"
 
 #: On-disk format version; bump on incompatible layout change.
-RDB_VERSION = 1
+RDB_VERSION = 2
 
 #: Fixed header size; the payload starts here.
 HEADER_SIZE = 4096
@@ -107,9 +114,14 @@ class StoreHeader:
             cursor += 8 * count
         return offsets
 
+    @property
+    def masks_offset(self) -> int:
+        """Byte offset of the peel-mask extent (right after reps_k)."""
+        return self.reps_offset + 8 * sum(self.reps_counts)
+
     def expected_payload_len(self) -> int:
         """Payload length implied by capacity_bits and reps_counts."""
-        end = self.reps_offset + 8 * sum(self.reps_counts)
+        end = self.masks_offset + 8 * sum(self.reps_counts)
         return end - HEADER_SIZE
 
     def expected_file_len(self) -> int:

@@ -2,11 +2,12 @@
 
 ``map_database`` opens the file, validates the header (magic, version,
 layout vs. physical length) and returns a fully functional
-``OptimalDatabase`` whose hash table and per-size representative arrays
-are read-only ``np.memmap`` views.  Nothing is deserialized: cold start
-is the cost of a few page faults, and N processes mapping the same
-path share one copy of the table in the page cache -- the property the
-shards of ``repro serve --shards N`` rely on.
+``OptimalDatabase`` whose hash table, per-size representative arrays
+and peel masks are read-only ``np.memmap`` views; the representatives
+and the masks are one extent, mapped once and sliced per size.  Nothing
+is deserialized: cold start is the cost of a few page faults, and N
+processes mapping the same path share one copy of the table in the page
+cache -- the property the shards of ``repro serve --shards N`` rely on.
 """
 
 from __future__ import annotations
@@ -36,27 +37,38 @@ def map_database(path: "str | Path"):
     with trace("db.map", path=str(path)):
         header = read_header(path)
         table = MmapTable(path, header)
-        reps_by_size = _map_reps(path, header)
+        reps_by_size, masks_by_size = _map_reps(path, header)
         return OptimalDatabase(
             n_wires=header.n_wires,
             k=header.k,
             table=table,
             reps_by_size=reps_by_size,
+            masks_by_size=masks_by_size,
         )
 
 
-def _map_reps(path: Path, header: StoreHeader) -> "list[np.ndarray]":
-    views: "list[np.ndarray]" = []
-    for offset, count in zip(header.reps_offsets(), header.reps_counts):
-        if count == 0:
-            views.append(np.empty(0, dtype=np.uint64))
-            continue
-        views.append(
-            np.memmap(
-                path, mode="r", dtype=np.uint64, offset=offset, shape=(count,)
-            )
+def _map_reps(
+    path: Path, header: StoreHeader
+) -> "tuple[list[np.ndarray], dict[int, np.ndarray]]":
+    """Per-size views of the representatives and of their peel masks."""
+    total = sum(header.reps_counts)
+    extent = np.empty(0, dtype=np.uint64)
+    if total:
+        extent = np.memmap(
+            path,
+            mode="r",
+            dtype=np.uint64,
+            offset=header.reps_offset,
+            shape=(2 * total,),
         )
-    return views
+    reps: "list[np.ndarray]" = []
+    masks: "dict[int, np.ndarray]" = {}
+    start = 0
+    for size, count in enumerate(header.reps_counts):
+        reps.append(extent[start : start + count])
+        masks[size] = extent[total + start : total + start + count]
+        start += count
+    return reps, masks
 
 
 def is_mapped(db) -> bool:

@@ -26,7 +26,10 @@ def write_rdb(db, path: "str | Path") -> Path:
     mapped view of one) to ``path`` in ``.rdb`` format; returns the path.
 
     The table's raw slot arrays are written verbatim, so the mapped
-    reader probes exactly as the in-RAM table does.
+    reader probes exactly as the in-RAM table does.  The peel masks
+    follow the representatives; an in-RAM database computes them here
+    (:meth:`~repro.synth.database.OptimalDatabase.peel_masks`), so the
+    build pays for them and a process that maps the store never does.
     """
     path = Path(path)
     if db.k > MAX_K:
@@ -62,6 +65,10 @@ def write_rdb(db, path: "str | Path") -> Path:
     ]
     sections.extend(
         np.ascontiguousarray(r, dtype="<u8").tobytes() for r in reps
+    )
+    sections.extend(
+        np.ascontiguousarray(db.peel_masks(size), dtype="<u8").tobytes()
+        for size in range(db.k + 1)
     )
     digest = hashlib.sha256()
     payload_len = 0

@@ -1,5 +1,6 @@
 """Tests for OptimalDatabase: lookups, persistence, peeling."""
 
+import random
 import struct
 
 import numpy as np
@@ -82,6 +83,26 @@ class TestLookups:
         for member in equivalence.equivalence_class(word, 4):
             assert db4_k4.canonical_key(member) == word
 
+    def test_scalar_lookups_agree_with_equivalence_canonical(
+        self, db3, db4_k4
+    ):
+        """size_of and canonical_key take the one-word gather kernel;
+        equivalence.canonical stays the reference."""
+        rng = random.Random(20)
+        words3 = [
+            w for reps in db3.reps_by_size for w in np.asarray(reps).tolist()
+        ]
+        words3 += [
+            rng.choice(sorted(equivalence.equivalence_class(w, 3)))
+            for w in words3[::7]
+        ]
+        words4 = [packed.pack(rng.sample(range(16), 16)) for _ in range(500)]
+        for db, words in ((db3, words3), (db4_k4, words4)):
+            for word in words:
+                canon = equivalence.canonical(word, db.n_wires)
+                assert db.canonical_key(word) == canon, hex(word)
+                assert db.size_of(word) == db.table.get(canon), hex(word)
+
     def test_lookup_with_keys(self, db4_k4):
         word = int(db4_k4.reps_by_size[3][1])
         members = sorted(equivalence.equivalence_class(word, 4))
@@ -143,6 +164,74 @@ class TestPersistence:
             OptimalDatabase.from_reps(
                 4, 1, [np.array([], dtype=np.uint64)] * 2
             )
+
+
+class TestPeelMasks:
+    """The stored-mask peel against the in-RAM masks and the scalar
+    reference, and the mask definition itself."""
+
+    @staticmethod
+    def _members(db, size, count, seed):
+        rng = random.Random(seed)
+        reps = db.reps_by_size[size]
+        for _ in range(count):
+            rep = int(reps[rng.randrange(len(reps))])
+            members = sorted(equivalence.equivalence_class(rep, db.n_wires))
+            yield members[rng.randrange(len(members))]
+
+    def test_mapped_peel_matches_in_ram_and_scalar(
+        self, db4_k4, db4_k5, tmp_path
+    ):
+        """Every rep of k = 4; 200 class members per size of k = 5."""
+        every_rep = {
+            s: np.asarray(db4_k4.reps_by_size[s]).tolist() for s in range(1, 5)
+        }
+        members = {s: list(self._members(db4_k5, s, 200, s)) for s in range(1, 6)}
+        for db, words_by_size in ((db4_k4, every_rep), (db4_k5, members)):
+            mapped = map_database(write_rdb(db, tmp_path / f"db-k{db.k}.rdb"))
+            for size, words in words_by_size.items():
+                for word in words:
+                    peeled = mapped.peel_last_gate(word, size)
+                    case = (size, hex(word))
+                    assert peeled == db.peel_last_gate(word, size), case
+                    assert peeled == scalar_peel_last_gate(db, word, size), case
+
+    def test_complete_n3_database_peels_like_scalar(self, db3):
+        """n = 3: 6 relabelings, 12 gates, every class."""
+        for size in range(1, db3.k + 1):
+            for word in np.asarray(db3.reps_by_size[size]).tolist():
+                assert db3.peel_last_gate(word, size) == (
+                    scalar_peel_last_gate(db3, word, size)
+                ), (size, hex(word))
+
+    def test_mask_bits_are_the_peelable_gates(self, db4_k5):
+        words = [g.to_word(4) for g in all_gates(4)]
+        rng = np.random.default_rng(5)
+        for size in range(1, db4_k5.k + 1):
+            reps = np.asarray(db4_k5.reps_by_size[size])
+            masks = db4_k5.peel_masks(size)
+            for at in rng.choice(len(reps), min(30, len(reps)), replace=False):
+                rep, mask = int(reps[at]), int(masks[at])
+                for g, gate in enumerate(words):
+                    ends = db4_k5.size_of(packed.compose(rep, gate, 4))
+                    starts = db4_k5.size_of(packed.compose(gate, rep, 4))
+                    case = (size, hex(rep), g)
+                    assert bool(mask >> g & 1) == (ends == size - 1), case
+                    assert bool(mask >> (32 + g) & 1) == (starts == size - 1), case
+
+    def test_size_zero_masks_are_zero(self, db4_k4):
+        assert db4_k4.peel_masks(0).tolist() == [0]
+
+    def test_wrong_size_raises_naming_the_word(self, db4_k4):
+        """The contract: ``size`` is the word's optimal size."""
+        word = int(db4_k4.reps_by_size[3][5])
+        member = sorted(equivalence.equivalence_class(word, 4))[-1]
+        for claimed in (2, 4):
+            for w in (word, member):
+                with pytest.raises(DatabaseError, match=f"{w:#x}"):
+                    db4_k4.peel_last_gate(w, claimed)
+        with pytest.raises(DatabaseError, match=f"{word:#x}"):
+            db4_k4.peel_last_gate(word, db4_k4.k + 1)
 
 
 def scalar_peel_last_gate(db, word, size):

@@ -13,12 +13,14 @@ from repro.core.packed_np import (
     as_words,
     canonical_conjugation_only_np,
     canonical_np,
+    canonical_variant,
     class_sizes_np,
     compose_np,
     conjugate_adjacent_np,
     expand_classes_np,
     inverse_np,
     is_valid_np,
+    relabelings_np,
 )
 
 
@@ -116,6 +118,33 @@ def test_canonical_np_exhaustive_n3():
             ]
         )
         assert got.tolist() == expected, chunk
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.permutations(list(range(1 << n))).map(packed.pack)
+        )
+    )
+)
+@settings(deadline=None)
+def test_canonical_variant_names_the_winning_variant(case):
+    """The reported relabeling of the word (or of its inverse) is the
+    canonical representative."""
+    n_wires, word = case
+    canon, relabeling, inverted = canonical_variant(word, n_wires)
+    assert canon == equivalence.canonical(word, n_wires)
+    source = packed.inverse(word, n_wires) if inverted else word
+    assert int(relabelings_np([source], n_wires)[0, relabeling]) == canon
+
+
+@given(word_lists(4, max_len=10))
+@settings(deadline=None)
+def test_relabelings_np_are_the_conjugates(words):
+    rows = relabelings_np(as_words(words), 4).tolist()
+    for word, row in zip(words, rows):
+        assert row[0] == word  # relabeling 0 is the identity
+        assert sorted(row) == sorted(equivalence.conjugates(word, 4))
 
 
 def test_canonical_np_empty_batch():

@@ -3,12 +3,14 @@
 Covers the format round trip (write -> map -> byte-identical lookups),
 the corruption edges (truncated header, bad magic, version skew,
 checksum mismatch, capacity/length disagreement -- each a DatabaseError
-naming the path), describe/verify, the synthesizer's cache store, the
-read-only mapped table, and the db.map/db.verify trace spans.
+naming the path), the peel-mask extent and its verification,
+describe/verify, the synthesizer's cache store, the read-only mapped
+table, and the db.map/db.verify trace spans.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -227,6 +229,78 @@ class TestCorruption:
 
     def test_fixed_header_fits(self):
         assert _FIXED.size + 8 * (store.MAX_K + 1) <= store.HEADER_SIZE
+
+
+# ----------------------------------------------------------------------
+# Peel masks (format version 2)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def rdb4(tmp_path_factory, db4_k4):
+    """The n=4, k=4 session database persisted as an .rdb store."""
+    path = tmp_path_factory.mktemp("store4") / "db-n4-k4.rdb"
+    store.write_rdb(db4_k4, path)
+    return path
+
+
+def _rewrite_mask(source, target, size, index, change):
+    """Copy ``source`` to ``target`` with the peel mask of representative
+    ``index`` of ``size`` replaced by ``change(mask)``, and the header
+    checksum recomputed so only the semantic check can object."""
+    header = store.read_header(source)
+    raw = bytearray(source.read_bytes())
+    at = header.masks_offset + 8 * (sum(header.reps_counts[:size]) + index)
+    (mask,) = struct.unpack_from("<Q", raw, at)
+    struct.pack_into("<Q", raw, at, change(mask))
+    target.write_bytes(bytes(raw))
+    checksum = store.payload_checksum(target, header)
+    raw[: store.HEADER_SIZE] = dataclasses.replace(header, checksum=checksum).pack()
+    target.write_bytes(bytes(raw))
+    return target
+
+
+class TestPeelMaskExtent:
+    def test_mapped_masks_match_in_ram(self, rdb3, db3):
+        mapped = store.map_database(rdb3)
+        for size in range(db3.k + 1):
+            assert np.array_equal(
+                np.asarray(mapped.peel_masks(size)), db3.peel_masks(size)
+            ), size
+
+    def test_verify_catches_a_flipped_mask_bit(self, tmp_path, rdb4, db4_k4):
+        """Size 2 has 33 representatives, so the verified sample holds
+        them all; an extra set bit leaves both halves non-empty."""
+        mask = int(db4_k4.peel_masks(2)[7])
+        spare = next(bit for bit in range(32) if not mask >> bit & 1)
+        flipped = _rewrite_mask(
+            rdb4, tmp_path / "flipped.rdb", 2, 7, lambda m: m ^ (1 << spare)
+        )
+        store.read_header(flipped)  # header and checksum still agree
+        with pytest.raises(DatabaseError, match="flipped.rdb.*peel mask"):
+            store.verify_store(flipped)
+
+    def test_verify_catches_an_empty_half(self, tmp_path, rdb4):
+        emptied = _rewrite_mask(
+            rdb4, tmp_path / "emptied.rdb", 3, 0, lambda m: m & 0xFFFF_FFFF
+        )
+        with pytest.raises(DatabaseError, match="emptied.rdb.*no gate can start"):
+            store.verify_store(emptied)
+
+    def test_truncated_inside_mask_extent(self, tmp_path, rdb4):
+        """A store cut inside the mask extent names the path."""
+        cut = store.read_header(rdb4).masks_offset + 8 * 20
+        short = tmp_path / "cut-masks.rdb"
+        short.write_bytes(rdb4.read_bytes()[:cut])
+        with pytest.raises(DatabaseError, match="cut-masks.rdb"):
+            store.map_database(short)
+
+    def test_version_1_store_fails_the_version_check(self, tmp_path, rdb4):
+        """A store from before the mask extent is rebuilt, not misread."""
+        raw = bytearray(rdb4.read_bytes())
+        struct.pack_into("<I", raw, 8, 1)
+        old = tmp_path / "v1.rdb"
+        old.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseError, match="format version 1.*build-db --force"):
+            store.map_database(old)
 
 
 # ----------------------------------------------------------------------
