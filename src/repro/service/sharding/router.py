@@ -40,8 +40,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 
+import numpy as np
+
 from repro import __version__
-from repro.core.equivalence import canonical
+from repro.core.packed_np import canonical_np, canonical_variant
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service import protocol
 from repro.service.front import RequestFront
@@ -129,25 +131,26 @@ class ShardRouter(RequestFront):
             return self._shard_join(request)
         return self._shard_leave(request)
 
-    def _routing_key(self, request: "protocol.Request", target) -> int:
-        """The canonical representative a validated work request routes
-        by.
+    def _routing_word(self, request: "protocol.Request", target) -> int:
+        """The word whose canonical representative a validated work
+        request routes by.
 
         ``synth``/``size`` route by their permutation's class; a
-        ``compile`` spec has not been completed yet, so its key is the
+        ``compile`` spec has not been completed yet, so its word is the
         deterministic base completion -- the forwarded shard recomputes
         the same plan from the same spec, so the key only needs to be
         stable, not the eventual winner.
         """
         if request.op == "compile":
-            return canonical(routing_word(target, self.n_wires), self.n_wires)
-        return canonical(target.word, self.n_wires)
+            return routing_word(target, self.n_wires)
+        return target.word
 
     def _run_work(self, request: "protocol.Request", target, deadline) -> str:
         try:
-            canon = self._routing_key(request, target)
+            word = self._routing_word(request, target)
         except ReproError as exc:
             return self.error_line(request.id, exc)
+        canon, _, _ = canonical_variant(word, self.n_wires)
         return self._route_work(request, target, canon, deadline)
 
     # ------------------------------------------------------------------
@@ -283,15 +286,21 @@ class ShardRouter(RequestFront):
     def _run_batch(self, entries, results, deadline) -> None:
         """Scatter the decoded entries by owner, one shard-side ``batch``
         per slice, and gather the envelopes back in request order."""
-        parsed: list = []  # (index, sub_request, target, canon)
+        valid: list = []  # (index, sub_request, target)
+        words: "list[int]" = []
         for index, sub in entries:
             try:
                 target = self.validate(sub)
-                canon = self._routing_key(sub, target)
+                words.append(self._routing_word(sub, target))
             except ReproError as exc:
                 results[index] = json.loads(self.error_line(sub.id, exc))
                 continue
-            parsed.append((index, sub, target, canon))
+            valid.append((index, sub, target))
+        # One canonicalization call for every routing key of the line.
+        keys = canonical_np(np.array(words, dtype=np.uint64), self.n_wires)
+        parsed = [  # (index, sub_request, target, canon)
+            (*entry, canon) for entry, canon in zip(valid, keys.tolist())
+        ]
         groups: "dict[str | None, list]" = {}
         for item in parsed:
             groups.setdefault(self.ring.owner(item[3]), []).append(item)

@@ -38,7 +38,7 @@ from repro.core.packed_np import (
     relabelings_np,
 )
 from repro.errors import DatabaseError
-from repro.hashing.table import LinearProbingTable
+from repro.hashing.table import LinearProbingTable, MissFilter, build_miss_filter
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class OptimalDatabase:
         masks_by_size: ``masks_by_size[s]`` holds the peel masks of
             ``reps_by_size[s]``, in the same order: mapped from a store,
             or filled by :meth:`peel_masks` on first use.
+        filter_cache: The table's :class:`MissFilter`, built by
+            :meth:`miss_filter` on first use; never stored.
     """
 
     n_wires: int
@@ -106,6 +108,9 @@ class OptimalDatabase:
     reps_by_size: list[np.ndarray] = field(default_factory=list)
     masks_by_size: "dict[int, np.ndarray]" = field(
         default_factory=dict, repr=False, compare=False
+    )
+    filter_cache: "MissFilter | None" = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     MISSING = 255
@@ -125,11 +130,35 @@ class OptimalDatabase:
     def sizes_batch(
         self, words: np.ndarray, assume_canonical: bool = False
     ) -> np.ndarray:
-        """Vectorized size lookup; ``MISSING`` (255) marks absent classes."""
+        """Vectorized size lookup; ``MISSING`` (255) marks absent classes.
+
+        Every A_i scan and compile completion search looks up through
+        here, and nearly all of a scan's words are absent.  Only the
+        words the :meth:`miss_filter` admits are probed; the rest are
+        proven absent, so the result equals ``table.lookup_batch`` of
+        the canonical words.
+        """
         words = np.asarray(words, dtype=np.uint64)
         if not assume_canonical:
             words = canonical_np(words, self.n_wires)
-        return self.table.lookup_batch(words)
+        admitted = self.miss_filter().admits(words)
+        sizes = np.full(words.shape, self.table.missing_value, dtype=np.uint8)
+        sizes[admitted] = self.table.lookup_batch(words[admitted])
+        return sizes
+
+    def miss_filter(self) -> MissFilter:
+        """The table's miss filter, built from its slot keys on first use.
+
+        A filter is rebuilt when the table's key count has changed since
+        (the BFS fills the table in place), so no lookup sees a stale one.
+        """
+        count = len(self.table)
+        cached = self.filter_cache
+        if cached is None or cached.count != count:
+            # Threads that race here build equal filters; either may stay.
+            slot_keys, _ = self.table.slot_arrays()
+            cached = self.filter_cache = build_miss_filter(slot_keys, count)
+        return cached
 
     # ------------------------------------------------------------------
     # Canonical cache keys (service layer hooks)

@@ -8,9 +8,16 @@ import pytest
 
 from repro.core import equivalence, packed
 from repro.core.gates import all_gates
+from repro.core.packed_np import canonical_np, compose_np
 from repro.errors import DatabaseError
 from repro.store import map_database, read_header, write_rdb
 from repro.synth.database import OptimalDatabase
+
+
+def _pack_rows(images: np.ndarray) -> np.ndarray:
+    """Packed words of the permutations given as rows of images."""
+    shifts = np.arange(images.shape[1], dtype=np.uint64) * np.uint64(4)
+    return np.bitwise_or.reduce(images.astype(np.uint64) << shifts, axis=1)
 
 
 class TestLookups:
@@ -102,6 +109,67 @@ class TestLookups:
                 canon = equivalence.canonical(word, db.n_wires)
                 assert db.canonical_key(word) == canon, hex(word)
                 assert db.size_of(word) == db.table.get(canon), hex(word)
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["in_ram", "mapped"])
+    def test_sizes_batch_equals_unfiltered_probe(
+        self, db3, db4_k4, engine4_l7, mapped, tmp_path
+    ):
+        """sizes_batch probes only the words its miss filter admits; the
+        answer equals probing every canonical word: on all stored keys,
+        and on seeded misses shaped like an A_i scan."""
+        rng = np.random.default_rng(2000)
+        random_words = _pack_rows(np.argsort(rng.random((2_000, 16)), axis=1))
+        far: "dict[int, list[int]]" = {6: [], 7: []}
+        gates = np.array([g.to_word(4) for g in all_gates(4)], dtype=np.uint64)
+        while min(len(words) for words in far.values()) < 3:
+            word = packed.identity(4)
+            for gate in rng.choice(gates, 7).tolist():
+                word = packed.compose(word, gate, 4)
+            size = engine4_l7.size_of(word)
+            if size in far and len(far[size]) < 3:
+                far[size].append(word)
+        scans = [
+            compose_np(engine4_l7.lists[i], np.uint64(word), 4)
+            for words in far.values()
+            for word in words
+            for i in (0, 1)
+        ]
+        cases = [
+            (db3, db3.table.keys()),
+            (db4_k4, db4_k4.table.keys()),
+            (db4_k4, np.concatenate([random_words, *scans])),
+        ]
+        for db, words in cases:
+            if mapped:
+                db = map_database(
+                    write_rdb(db, tmp_path / f"db-n{db.n_wires}-k{db.k}.rdb")
+                )
+            expected = db.table.lookup_batch(canonical_np(words, db.n_wires))
+            assert np.array_equal(db.sizes_batch(words), expected)
+        hits = expected != db4_k4.MISSING
+        assert 0 < hits.sum() < hits.size // 2
+
+    def test_sizes_batch_sees_keys_inserted_after_first_use(self, db4_k4):
+        """The BFS fills the table in place: a key inserted after the
+        filter was built is found by the next call."""
+        db = OptimalDatabase.from_reps(4, 2, db4_k4.reps_by_size[:3])
+        candidates = db4_k4.reps_by_size[3]
+        assert set(db.sizes_batch(candidates).tolist()) == {db.MISSING}
+        rejected = candidates[~db.miss_filter().admits(candidates)]
+        key = int(rejected[0])
+        db.table.insert(key, 3)
+        assert db.sizes_batch(np.array([key], dtype=np.uint64)).tolist() == [3]
+
+    def test_miss_filter_rejects_most_absent_words(self, db4_k5):
+        """About 10% of the k = 5 filter's bits are set, so about that
+        share of absent words reaches the probe (a filter that admits
+        everything would still be exact)."""
+        rng = np.random.default_rng(5000)
+        words = canonical_np(
+            _pack_rows(np.argsort(rng.random((5_000, 16)), axis=1)), 4
+        )
+        assert not db4_k5.table.contains_batch(words).any()
+        assert db4_k5.miss_filter().admits(words).mean() <= 0.15
 
     def test_lookup_with_keys(self, db4_k4):
         word = int(db4_k4.reps_by_size[3][1])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.table import _ROUND_SLOTS, EMPTY, LinearProbingTable, probe_get
+from repro.hashing.table import (
+    _ROUND_SLOTS,
+    EMPTY,
+    LinearProbingTable,
+    build_miss_filter,
+    probe_get,
+)
 from repro.hashing.wang import hash64shift, hash64shift_np
 
 uint64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -179,7 +185,8 @@ def _store_load_table():
 
 class TestBatchProbeMatchesScalar:
     """``probe_lookup_batch`` settles each key where ``probe_get`` does,
-    on both storage back ends, at the real store's load factor."""
+    on both storage back ends, at the real store's load factor; so does
+    the lookup behind the miss filter."""
 
     @staticmethod
     def _batches(stored, wrap_misses, misses):
@@ -199,30 +206,40 @@ class TestBatchProbeMatchesScalar:
             yield rng.permutation(mixed)
 
     @staticmethod
-    def _check(table, batch):
+    def _check(db, batch):
+        table = db.table
         slot_keys, slot_values = table.slot_arrays()
         expected = [
             probe_get(slot_keys, slot_values, key, table.missing_value)
             for key in batch.tolist()
         ]
         assert table.lookup_batch(batch).tolist() == expected
+        admitted = build_miss_filter(slot_keys, len(table)).admits(batch)
+        assert all(admitted[np.array(expected) != table.missing_value])
+        assert db.sizes_batch(batch, assume_canonical=True).tolist() == expected
         return expected
+
+    @staticmethod
+    def _database(table, stored):
+        from repro.synth.database import OptimalDatabase
+
+        return OptimalDatabase(
+            n_wires=4, k=0, table=table, reps_by_size=[np.sort(stored)]
+        )
 
     def test_in_ram_table(self):
         table, stored, wrap_misses, misses = _store_load_table()
         assert table.load_factor == pytest.approx(0.83, abs=0.005)
+        db = self._database(table, stored)
         for batch in self._batches(stored, wrap_misses, misses):
-            self._check(table, batch)
+            self._check(db, batch)
 
     def test_mapped_store(self, tmp_path):
         from repro.store import map_database, write_rdb
-        from repro.synth.database import OptimalDatabase
 
         table, stored, wrap_misses, misses = _store_load_table()
-        db = OptimalDatabase(
-            n_wires=4, k=0, table=table, reps_by_size=[np.sort(stored)]
-        )
-        mapped = map_database(write_rdb(db, tmp_path / "load83.rdb")).table
+        db = self._database(table, stored)
+        mapped = map_database(write_rdb(db, tmp_path / "load83.rdb"))
         for batch in self._batches(stored, wrap_misses, misses):
             expected = self._check(mapped, batch)
             assert table.lookup_batch(batch).tolist() == expected

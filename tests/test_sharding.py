@@ -280,6 +280,75 @@ class TestRouter:
             single.shutdown()
             router.shutdown()
 
+    def test_routing_keys_match_per_entry_canonical(
+        self, handle4, monkeypatch
+    ):
+        """A batch line's routing keys come from one canonicalization
+        call; every slice holds exactly the entries whose
+        ``ring.owner(canonical(...))`` names its owner, and a single
+        request routes by that same key."""
+        from repro.specs import routing_word, spec_from_wire
+
+        dc_spec = {
+            "kind": "truth_table",
+            "n_inputs": 4,
+            "rows": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, None, 1, 1, None, 1, 1],
+        }
+        affine_spec = {
+            "kind": "affine_xor", "matrix": [[1, 0], [1, 1]], "constant": [0, 1],
+        }
+        entries = [
+            {"id": 0, "op": "synth", "spec": HARD_SPEC},
+            {"id": 1, "op": "size", "spec": SHIFT},
+            {"id": 2, "op": "compile", "spec": dc_spec},
+            {"id": 3, "op": "synth", "spec": "[1,1]"},  # invalid
+            {"id": 4, "op": "size", "spec": HARD_SPEC_2},
+            {"id": 5, "op": "synth", "spec": IDENTITY},
+            {"id": 6, "op": "compile", "spec": affine_spec},
+            {"id": 7, "op": "size", "spec": HARD_SPEC},
+        ]
+        router, _sup, _shards = make_cluster(handle4)
+        keys: dict = {}
+        expected: dict = {}
+        for index, entry in enumerate(entries):
+            if index == 3:
+                continue
+            if entry["op"] == "compile":
+                word = routing_word(spec_from_wire(entry["spec"]), 4)
+            else:
+                word = Permutation.coerce(entry["spec"], 4).word
+            keys[index] = canonical(word, 4)
+            owner = router.ring.owner(keys[index])
+            expected.setdefault(owner, []).append(index)
+        slices: dict = {}
+        routed: list = []
+        forward = router._forward_slice
+        route = router._route_work
+
+        def record_slice(owner, items, results, deadline):
+            slices[owner] = [item[0] for item in items]
+            return forward(owner, items, results, deadline)
+
+        def record_route(request, target, canon, deadline):
+            routed.append(canon)
+            return route(request, target, canon, deadline)
+
+        monkeypatch.setattr(router, "_forward_slice", record_slice)
+        monkeypatch.setattr(router, "_route_work", record_route)
+        try:
+            body = submit(router, "batch", requests=entries)
+            assert len(expected) > 1  # the batch really did scatter
+            assert slices == expected
+            results = body["result"]["results"]
+            assert results[3]["error"]["kind"] == "invalid_spec"
+            assert all(r["ok"] for i, r in enumerate(results) if i != 3)
+            assert routed == []  # no slice fell back to single routing
+            for index in keys:
+                assert submit(router, **entries[index])["ok"]
+            assert routed == list(keys.values())
+        finally:
+            router.shutdown()
+
     def test_failover_is_exact_when_owner_dies(self, handle4):
         router, sup, shards = make_cluster(handle4)
         try:
