@@ -65,7 +65,7 @@ class CheckConfig:
     )
     #: Files where every wait()/join() must carry a timeout (the
     #: unbounded-wait rule): the service layer's no-hung-thread policy.
-    #: The work-item machinery (``repro/service/tasks.py`` and friends)
+    #: The in-flight registry's idle wait (``repro/service/tasks.py``)
     #: and the shard router (``repro/service/sharding/``) are inside it
     #: and must never park a thread without a bound.
     wait_scope: tuple[str, ...] = _tuple("repro/service/",)

@@ -174,7 +174,7 @@ class EngineCapabilities:
         cancellable: Whether the engine honors a cooperative
             cancellation checkpoint passed as ``options["cancel"]``
             (see :mod:`repro.service.tasks`); the daemon passes every
-            named-engine request its work item's checkpoint, and only
+            named-engine request its cancel token's checkpoint, and only
             engines declaring this can be preempted mid-query.
     """
 

@@ -15,7 +15,7 @@ Strategy (one query, one thread, tiers in order):
    after one, no answer is tagged optimal.
 
 One cooperative checkpoint, ``request.options["cancel"]`` (the daemon
-passes its work item's ``CancelToken.checkpoint``), reaches the optimal
+passes the request's ``CancelToken.checkpoint``), reaches the optimal
 scan between ``A_i`` lists and the SAT solver at every conflict.
 Whatever it raises propagates to the caller.
 

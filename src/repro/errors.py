@@ -93,9 +93,10 @@ class ServiceTimeoutError(ServiceError):
 
 
 class WorkCancelledError(ServiceError):
-    """Raised at a cooperative cancellation checkpoint when the work
-    item's :class:`repro.service.tasks.CancelToken` has been cancelled
-    (deadline expiry, breaker trip, or shutdown).
+    """Raised at a cooperative cancellation checkpoint when the
+    :class:`repro.service.tasks.CancelToken` the work runs under has
+    been cancelled (deadline expiry, breaker trip, shutdown, or an
+    abandoned request).
 
     Carries the cancellation ``reason`` so the layer that unwinds can
     tell a blown deadline from a breaker trip.  Lives in the foundation

@@ -441,41 +441,47 @@ def _setup_race_hard_query(ctx: BenchContext) -> Callable[[], Any]:
 def _setup_cancel_latency(ctx: BenchContext) -> Callable[[], Any]:
     """Round trip of preempting an in-flight hard scan.
 
-    Starts the scan-forcing hard word on a worker thread as a
-    cancellable work item, requests cooperative cancellation, and
-    times until the item settles terminally -- the latency a deadline
-    or breaker trip pays to reclaim a hard-path worker.
+    Starts the scan-forcing hard word on a worker thread under a
+    :class:`CancelToken`, cancels the token, and times until the thread
+    has settled -- the latency a deadline or breaker trip pays to
+    reclaim the thread running hard work.
     """
     import threading
 
     from repro.core.permutation import Permutation
     from repro.engines import SynthesisRequest
-    from repro.service.tasks import CANCELLED, DONE, WorkItem
+    from repro.errors import WorkCancelledError
+    from repro.service.tasks import CANCELLED, DONE, CancelToken
 
     engine = ctx.optimal_engine()
     word = ctx.hard_word()
     spec = Permutation(word, 4)
 
     def run() -> str:
-        item = WorkItem(
-            "bench.scan",
-            lambda token: engine.synthesize(
-                SynthesisRequest(
-                    spec=spec,
-                    n_wires=4,
-                    options={"cancel": token.checkpoint},
+        token = CancelToken()
+        outcome: "list[str]" = []
+
+        def scan() -> None:
+            try:
+                engine.synthesize(
+                    SynthesisRequest(
+                        spec=spec,
+                        n_wires=4,
+                        options={"cancel": token.checkpoint},
+                    )
                 )
-            ),
-        )
-        thread = threading.Thread(target=item.run, daemon=True)
+            except WorkCancelledError:
+                outcome.append(CANCELLED)
+            else:
+                outcome.append(DONE)
+
+        thread = threading.Thread(target=scan, daemon=True)
         thread.start()
-        item.cancel("bench")
+        token.cancel("bench")
         thread.join(timeout=30.0)
-        if item.state not in (CANCELLED, DONE):
-            raise BenchDataError(
-                f"cancelled scan settled in {item.state!r}, not terminally"
-            )
-        return item.state
+        if not outcome:
+            raise BenchDataError("cancelled scan did not settle within 30 s")
+        return outcome[0]
 
     return run
 

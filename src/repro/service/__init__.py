@@ -32,7 +32,7 @@ from repro.service.resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.service.tasks import CancelToken, TaskRegistry, WorkItem
+from repro.service.tasks import CancelToken, TaskRegistry
 from repro.service.workers import HardResult
 
 __all__ = [
@@ -58,6 +58,5 @@ __all__ = [
     "SynthesisService",
     "TCPDaemon",
     "TaskRegistry",
-    "WorkItem",
     "serve_stdio",
 ]

@@ -32,10 +32,12 @@ class PendingRequest:
 
     __slots__ = (
         "request", "word", "enqueued_at", "response", "deadline",
-        "work_item", "_event",
+        "token", "_event",
     )
 
-    def __init__(self, request, word: "int | None" = None, deadline=None) -> None:
+    def __init__(
+        self, request, word: "int | None" = None, deadline=None, token=None
+    ) -> None:
         self.request = request
         #: The packed word the request names (parsed before enqueueing).
         self.word = word
@@ -44,11 +46,11 @@ class PendingRequest:
         #: Optional :class:`repro.service.resilience.Deadline`, created
         #: at accept time so queue time counts against the budget.
         self.deadline = deadline
-        #: The :class:`repro.service.tasks.WorkItem` the dispatcher
-        #: attached when this request went to the hard path -- the
-        #: handle through which an abandoning connection thread (or
-        #: shutdown) can preempt the scan instead of orphaning it.
-        self.work_item = None
+        #: The request's :class:`repro.service.tasks.CancelToken`,
+        #: created at enqueue -- the handle through which an abandoning
+        #: connection thread preempts the scan, or has the dispatcher
+        #: skip it while the request is still queued.
+        self.token = token
         self._event = threading.Event()
 
     def resolve(self, response: dict) -> None:

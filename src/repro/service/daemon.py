@@ -12,12 +12,12 @@ Architecture::
                                        pass (lookup_with_keys) per batch
                 -> ResultCache         keyed by canonical representative
                 -> peel fast path      size <= k
-                -> A_i-list scan       size > k, one cancellable work
-                                       item per request, in order
+                -> A_i-list scan       size > k, one at a time, each
+                                       under its request's cancel token
         -> compile, named engines      this connection thread, under the
-                                       engine's lock, as one cancellable
-                                       work item (no batch-wide fast path
-                                       to exploit)
+                                       engine's lock and one tracked
+                                       cancel token (no batch-wide fast
+                                       path to exploit)
 
 The front (:mod:`repro.service.front`) is shared with the shard router,
 so both answer a line through the same validation, error and degradation
@@ -34,13 +34,14 @@ is how to use more (see ``docs/SHARDING.md``).
 Resilience (see :mod:`repro.service.resilience` and
 ``docs/RESILIENCE.md``): a :class:`CircuitBreaker` sheds hard queries
 after consecutive deadline misses.  Hard work (scans, compiles,
-named-engine requests) runs as cancellable work items bounded by the
-request's ``deadline_ms``, or by ``hard_timeout`` without one; an
-answer that comes in late is still returned exact, and counted as a
-deadline miss.  Whatever stops the exact answer -- deadline, open
-breaker, shutdown -- the request degrades in one place,
-:meth:`SynthesisService._degrade`, to an upper-bound answer from the
-fallback engine: a response is always written, never a hung connection.
+named-engine requests) runs under a :class:`CancelToken` tracked by the
+daemon's :class:`TaskRegistry` and bounded by the request's
+``deadline_ms``, or by ``hard_timeout`` without one; an answer that
+comes in late is still returned exact, and counted as a deadline miss.
+Whatever stops the exact answer -- deadline, open breaker, shutdown --
+the request degrades in one place, :meth:`SynthesisService._degrade`,
+to an upper-bound answer from the fallback engine: a response is always
+written, never a hung connection.
 
 Named engines (from :mod:`repro.engines`) are created lazily on first
 use (options from ``config.extra["engine_options"]``) and cache their
@@ -82,7 +83,13 @@ from repro.service.faults import FaultInjector
 from repro.service.front import RequestFront
 from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import CircuitBreaker, Deadline, ResilienceConfig
-from repro.service.tasks import CANCELLED, DEGRADED, TaskRegistry
+from repro.service.tasks import (
+    CANCELLED,
+    DEGRADED,
+    DONE,
+    CancelToken,
+    TaskRegistry,
+)
 from repro.service.workers import solve_with_engine
 from repro.synth.search import peel_minimal_circuit
 from repro.synth.synthesizer import SynthesisHandle
@@ -136,8 +143,8 @@ class SynthesisService(RequestFront):
             max_batch=self.config.max_batch,
             coalesce_window=self.config.batch_window,
         )
-        # Every hard unit of work (scan, compile, named engine) runs as a
-        # cancellable WorkItem tracked here; a breaker trip preempts all
+        # Every hard unit of work (scan, compile, named engine) runs
+        # under a cancel token tracked here; a breaker trip preempts all
         # of them instead of letting abandoned work burn on.
         self.tasks = TaskRegistry(metrics=self.metrics)
         self.breaker = CircuitBreaker(
@@ -193,7 +200,7 @@ class SynthesisService(RequestFront):
         Must not run on the dispatcher itself.
         """
         self.queue.close()
-        # Preempt in-flight hard work: cancelled items resolve their
+        # Preempt in-flight hard work: cancelled scans resolve their
         # requests as degraded answers (counted in stats), so the
         # dispatcher drains in bounded time instead of finishing
         # arbitrarily long scans.  Requests still queued drain through
@@ -280,7 +287,10 @@ class SynthesisService(RequestFront):
         backstop that guarantees a connection thread can never hang
         forever even if the dispatcher wedges.
         """
-        pending = PendingRequest(request, word, deadline=deadline)
+        pending = PendingRequest(
+            request, word, deadline=deadline,
+            token=CancelToken(self._hard_deadline(deadline)),
+        )
         try:
             self.queue.put(pending)
         except ServiceShutdownError as exc:
@@ -288,17 +298,17 @@ class SynthesisService(RequestFront):
         self.metrics.gauge("queue_depth").set(self.queue.depth)
         response = pending.wait(self.resilience.request_timeout)
         if response is None:
-            # The connection thread is abandoning the request -- preempt
-            # any hard work still attached to it so the dispatcher does
-            # not keep scanning for an answer nobody will read.
-            if pending.work_item is not None:
-                pending.work_item.cancel("abandoned")
+            # The connection thread is abandoning the request: the
+            # dispatcher skips it if still queued, or stops its scan at
+            # the next checkpoint -- nobody will read the answer.
+            pending.token.cancel("abandoned")
             self.metrics.counter("responses_timeout").inc()
             return self.error_line(
                 request.id,
-                ServiceError(
+                ProtocolError(
                     "request was not resolved within "
-                    f"{self.resilience.request_timeout}s"
+                    f"{self.resilience.request_timeout}s",
+                    kind="internal",
                 ),
             )
         return response
@@ -306,7 +316,7 @@ class SynthesisService(RequestFront):
     def _compile(self, request, spec, name, engine, lock, deadline) -> str:
         """Answer a ``compile`` op: spec form in, circuit + embedding out.
 
-        The completion search is one cancellable work item whose token
+        The completion search runs under one tracked cancel token that
         carries the request deadline, or ``hard_timeout`` without one:
         expiry, breaker trips, and shutdown preempt it at the next
         completion boundary, after which the request degrades instead of
@@ -330,29 +340,26 @@ class SynthesisService(RequestFront):
                     f"samples must be a positive integer, got {samples!r}"
                 ),
             )
-        work = self.tasks.create(
-            "compile", deadline=self._hard_deadline(deadline)
-        )
-        work.start()
+        token = self.tasks.begin(CancelToken(self._hard_deadline(deadline)))
         started = time.perf_counter()
         try:
             with lock, trace_span(
                 "service.compile", engine=name, kind=spec.kind
             ):
                 kwargs: dict = {
-                    "n_wires": self.n_wires, "cancel": work.token.checkpoint,
+                    "n_wires": self.n_wires, "cancel": token.checkpoint,
                 }
                 if samples is not None:
                     kwargs["samples"] = samples
                 result = compile_spec(spec, engine, **kwargs)
         except WorkCancelledError as exc:
-            work.mark_cancelled()
+            self.tasks.end(token, CANCELLED)
             return self._degrade(request, spec, exc.reason)
         except Exception as exc:
-            work.degrade(exc)
+            self.tasks.end(token, DEGRADED)
             return self.error_line(request.id, exc)
-        work.finish(result.size)
-        self._count_if_late(work)
+        self.tasks.end(token, DONE)
+        self._count_if_late(token)
         self.metrics.histogram("compile_seconds").observe(
             time.perf_counter() - started
         )
@@ -365,8 +372,8 @@ class SynthesisService(RequestFront):
         MMD heuristic's output), so the keyspace is keyed by exact word
         and the stored "circuit" is the full serialized wire result.
 
-        The engine call is one cancellable work item, as in
-        :meth:`_compile`.  Its token carries the request deadline, or
+        The engine call runs under one tracked cancel token, as in
+        :meth:`_compile`.  The token carries the request deadline, or
         ``hard_timeout`` without one, and its checkpoint goes to the
         engine as ``options["cancel"]``: expiry, breaker trips, and
         shutdown preempt a cancellable engine at its next checkpoint,
@@ -381,26 +388,25 @@ class SynthesisService(RequestFront):
             self.metrics.counter("served_from_cache").inc()
             body, source = json.loads(hit.circuit), "cache"
         else:
-            work = self.tasks.create(
-                name, deadline=self._hard_deadline(deadline)
+            token = self.tasks.begin(
+                CancelToken(self._hard_deadline(deadline))
             )
-            work.start()
             started = time.perf_counter()
             try:
                 with lock, trace_span("service.engine", engine=name):
                     result = engine.synthesize(SynthesisRequest(
                         spec=perm,
                         n_wires=n,
-                        options={"cancel": work.token.checkpoint},
+                        options={"cancel": token.checkpoint},
                     ))
             except WorkCancelledError as exc:
-                work.mark_cancelled()
+                self.tasks.end(token, CANCELLED)
                 return self._degrade(request, perm, exc.reason)
             except Exception as exc:
-                work.degrade(exc)
+                self.tasks.end(token, DEGRADED)
                 return self.error_line(request.id, exc)
-            work.finish(result.size)
-            self._count_if_late(work)
+            self.tasks.end(token, DONE)
+            self._count_if_late(token)
             self.metrics.histogram(f"engine_seconds_{name}").observe(
                 time.perf_counter() - started
             )
@@ -435,12 +441,12 @@ class SynthesisService(RequestFront):
             return Deadline(self.resilience.hard_timeout)
         return deadline
 
-    def _count_if_late(self, work) -> bool:
-        """The one rule for a finished hard work item: an exact answer
-        past its deadline still goes out (discarding computed work helps
-        nobody), but the miss counts toward tripping the breaker.
-        Returns whether it was late."""
-        late = work.token.deadline.expired()
+    def _count_if_late(self, token: CancelToken) -> bool:
+        """The one rule for finished hard work: an exact answer past its
+        deadline still goes out (discarding computed work helps nobody),
+        but the miss counts toward tripping the breaker.  Returns
+        whether it was late."""
+        late = token.deadline.expired()
         if late:
             self._deadline_missed()
         return late
@@ -632,8 +638,9 @@ class SynthesisService(RequestFront):
     def _scan(self, hard: "list[tuple[PendingRequest, int]]") -> None:
         """Run the ``A_i``-list scans for hard queries, one at a time on
         this thread -- unless the service is draining, the breaker is
-        open, or a request's deadline cannot fit a scan; those degrade
-        instead (never an error, never a hung connection)."""
+        open, a request was abandoned while queued, or its deadline
+        cannot fit a scan; those degrade instead (never an error, never
+        a hung connection)."""
         if self.stopping:
             # Draining after shutdown: queued requests still get valid
             # answers, but no new multi-second scan starts.
@@ -646,9 +653,9 @@ class SynthesisService(RequestFront):
         scans: list[tuple[PendingRequest, int]] = []
         for pending, canon in hard:
             deadline = pending.deadline
-            if deadline is not None and (
-                deadline.expired() or deadline.remaining() < estimate
-            ):
+            if pending.token.cancelled:  # abandoned, or deadline passed
+                self._shed(pending, pending.token.reason)
+            elif deadline is not None and deadline.remaining() < estimate:
                 self._shed(pending, "deadline")
             elif not self.breaker.allow():
                 self._shed(pending, "breaker_open")
@@ -656,58 +663,53 @@ class SynthesisService(RequestFront):
                 scans.append((pending, canon))
         if not scans:
             return
-        scan_started = time.perf_counter()
         self.metrics.counter("hard_queries").inc(len(scans))
-        # Each hard query becomes one cancellable WorkItem.  The token
-        # carries the request's deadline (or hard_timeout), so expiry
-        # mid-scan preempts the unit at its next A_i boundary instead of
-        # merely being noticed afterwards; breaker trips, shutdown, and
-        # abandoning connection threads reach the same tokens through
-        # the registry / PendingRequest.work_item.
-        engine = self.handle.engine
-        items = []
+        # Track every scan of the batch before running any, so a
+        # shutdown or breaker trip during one cancels the rest too.
         for pending, _ in scans:
-            work = self.tasks.create(
-                "scan",
-                lambda token, w=pending.word: solve_with_engine(
-                    engine, w, cancel=token.checkpoint
-                ),
-                deadline=self._hard_deadline(pending.deadline),
-            )
-            pending.work_item = work
-            items.append(work)
-        with trace_span("service.scan", queries=len(scans)):
-            for work in items:
-                work.run()
-        self.metrics.histogram("scan_seconds").observe(
-            time.perf_counter() - scan_started
-        )
+            self.tasks.begin(pending.token)
         missed = False
-        for (pending, canon), work in zip(scans, items):
-            missed |= self._settle_scan(pending, canon, work)
+        with trace_span("service.scan", queries=len(scans)):
+            for pending, canon in scans:
+                missed |= self._scan_one(pending, canon)
         if not missed:
             self.breaker.record_success()
 
-    def _settle_scan(
-        self, pending: PendingRequest, canon: int, work
-    ) -> bool:
-        """Answer a request from its finished scan item; True when the
-        request missed its deadline."""
-        request, word = pending.request, pending.word
-        state = work.state
-        if state == CANCELLED:
-            reason = work.token.reason or "cancelled"
-            self._shed(pending, reason)
-            return reason == "deadline"
-        if state == DEGRADED:
+    def _scan_one(self, pending: PendingRequest, canon: int) -> bool:
+        """Scan for one hard query and answer it; True when the request
+        missed its deadline.
+
+        The request's token carries its deadline (or ``hard_timeout``),
+        so expiry, breaker trips, shutdown and an abandoning connection
+        thread stop the scan at its next ``A_i`` boundary.  A scan that
+        returns is answered exact, late or not.
+        """
+        request, word, token = pending.request, pending.word, pending.token
+        started = time.perf_counter()
+        try:
+            token.checkpoint()  # cancelled while waiting its turn
+            result = solve_with_engine(
+                self.handle.engine, word, cancel=token.checkpoint
+            )
+        except WorkCancelledError as exc:
+            self.tasks.end(token, CANCELLED)
+            self._shed(pending, exc.reason)
+            return exc.reason == "deadline"
+        except Exception as exc:
+            self.tasks.end(token, DEGRADED)
             log.error(
                 "hard scan for %s degraded: %s",
-                protocol.word_to_hex(word), work.error,
+                protocol.word_to_hex(word), exc,
             )
             self._shed(pending, "scan_error")
             return False
-        late = self._count_if_late(work)
-        result = work.result
+        # Only a scan that ran to its answer samples what a scan costs
+        # (the p90 that _scan sheds by).
+        self.metrics.histogram("scan_seconds").observe(
+            time.perf_counter() - started
+        )
+        self.tasks.end(token, DONE)
+        late = self._count_if_late(token)
         n = self.n_wires
         if result.lower_bound is not None:
             self.cache.store_bound(

@@ -18,7 +18,7 @@ Request::
                    :data:`repro.specs.SPEC_KINDS`) to a circuit,
                    embedding map included -- see ``docs/COMPILE.md``.
 * ``stats``     -- metrics snapshot and service configuration.
-* ``health``    -- resilience status: circuit breaker, work items,
+* ``health``    -- resilience status: circuit breaker, hard work,
                    cache persistence state.
 * ``ping``      -- liveness check.
 * ``shutdown``  -- ask the daemon to drain pending requests and exit.
@@ -39,8 +39,8 @@ naming which
 synthesis engine answers (see :mod:`repro.engines`); omitted or
 ``"optimal"`` routes through the daemon's batched optimal pipeline,
 other servable engines (``heuristic``, ``depth``, ``linear``,
-``portfolio`` and its alias ``race``) are served as one cancellable
-work item each, with their own cache keyspace and metrics.  Unknown or
+``portfolio`` and its alias ``race``) are served under one tracked
+cancel token each, with their own cache keyspace and metrics.  Unknown or
 non-servable engine names get a ``protocol`` error envelope.
 
 Work requests may also carry ``deadline_ms``, a positive

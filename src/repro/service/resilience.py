@@ -199,7 +199,7 @@ class CircuitBreaker:
                 self._state = self.OPEN
                 self._opened_at = self._clock()
         # Invoked outside the lock: the trip hook preempts in-flight
-        # hard work (cancels the dispatcher's work items), and that path
+        # hard work (cancels the daemon's in-flight tokens), and that path
         # re-enters breaker snapshots from other threads.
         if tripped and self.on_trip is not None:
             self.on_trip()

@@ -25,8 +25,9 @@ does the router degrade to a local fallback-engine answer tagged
 failed slice re-routes its members individually (exact) or degrades
 (tagged), never poisons the batch, and never blocks on a dead peer.
 
-Every forward runs under a :class:`repro.service.tasks.WorkItem` token
-registered with the target shard, which is what makes live drain
+Every forward runs under a :class:`repro.service.tasks.CancelToken`
+tracked by the router's :class:`repro.service.tasks.TaskRegistry` and,
+for each call, by the target shard's, which is what makes live drain
 observable: ``shard_leave`` cancels the stragglers' tokens and the
 router re-routes at its next checkpoint.  Rollups (``health``,
 ``stats``, ``shards``) aggregate per-shard state, breaker status, task
@@ -52,7 +53,13 @@ from repro.service.resilience import Deadline
 from repro.service.sharding.config import ShardingConfig
 from repro.service.sharding.shard import LEFT, UP
 from repro.service.sharding.supervisor import ShardSupervisor
-from repro.service.tasks import TaskRegistry
+from repro.service.tasks import (
+    CANCELLED,
+    DEGRADED,
+    DONE,
+    CancelToken,
+    TaskRegistry,
+)
 from repro.specs import routing_word
 
 
@@ -166,13 +173,10 @@ class ShardRouter(RequestFront):
         """Forward one validated work request to the owner of ``canon``
         (walking the preference list); degrade when no shard answers."""
         payload = self._forward_payload(request, deadline)
-        work = self.tasks.create("forward", deadline=deadline)
-        work.start()
-        envelope, shard_id, reason = self._forward(
-            canon, payload, work, deadline
-        )
+        token = self.tasks.begin(CancelToken(deadline))
+        envelope, reason = self._forward(canon, payload, token, deadline)
         if envelope is not None:
-            work.finish(shard_id)
+            self.tasks.end(token, DONE)
             self.metrics.counter("responses_forwarded").inc()
             if envelope.get("ok"):
                 return protocol.encode_response(
@@ -181,34 +185,31 @@ class ShardRouter(RequestFront):
             return protocol.encode_response(
                 request.id, error=envelope.get("error", {})
             )
-        if work.token.cancelled:
-            reason = work.token.reason or reason
-            if not work.finished:
-                work.mark_cancelled()
-        elif not work.finished:
-            work.degrade()
+        if token.cancelled:
+            reason = token.reason or reason
+        self.tasks.end(token, _failed(token))
         return self.degraded(request, target, reason)
 
     def _forward(
         self,
         canon: int,
         payload: dict,
-        work,
+        token: CancelToken,
         deadline: "Deadline | None",
-    ) -> "tuple[dict | None, str | None, str]":
+    ) -> "tuple[dict | None, str]":
         """Walk the preference list for ``canon``; first answer wins.
 
-        Returns ``(envelope, shard_id, reason)`` -- envelope None when
-        every attempt failed, with ``reason`` saying why.
+        Returns ``(envelope, reason)`` -- envelope None when every
+        attempt failed, with ``reason`` saying why.
         """
         tried: set = set()
         reason = "no_live_shard"
         for _ in range(self.config.forward_attempts):
-            if work.token.cancelled and work.token.reason == "shutdown":
-                return None, None, "shutdown"
+            if token.cancelled and token.reason == "shutdown":
+                return None, "shutdown"
             managed = self._pick(canon, tried)
             if managed is None:
-                return None, None, reason
+                return None, reason
             tried.add(managed.shard_id)
             if self.faults is not None:
                 if self.faults.kill_shard(managed.backend):
@@ -221,29 +222,42 @@ class ShardRouter(RequestFront):
                     continue
             if deadline is not None:
                 if deadline.expired():
-                    return None, None, "deadline"
-            timeout = self._forward_wait(deadline)
-            managed.begin_request(work.token)
-            try:
-                envelope = managed.backend.call(payload, timeout=timeout)
-            except ServiceError:
-                envelope = None
-            finally:
-                managed.end_request(work.token)
+                    return None, "deadline"
+            envelope = self._call(
+                managed, payload, token, self._forward_wait(deadline)
+            )
             if envelope is not None:
                 error = envelope.get("error") or {}
                 if envelope.get("ok") or error.get("kind") != "shutdown":
                     self.metrics.counter(
                         f"forwards_{managed.shard_id}"
                     ).inc()
-                    return envelope, managed.shard_id, ""
+                    return envelope, ""
                 # The shard is draining (we raced a leave): treat like
                 # an unreachable peer and walk on.
             self.metrics.counter("forward_failures").inc()
             self.supervisor.note_failure(managed.shard_id)
             self.metrics.counter("reroutes").inc()
             reason = "shard_unreachable"
-        return None, None, reason
+        return None, reason
+
+    def _call(
+        self, managed, payload: dict, token: CancelToken, timeout: float
+    ) -> "dict | None":
+        """One call to one shard, with ``token`` tracked by the shard's
+        registry while it runs (what a drain waits for and cancels).
+        Returns the envelope, or None when the call failed."""
+        managed.tasks.begin(token)
+        envelope = None
+        try:
+            envelope = managed.backend.call(payload, timeout=timeout)
+        except ServiceError:
+            pass
+        finally:
+            managed.tasks.end(
+                token, DONE if envelope is not None else _failed(token)
+            )
+        return envelope
 
     def _pick(self, canon: int, tried: set):
         """The best routable shard for ``canon`` not yet tried."""
@@ -353,8 +367,7 @@ class ShardRouter(RequestFront):
         managed = (
             self.supervisor.get(owner) if owner is not None else None
         )
-        work = self.tasks.create("slice", deadline=deadline)
-        work.start()
+        token = self.tasks.begin(CancelToken(deadline))
         if managed is not None and self.faults is not None:
             if self.faults.kill_shard(managed.backend):
                 self.metrics.counter("fault_shard_kills").inc()
@@ -372,17 +385,12 @@ class ShardRouter(RequestFront):
                     for _index, sub, _target, _canon in items
                 ],
             }
-            managed.begin_request(work.token)
-            try:
-                envelope = managed.backend.call(
-                    payload, timeout=self._forward_wait(deadline)
-                )
-            except ServiceError:
+            envelope = self._call(
+                managed, payload, token, self._forward_wait(deadline)
+            )
+            if envelope is None:
                 self.metrics.counter("forward_failures").inc()
                 self.supervisor.note_failure(managed.shard_id)
-                envelope = None
-            finally:
-                managed.end_request(work.token)
         if envelope is not None and envelope.get("ok"):
             answers = (envelope.get("result") or {}).get("results") or []
             if len(answers) == len(items):
@@ -390,18 +398,14 @@ class ShardRouter(RequestFront):
                     items, answers
                 ):
                     results[index] = answer
-                work.finish(owner)
+                self.tasks.end(token, DONE)
                 self.metrics.counter("slices_forwarded").inc()
                 return
         # The slice failed: dead/partitioned owner, drain race, or a
         # malformed reply.  Each member re-routes through the normal
         # preference walk -- exact answers from the survivors, degraded
         # only as the last resort.  The batch never loses a request.
-        if work.token.cancelled:
-            if not work.finished:
-                work.mark_cancelled()
-        elif not work.finished:
-            work.degrade()
+        self.tasks.end(token, _failed(token))
         self.metrics.counter("slices_rerouted").inc()
         for index, sub, target, canon in items:
             results[index] = json.loads(
@@ -539,6 +543,12 @@ class ShardRouter(RequestFront):
         snap = self.supervisor.snapshot()
         snap["stopping"] = self.stopping
         return snap
+
+
+def _failed(token: CancelToken) -> str:
+    """The outcome of a forward that got no answer: preempted when its
+    token was cancelled, degraded otherwise."""
+    return CANCELLED if token.cancelled else DEGRADED
 
 
 __all__ = ["ShardRouter"]

@@ -14,11 +14,12 @@ ability to answer.  Because every shard maps the complete ``.rdb``
 store, re-routing during the outage yields exact answers -- the
 degraded (upper-bound) path only runs when no live shard remains.
 
-In-flight accounting rides :class:`repro.service.tasks.CancelToken`:
-the router registers each forward's token with the target
-:class:`ManagedShard`; a drain waits (bounded) for those tokens to
-clear and cancels stragglers with reason ``shard_leave``, which the
-router observes at its next checkpoint and re-routes.
+In-flight accounting is one :class:`repro.service.tasks.TaskRegistry`
+per :class:`ManagedShard`: the router tracks each forward's
+:class:`repro.service.tasks.CancelToken` there for the length of the
+call; a drain waits (bounded) for the registry to go idle and cancels
+stragglers with reason ``shard_leave``, which the router observes at
+its next checkpoint and re-routes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.service.sharding.shard import (
     SUSPECT,
     UP,
 )
+from repro.service.tasks import TaskRegistry
 
 
 class ManagedShard:
@@ -54,8 +56,8 @@ class ManagedShard:
         self.last_health: "dict | None" = None
         self._clock = clock
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._tokens: set = set()
+        #: The router's forwards to this shard while their calls run.
+        self.tasks = TaskRegistry()
         self._events: deque = deque(maxlen=32)
 
     @property
@@ -68,43 +70,6 @@ class ManagedShard:
                 {"event": event, "at": round(self._clock(), 3), **info}
             )
 
-    # ------------------------------------------------------------------
-    # In-flight accounting (the router brackets every forward with these)
-    # ------------------------------------------------------------------
-    def begin_request(self, token) -> None:
-        with self._lock:
-            self._tokens.add(token)
-
-    def end_request(self, token) -> None:
-        with self._lock:
-            self._tokens.discard(token)
-            if not self._tokens:
-                self._idle.notify_all()
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return len(self._tokens)
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Bounded wait until no forwards are in flight on this shard."""
-        deadline = self._clock() + timeout
-        with self._idle:
-            while self._tokens:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(timeout=min(remaining, 0.5))
-            return True
-
-    def cancel_in_flight(self, reason: str) -> int:
-        """Cancel every in-flight forward's token; returns how many."""
-        with self._lock:
-            tokens = list(self._tokens)
-        for token in tokens:
-            token.cancel(reason)
-        return len(tokens)
-
     def snapshot(self) -> dict:
         """JSON-ready per-shard rollup for ``health``/``shards``."""
         health = self.last_health or {}
@@ -116,7 +81,7 @@ class ManagedShard:
             "misses": self.misses,
             "probes": self.probes,
             "restarts": self.restarts,
-            "in_flight": self.in_flight,
+            "in_flight": self.tasks.in_flight,
             "health": health.get("status"),
             "breaker": (health.get("breaker") or {}).get("state"),
             "tasks": health.get("tasks"),
@@ -276,7 +241,7 @@ class ShardSupervisor:
         # Its keyspace now re-routes via the ring (exact answers -- every
         # shard maps the full store); forwards still waiting on the dead
         # peer are preempted rather than left to burn their timeout.
-        managed.cancel_in_flight("shard_dead")
+        managed.tasks.cancel_in_flight("shard_dead")
         if (
             managed.backend.restartable
             and managed.restarts < self.config.max_restarts
@@ -328,13 +293,13 @@ class ShardSupervisor:
         managed.state = DRAINING
         self.ring.remove(shard_id)
         managed.record("draining", epoch=self.ring.epoch)
-        completed = managed.wait_idle(budget)
+        completed = managed.tasks.wait_idle(budget)
         cancelled = 0
         if not completed:
-            cancelled = managed.cancel_in_flight("shard_leave")
+            cancelled = managed.tasks.cancel_in_flight("shard_leave")
             # Give the cancelled forwards a moment to unwind before the
             # backend goes away under them.
-            managed.wait_idle(1.0)
+            managed.tasks.wait_idle(1.0)
         try:
             managed.backend.stop()
         except ServiceError:  # pragma: no cover - peer died mid-drain

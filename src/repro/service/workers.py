@@ -1,8 +1,8 @@
 """The boxed ``A_i``-list scan behind the daemon's hard path.
 
 Queries that miss the database (size > k) fall through to Algorithm 1's
-``A_i``-list scan.  The daemon runs each one as a cancellable work item
-on its dispatcher thread (see :meth:`SynthesisService._scan`); more
+``A_i``-list scan.  The daemon runs each one under its request's cancel
+token on its dispatcher thread (see :meth:`SynthesisService._scan`); more
 cores come from ``repro serve --shards N``, where every shard maps the
 same ``.rdb`` store and scans its own slice of the keyspace.
 
@@ -40,8 +40,8 @@ def solve_with_engine(engine, word: int, cancel=None) -> HardResult:
 
     ``cancel`` is a cooperative checkpoint threaded into the list scan
     (see :meth:`repro.synth.search.MeetInTheMiddleSearch.search`);
-    whatever it raises propagates untouched so the work-item machinery
-    can classify the abort.
+    whatever it raises propagates untouched so the dispatcher can
+    classify the abort.
     """
     try:
         outcome = engine.search(word, cancel=cancel)

@@ -10,6 +10,7 @@ fires a counted number of times at a fixed injection stage.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -53,6 +54,29 @@ def make_service(handle4, extra=None, **config_kwargs) -> SynthesisService:
 def submit(svc, op, **fields) -> dict:
     line = json.dumps({"id": fields.pop("id", 1), "op": op, **fields})
     return json.loads(svc.handle_line(line))
+
+
+class SlowSearch:
+    """Stub scan engine: sleeps ``before`` and ``after`` the real
+    ``A_i`` scan, and records every word it is asked to scan."""
+
+    def __init__(self, engine, before: float = 0.0, after: float = 0.0):
+        self.engine = engine
+        self.before = before
+        self.after = after
+        self.words: "list[int]" = []
+
+    def search(self, word, cancel=None):
+        self.words.append(word)
+        time.sleep(self.before)
+        outcome = self.engine.search(word, cancel=cancel)
+        time.sleep(self.after)
+        return outcome
+
+
+def with_engine(handle4, engine):
+    """The shared warm handle with its scan engine swapped for ``engine``."""
+    return dataclasses.replace(handle4, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +179,62 @@ class TestDeadlineDegradation:
             assert body["result"]["degraded_reason"] == "deadline"
             circuit = Circuit.parse(body["result"]["circuit"], 4)
             assert circuit.implements(Permutation.coerce(HARD_SPEC, 4))
+        finally:
+            svc.shutdown()
+
+    def test_scan_returning_after_its_deadline_answers_exact(self, handle4):
+        # The scan finds its answer well inside 150 ms, then returns after
+        # the deadline, past its last A_i checkpoint.  Like a late compile
+        # or engine answer it goes out exact, and the miss is counted.
+        slow = SlowSearch(handle4.engine, after=0.3)
+        svc = make_service(with_engine(handle4, slow))
+        try:
+            body = submit(svc, "synth", spec=HARD_SPEC, deadline_ms=150)
+            assert body["ok"], body
+            assert body["result"]["source"] == "scan"
+            assert body["result"]["size"] == 5
+            assert svc.metrics.counter("deadline_misses").value == 1
+            tasks = svc.stats()["tasks"]
+            assert tasks["done"] == 1
+            assert tasks["in_flight"] == 0
+        finally:
+            svc.shutdown()
+
+
+# ----------------------------------------------------------------------
+# A connection thread that gives up
+# ----------------------------------------------------------------------
+class TestAbandonedRequest:
+    def test_request_abandoned_while_queued_is_never_scanned(self, handle4):
+        # The first hard request holds the dispatcher in a 0.5 s scan; the
+        # second waits in the queue until its connection thread gives up
+        # after request_timeout.  The dispatcher then skips it.
+        slow = SlowSearch(handle4.engine, before=0.5)
+        svc = make_service(
+            with_engine(handle4, slow),
+            extra={"resilience": {"request_timeout": 0.2}},
+        )
+        answers = []
+        first = threading.Thread(target=lambda: answers.append(
+            submit(svc, "synth", spec=HARD_SPEC)
+        ))
+        try:
+            first.start()
+            deadline = time.monotonic() + 10.0
+            while svc.tasks.in_flight == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert svc.tasks.in_flight == 1  # the dispatcher is scanning
+            second = submit(svc, "synth", spec=HARD_SPEC_2, id=2)
+            first.join(timeout=30.0)
+            assert not first.is_alive()
+            batches = svc.metrics.histogram("batch_seconds")
+            while batches.count < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert batches.count == 2  # the dispatcher reached the second
+            assert slow.words == [Permutation.coerce(HARD_SPEC, 4).word]
+            assert not second["ok"], second
+            assert second["error"]["kind"] == "internal"
+            assert answers[0]["error"]["kind"] == "internal"
         finally:
             svc.shutdown()
 
@@ -424,8 +504,8 @@ class TestShutdownPreemptsHardWork:
 
         thread = threading.Thread(target=client, daemon=True)
         thread.start()
-        # Wait (bounded) until the scan's work item is actually in
-        # flight, then pull the plug.
+        # Wait (bounded) until the scan's token is actually in flight,
+        # then pull the plug.
         deadline = time.monotonic() + 10.0
         while svc.tasks.in_flight == 0 and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -447,6 +527,46 @@ class TestShutdownPreemptsHardWork:
             assert result["size"] == 5
         assert svc.tasks.snapshot()["in_flight"] == 0
         assert svc.stopped
+
+    def test_shutdown_cancels_the_rest_of_a_batch(self, handle4):
+        # Two hard queries coalesce into one batch and scan one after the
+        # other.  Shutdown during the first must stop the second too: it
+        # is never scanned and degrades with the shutdown tag.
+        slow = SlowSearch(handle4.engine, before=0.3)
+        svc = SynthesisService(
+            with_engine(handle4, slow),
+            config=ServiceConfig(
+                n_wires=4, k=4, max_list_size=3, batch_window=0.5
+            ),
+        ).start()
+        answers = []
+        clients = [
+            threading.Thread(target=lambda s=spec: answers.append(
+                submit(svc, "synth", spec=s)
+            ), daemon=True)
+            for spec in (HARD_SPEC, HARD_SPEC_2)
+        ]
+        for client in clients:
+            client.start()
+        deadline = time.monotonic() + 10.0
+        while not slow.words and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert svc.tasks.in_flight == 2  # both scans tracked, one running
+        svc.shutdown()
+        for client in clients:
+            client.join(timeout=30.0)
+        assert not any(client.is_alive() for client in clients)
+        assert svc.metrics.histogram("batch_size").count == 1
+        assert len(slow.words) == 1
+        for body in answers:
+            assert body["ok"], body
+            assert body["result"]["source"] == "degraded"
+            assert body["result"]["degraded_reason"] == "shutdown"
+        tasks = svc.tasks.snapshot()
+        assert tasks["cancelled_by_reason"] == {"shutdown": 2}
+        assert tasks["in_flight"] == 0
+        # A cancelled scan is no sample of what a scan costs.
+        assert svc.metrics.histogram("scan_seconds").count == 0
 
 # ----------------------------------------------------------------------
 # Sharded cluster: fault isolation under shard-level chaos
@@ -613,9 +733,9 @@ class TestLiveDrainCompletesInFlight:
             thread = threading.Thread(target=client, daemon=True)
             thread.start()
             deadline = time.monotonic() + 10.0
-            while managed.in_flight == 0 and time.monotonic() < deadline:
+            while managed.tasks.in_flight == 0 and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert managed.in_flight == 1  # the drain overlaps real work
+            assert managed.tasks.in_flight == 1  # the drain overlaps real work
             body = submit(router, "shard_leave", shard=victim, id=2)
             thread.join(timeout=30.0)
             assert not thread.is_alive()

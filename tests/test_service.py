@@ -401,6 +401,35 @@ class TestServiceCore:
         assert body["result"]["source"] == "scan"
         assert body["result"]["lists_scanned"] >= 1
 
+    def test_each_scan_in_a_batch_is_one_scan_seconds_sample(self, handle4):
+        # The dispatcher sheds a request whose remaining deadline is below
+        # the p90 of scan_seconds, so a sample must be one scan's cost.
+        svc = SynthesisService(
+            handle4,
+            config=ServiceConfig(
+                n_wires=4, k=4, max_list_size=3, batch_window=0.5
+            ),
+        ).start()
+        answers = []
+        clients = [
+            threading.Thread(target=lambda s=spec: answers.append(
+                submit(svc, "synth", spec=s)
+            ))
+            for spec in HARD_SPECS[:2]
+        ]
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30.0)
+            assert not any(client.is_alive() for client in clients)
+            assert [a["result"]["source"] for a in answers] == ["scan"] * 2
+            assert svc.metrics.histogram("batch_size").count == 1
+            assert svc.metrics.counter("hard_queries").value == 2
+            assert svc.metrics.histogram("scan_seconds").count == 2
+        finally:
+            svc.shutdown()
+
     def test_out_of_reach_envelope_and_cached_proof(self, service):
         body = submit(service, "synth", spec=OUT_OF_REACH)
         assert not body["ok"]
