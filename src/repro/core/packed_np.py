@@ -236,7 +236,10 @@ def relabelings_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
 #: 4 ms for 16,204.  They cross between 128 and 512 words depending on
 #: the run, and the gather's temporaries grow with the batch (0.8 MiB at
 #: 128 words, 1.6 MiB at 256), so the cut is the largest batch it won in
-#: every run.
+#: every run.  ``OptimalDatabase.sizes_batch`` makes the same cut: larger
+#: batches (the A_2 and A_3 passes) first drop the words whose
+#: :func:`conjugation_signature_np` its miss filter rejects, and only the
+#: ~1% left reach this function.
 GATHER_MAX_WORDS = 128
 
 
@@ -246,9 +249,10 @@ def canonical_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
     The representative is the numerically smallest packed word among the
     up-to-48 equivalents (24 wire-relabeling conjugates of ``f`` and 24 of
     ``f⁻¹``), exactly as in Section 3.2 of the paper.  Batches of up to
-    :data:`GATHER_MAX_WORDS` words (database peels, lookups) take the
-    table-gather kernel; larger ones (the A_i scans, the BFS) fold
-    minima over the plain-changes conjugation walk.
+    :data:`GATHER_MAX_WORDS` words (lookups, the A_1 pass, compile pass
+    1) take the table-gather kernel; larger ones (the BFS, and the words
+    of an A_2 or A_3 pass that pass the miss filter) fold minima over the
+    plain-changes conjugation walk.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim == 1 and words.shape[0] <= GATHER_MAX_WORDS:
@@ -271,6 +275,138 @@ def canonical_conjugation_only_np(
     best = words.copy()
     _fold_conjugates_min(words, n_wires, best)
     return best
+
+
+_POP_PAIRS = _U(0x5555555555555555)
+_POP_QUADS = _U(0x3333333333333333)
+_HALVE_NIBBLES = _U(0x7777777777777777)
+_LOW_NIBBLES = _U(0x0F0F0F0F0F0F0F0F)
+#: ``_FLIP_MASKS[i]``: the nibbles of the states with bit i clear, the
+#: half of the state map x -> x ^ 2^i that moves up by 2^i nibbles.
+_FLIP_MASKS = (
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+)
+
+
+def _nibble_popcounts_np(words: U64Array, scratch: U64Array) -> U64Array:
+    """Replace every nibble of ``words`` by its popcount (0-4), in place."""
+    np.right_shift(words, _U(1), out=scratch)
+    scratch &= _POP_PAIRS
+    words -= scratch
+    np.right_shift(words, _U(2), out=scratch)
+    scratch &= _POP_QUADS
+    words &= _POP_QUADS
+    words += scratch
+    return words
+
+
+class _SignatureTables:
+    """Constants of :func:`conjugation_signature_np` for one wire count.
+
+    ``low[j]`` and ``high[j]`` are the rows of the states in the low and
+    high nibble of byte j: entry ``code`` of the row of state x is
+    ``hash64shift(popcount(x) << 8 | code)``, so states of equal
+    popcount share a row.
+    """
+
+    def __init__(self, n_wires: int) -> None:
+        # The layer DAG keeps hashing out of core's module scope.
+        from repro.hashing.wang import hash64shift_np
+
+        size = packed.num_states(n_wires)
+        self.identity = _U(packed.identity(n_wires))
+        self.flips = [(_U(_FLIP_MASKS[i]), _U(4 << i)) for i in range(n_wires)]
+        weights = np.array([bin(x).count("1") for x in range(size)], dtype=np.uint64)
+        entries = hash64shift_np(
+            (weights[:, None] << _U(8)) | np.arange(256, dtype=np.uint64)
+        )
+        self.low = entries[0::2]
+        self.high = entries[1::2]
+
+
+_SIGNATURE_CACHE: dict[int, _SignatureTables] = {}
+
+
+def _signature_tables(n_wires: int) -> _SignatureTables:
+    tables = _SIGNATURE_CACHE.get(n_wires)
+    if tables is None:
+        tables = _SignatureTables(n_wires)
+        _SIGNATURE_CACHE[n_wires] = tables
+    return tables
+
+
+def conjugation_signature_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
+    """A 64-bit signature every wire relabeling of a word shares.
+
+    The signature of ``f`` is the sum mod 2^64, over the states
+    ``x < 2^n``, of a fixed table entry for the tuple ``(|x|, |f(x)|,
+    |x ⊕ f(x)|, Σ_{i<n} |f(x) ⊕ f(x ⊕ 2^i)|)``, where ``|·|`` is the
+    popcount.  A relabeling ``g`` gives ``r`` with ``r(g(x)) =
+    g(f(x))``; ``g`` preserves popcount and XOR and permutes the unit
+    vectors ``2^i``, so state ``g(x)`` of ``r`` has the tuple of state
+    ``x`` of ``f`` and the two sums agree.  Inversion does not preserve
+    the signature, so a class (the relabelings of ``f`` and of ``f⁻¹``)
+    has at most two.  Every uint64 word has one; nibbles of states
+    ``>= 2^n`` are ignored.
+
+    Popcounts run nibble-parallel on whole words.  Each state's tuple
+    packs into one byte, ``17 (3 |f(x)| + ⌊|x ⊕ f(x)| / 2⌋) + D`` with
+    ``D`` the last component, which is one to one on the tuples of a
+    state because ``|x ⊕ f(x)| ≡ |x| + |f(x)|`` (mod 2); one byte-indexed
+    gather per state then adds its entry.  About 140 numpy calls per
+    batch at n = 4, against the 48-variant fold's ~770, and under 1 MiB
+    of temporaries for a 16,204-word batch.
+    """
+    tables = _signature_tables(n_wires)
+    words = np.asarray(words, dtype=np.uint64)
+    scratch = np.empty(words.shape, dtype=np.uint64)
+    terms = np.empty(words.shape, dtype=np.uint64)
+    # Byte j of ``low`` and ``high`` gathers the code of state 2j and
+    # 2j + 1; D comes first, one direction at a time.
+    low = np.zeros(words.shape, dtype="<u8")
+    high = np.zeros(words.shape, dtype="<u8")
+    for mask, shift in tables.flips:
+        np.right_shift(words, shift, out=scratch)
+        scratch &= mask
+        np.bitwise_and(words, mask, out=terms)
+        terms <<= shift
+        terms |= scratch
+        terms ^= words
+        _nibble_popcounts_np(terms, scratch)
+        np.bitwise_and(terms, _LOW_NIBBLES, out=scratch)
+        low += scratch
+        terms >>= _U(4)
+        terms &= _LOW_NIBBLES
+        high += terms
+    # Then 3 |f(x)| + ⌊|x ⊕ f(x)| / 2⌋ per nibble (at most 14), times 17.
+    weights = _nibble_popcounts_np(words.copy(), scratch)
+    np.bitwise_xor(words, tables.identity, out=terms)
+    _nibble_popcounts_np(terms, scratch)
+    terms >>= _U(1)
+    terms &= _HALVE_NIBBLES
+    terms += weights
+    weights <<= _U(1)
+    terms += weights
+    del weights
+    np.bitwise_and(terms, _LOW_NIBBLES, out=scratch)
+    scratch *= _U(17)
+    low += scratch
+    terms >>= _U(4)
+    terms &= _LOW_NIBBLES
+    terms *= _U(17)
+    high += terms
+    # Free the scratch arrays before the gathers allocate theirs.
+    del scratch, terms
+    signature = np.zeros(words.shape, dtype=np.uint64)
+    low_codes = low.view(np.uint8).reshape(-1, 8)
+    high_codes = high.view(np.uint8).reshape(-1, 8)
+    for j, (low_row, high_row) in enumerate(zip(tables.low, tables.high)):
+        signature += low_row.take(low_codes[:, j])
+        signature += high_row.take(high_codes[:, j])
+    return signature
 
 
 def all_variants_np(words: npt.ArrayLike, n_wires: int) -> U64Array:

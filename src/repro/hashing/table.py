@@ -10,12 +10,15 @@ small integer values (circuit sizes in the synthesis database).
 The all-ones word is used as the empty-slot sentinel; it can never encode
 a valid permutation (its nibbles repeat), so no key escaping is needed.
 
-:class:`MissFilter` is a one-hash Bloom filter derived from a slot-key
-array: a lookup that tests it first probes only the keys it admits.
+:class:`MissFilter` is a two-probe Bloom filter of 64-bit signatures:
+the database fills it with a relabeling-invariant signature of every
+stored class, and a lookup that tests it first canonicalizes and probes
+only the words it admits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +48,10 @@ U8Array = npt.NDArray[np.uint8]
 #: 15.3, and 65,536 keys at load 0.125 (the ``table.lookup_batch``
 #: bench op) 2.52 ms against 2.59.  Rounds of 2^12 and 2^14 slots came
 #: within ~15% of this; 2^15 was 15-45% slower from 784 keys up.  Most
-#: of a scan's misses now stop at the :class:`MissFilter` and never reach
-#: the probe: an A_3 scan sends it the hits plus ~10% of the misses.
+#: of a scan's misses now stop at the :class:`MissFilter` before they are
+#: canonicalized: an A_3 pass of 16,204 words sends the probe ~200 keys,
+#: and batches of up to 128 words (the A_1 pass, compile pass 1) skip the
+#: filter and probe every canonical word.
 _ROUND_SLOTS = 1 << 13
 _MAX_WINDOW = 64
 _WINDOW_OFFSETS = np.arange(_MAX_WINDOW, dtype=np.uint64)
@@ -132,60 +137,68 @@ def probe_get(
 
 
 #: Filter bits per stored key, before the bitset is rounded up to a power
-#: of two: one hash then sets 6-12% of the bits, and that share of absent
-#: keys still reaches the probe.
-_FILTER_BITS_PER_KEY = 8
-#: Slots hashed per step of :func:`build_miss_filter`.  At 2^21 slots
-#: (k = 6, 1.59 M keys) a one-shot build took 87-99 ms and 51 MiB of
-#: temporaries, steps of 2^16 slots 46-60 ms and 3.5 MiB (2-vCPU x86 VM).
-_FILTER_CHUNK_SLOTS = 1 << 16
+#: of two.  The database adds two signatures per key (the key's and its
+#: inverse's), each setting two bits, so at 32 bits per key ~10% of the
+#: bits are set and ~1.2% of an A_3 pass's absent words pass.  At 8 bits
+#: per key a third of the bits were set and ~12% passed.
+_FILTER_BITS_PER_KEY = 32
+_SIX = np.uint64(6)
+_BIT_INDEX = np.uint64(63)
 _ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
 class MissFilter:
-    """One-hash Bloom filter over the keys stored in a slot array.
+    """Two-probe Bloom filter over 64-bit signatures.
 
-    For every stored key, bit ``hash64shift(key) >> shift`` of the
-    ``bitset`` (uint64 words, bit ``i`` in word ``i >> 6``) is set.  A
-    clear bit proves a key absent; a set bit says nothing, so the key is
-    probed.  The home slot takes the low bits of the same hash and the
-    filter the high ones.  ``count`` is the stored-key count the filter
-    was built for.
+    A signature ``s`` selects word ``s >> shift`` of the ``bitset`` and,
+    in that word, bits ``s & 63`` and ``(s >> 6) & 63``: both probes land
+    in one word, so a test or an insert reads one.  A signature whose
+    bits are not both set was never added; a set pair says nothing.
+    ``count`` is the stored-key count the filter was built for.
     """
 
     bitset: U64Array
     shift: np.uint64
     count: int
 
-    def admits(self, keys: npt.ArrayLike) -> npt.NDArray[np.bool_]:
-        """False for each key the filter proves absent, True otherwise."""
-        bit = hash64shift_np(np.asarray(keys, dtype=np.uint64)) >> self.shift
-        word = self.bitset[bit >> np.uint64(6)]
-        return ((word >> (bit & np.uint64(63))) & _ONE) != 0
+    @classmethod
+    def build(
+        cls, signatures: "Iterable[npt.ArrayLike]", count: int
+    ) -> "MissFilter":
+        """The filter holding every signature in the ``signatures`` chunks.
 
-
-def build_miss_filter(table_keys: U64Array, count: int) -> MissFilter:
-    """The :class:`MissFilter` of the keys in a raw slot-key array.
-
-    ``count`` (the table's stored-key count) sizes the bitset at
-    :data:`_FILTER_BITS_PER_KEY` bits per key, rounded up to a power of
-    two; every key in the slots is set whatever ``count`` says, so the
-    filter never hides a stored key.  The slots are hashed in steps of
-    :data:`_FILTER_CHUNK_SLOTS`.
-    """
-    bits = max(6, (_FILTER_BITS_PER_KEY * count - 1).bit_length())
-    shift = np.uint64(64 - bits)
-    bitset = np.zeros(1 << (bits - 6), dtype=np.uint64)
-    # Plain view: slicing a np.memmap builds memmap objects.
-    table_keys = np.asarray(table_keys)
-    for start in range(0, table_keys.shape[0], _FILTER_CHUNK_SLOTS):
-        chunk = table_keys[start : start + _FILTER_CHUNK_SLOTS]
-        bit = hash64shift_np(chunk[chunk != EMPTY]) >> shift
-        np.bitwise_or.at(
-            bitset, bit >> np.uint64(6), _ONE << (bit & np.uint64(63))
+        ``count`` sizes the bitset at :data:`_FILTER_BITS_PER_KEY` bits
+        per key, rounded up to a power of two.  Each chunk is inserted by
+        fancy-indexed OR; where a word index repeats within a chunk one
+        write wins, so the signatures whose bits did not stick are
+        inserted again until none is left.
+        """
+        word_bits = max(1, (_FILTER_BITS_PER_KEY * count - 1).bit_length() - 6)
+        built = cls(
+            bitset=np.zeros(1 << word_bits, dtype=np.uint64),
+            shift=np.uint64(64 - word_bits),
+            count=count,
         )
-    return MissFilter(bitset=bitset, shift=shift, count=count)
+        bitset = built.bitset
+        for chunk in signatures:
+            words, bits = built._probes(chunk)
+            while words.size:
+                bitset[words] |= bits
+                lost = (bitset[words] & bits) != bits
+                words, bits = words[lost], bits[lost]
+        return built
+
+    def _probes(self, signatures: npt.ArrayLike) -> "tuple[U64Array, U64Array]":
+        signatures = np.asarray(signatures, dtype=np.uint64)
+        bits = _ONE << (signatures & _BIT_INDEX)
+        bits |= _ONE << ((signatures >> _SIX) & _BIT_INDEX)
+        return signatures >> self.shift, bits
+
+    def admits(self, signatures: npt.ArrayLike) -> npt.NDArray[np.bool_]:
+        """False for each signature the filter never held, True otherwise."""
+        words, bits = self._probes(signatures)
+        return (self.bitset[words] & bits) == bits
 
 
 def stats_from_slots(table_keys: U64Array, value_bytes: "int | None" = None) -> "TableStats":

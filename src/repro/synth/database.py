@@ -21,7 +21,7 @@ witnesses exactly as the paper does, and the tests cross-check the two.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -30,15 +30,18 @@ import numpy as np
 from repro.core import packed
 from repro.core.gates import Gate, all_gates, gate_words
 from repro.core.packed_np import (
+    GATHER_MAX_WORDS,
     canonical_np,
     canonical_variant,
     class_sizes_np,
     compose_np,
+    conjugation_signature_np,
     expand_classes_np,
+    inverse_np,
     relabelings_np,
 )
 from repro.errors import DatabaseError
-from repro.hashing.table import LinearProbingTable, MissFilter, build_miss_filter
+from repro.hashing.table import EMPTY, LinearProbingTable, MissFilter
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ _MASK_BLOCK = 1 << 14
 
 #: The low half of a peel mask: the gates that can end a representative.
 _LOW_HALF = (1 << 32) - 1
+
+#: Slots read per step of the :class:`MissFilter` build: at most 16,384
+#: stored keys, whose signatures and those of their inverses take ~1 MiB
+#: of temporaries.
+_FILTER_CHUNK_SLOTS = 1 << 14
 
 
 @dataclass
@@ -130,35 +138,64 @@ class OptimalDatabase:
     def sizes_batch(
         self, words: np.ndarray, assume_canonical: bool = False
     ) -> np.ndarray:
-        """Vectorized size lookup; ``MISSING`` (255) marks absent classes.
+        """Vectorized size lookup of a 1-D word array; ``MISSING`` (255)
+        marks absent classes.
 
         Every A_i scan and compile completion search looks up through
-        here, and nearly all of a scan's words are absent.  Only the
-        words the :meth:`miss_filter` admits are probed; the rest are
-        proven absent, so the result equals ``table.lookup_batch`` of
-        the canonical words.
+        here, and nearly all of a scan's words are absent.  A batch of
+        more than :data:`GATHER_MAX_WORDS` words is tested against the
+        :meth:`miss_filter` first, and only the words it admits are
+        canonicalized and probed; the rest are proven absent, so the
+        result equals ``table.lookup_batch`` of the canonical words.
+        Smaller batches (the A_1 pass, compile pass 1) are
+        canonicalized and probed directly.
         """
         words = np.asarray(words, dtype=np.uint64)
+        if words.shape[0] <= GATHER_MAX_WORDS:
+            if not assume_canonical:
+                words = canonical_np(words, self.n_wires)
+            return self.table.lookup_batch(words)
+        admitted = self.miss_filter().admits(
+            conjugation_signature_np(words, self.n_wires)
+        )
+        keys = words[admitted]
         if not assume_canonical:
-            words = canonical_np(words, self.n_wires)
-        admitted = self.miss_filter().admits(words)
+            keys = canonical_np(keys, self.n_wires)
         sizes = np.full(words.shape, self.table.missing_value, dtype=np.uint8)
-        sizes[admitted] = self.table.lookup_batch(words[admitted])
+        sizes[admitted] = self.table.lookup_batch(keys)
         return sizes
 
     def miss_filter(self) -> MissFilter:
         """The table's miss filter, built from its slot keys on first use.
 
-        A filter is rebuilt when the table's key count has changed since
-        (the BFS fills the table in place), so no lookup sees a stale one.
+        It holds the :func:`conjugation_signature_np` of every stored
+        key ``r`` and of ``r⁻¹``.  Every member of ``r``'s class is a
+        relabeling of one of the two and shares its signature, so the
+        filter admits every word of a stored class.  A filter is rebuilt
+        when the table's key count has changed since (the BFS fills the
+        table in place), so no lookup sees a stale one.
         """
         count = len(self.table)
         cached = self.filter_cache
         if cached is None or cached.count != count:
             # Threads that race here build equal filters; either may stay.
-            slot_keys, _ = self.table.slot_arrays()
-            cached = self.filter_cache = build_miss_filter(slot_keys, count)
+            cached = self.filter_cache = MissFilter.build(
+                self._class_signatures(), count
+            )
         return cached
+
+    def _class_signatures(self) -> "Iterator[np.ndarray]":
+        """The signatures of the stored keys and of their inverses, read
+        from the slot keys in steps of :data:`_FILTER_CHUNK_SLOTS`."""
+        slot_keys, _ = self.table.slot_arrays()
+        # Plain view: slicing a np.memmap builds memmap objects.
+        slot_keys = np.asarray(slot_keys)
+        for start in range(0, slot_keys.shape[0], _FILTER_CHUNK_SLOTS):
+            chunk = slot_keys[start : start + _FILTER_CHUNK_SLOTS]
+            keys = chunk[chunk != EMPTY]
+            yield conjugation_signature_np(keys, self.n_wires)
+            inverses = inverse_np(keys, self.n_wires)
+            yield conjugation_signature_np(inverses, self.n_wires)
 
     # ------------------------------------------------------------------
     # Canonical cache keys (service layer hooks)
@@ -273,9 +310,10 @@ class OptimalDatabase:
         return masks
 
     def probed_peel_masks(self, reps: np.ndarray, size: int) -> np.ndarray:
-        """The peel masks of ``reps`` (all of size ``size``) by
-        canonicalizing and probing their neighbours: the slower route
-        ``repro db verify`` checks the stored masks against."""
+        """The peel masks of ``reps`` (all of size ``size``) by looking
+        their neighbours up with :meth:`sizes_batch` (miss filter,
+        canonicalization, probe): the slower route ``repro db verify``
+        checks the stored masks against."""
 
         def one_smaller(words: np.ndarray) -> np.ndarray:
             sizes = self.sizes_batch(words.ravel()).reshape(words.shape)

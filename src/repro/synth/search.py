@@ -13,8 +13,10 @@ s <= L = k + m is synthesized minimally:
   Section 3.1 of the paper).
 
 The list scan is fully vectorized: one numpy pass composes f with the
-whole list, canonicalizes the results (48 variants folded with
-element-wise minima), and batch-probes the hash table.
+whole list and sizes the results with one ``sizes_batch`` call, which
+drops most misses by a relabeling-invariant signature before it
+canonicalizes (48 variants folded with element-wise minima) and
+batch-probes the hash table.
 """
 
 from __future__ import annotations

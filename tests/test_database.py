@@ -2,16 +2,26 @@
 
 import random
 import struct
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from repro.core import equivalence, packed
 from repro.core.gates import all_gates
-from repro.core.packed_np import canonical_np, compose_np
+from repro.core.packed_np import (
+    GATHER_MAX_WORDS,
+    as_words,
+    canonical_np,
+    compose_np,
+    conjugation_signature_np,
+    inverse_np,
+    relabelings_np,
+)
 from repro.errors import DatabaseError
 from repro.store import map_database, read_header, write_rdb
 from repro.synth.database import OptimalDatabase
+from repro.synth.search import MeetInTheMiddleSearch
 
 
 def _pack_rows(images: np.ndarray) -> np.ndarray:
@@ -114,9 +124,10 @@ class TestLookups:
     def test_sizes_batch_equals_unfiltered_probe(
         self, db3, db4_k4, engine4_l7, mapped, tmp_path
     ):
-        """sizes_batch probes only the words its miss filter admits; the
-        answer equals probing every canonical word: on all stored keys,
-        and on seeded misses shaped like an A_i scan."""
+        """sizes_batch canonicalizes and probes only the words its miss
+        filter admits; the answer equals probing every canonical word:
+        on all stored keys, on seeded misses shaped like an A_i scan, and
+        on a batch small enough to skip the filter."""
         rng = np.random.default_rng(2000)
         random_words = _pack_rows(np.argsort(rng.random((2_000, 16)), axis=1))
         far: "dict[int, list[int]]" = {6: [], 7: []}
@@ -134,10 +145,16 @@ class TestLookups:
             for word in words
             for i in (0, 1)
         ]
+        mixed = np.concatenate([random_words, *scans])
+        small = np.concatenate([
+            rng.choice(db4_k4.table.keys(), 40),
+            rng.choice(mixed, GATHER_MAX_WORDS - 40),
+        ])
         cases = [
             (db3, db3.table.keys()),
             (db4_k4, db4_k4.table.keys()),
-            (db4_k4, np.concatenate([random_words, *scans])),
+            (db4_k4, small),
+            (db4_k4, mixed),
         ]
         for db, words in cases:
             if mapped:
@@ -146,30 +163,57 @@ class TestLookups:
                 )
             expected = db.table.lookup_batch(canonical_np(words, db.n_wires))
             assert np.array_equal(db.sizes_batch(words), expected)
-        hits = expected != db4_k4.MISSING
+            hits = expected != db.MISSING
+            if words is small:
+                assert 40 <= hits.sum() < hits.size
         assert 0 < hits.sum() < hits.size // 2
 
     def test_sizes_batch_sees_keys_inserted_after_first_use(self, db4_k4):
         """The BFS fills the table in place: a key inserted after the
-        filter was built is found by the next call."""
+        filter was built, whose signature that filter rejected, is found
+        by the next batch that tests the filter."""
         db = OptimalDatabase.from_reps(4, 2, db4_k4.reps_by_size[:3])
         candidates = db4_k4.reps_by_size[3]
+        assert candidates.shape[0] > GATHER_MAX_WORDS
         assert set(db.sizes_batch(candidates).tolist()) == {db.MISSING}
-        rejected = candidates[~db.miss_filter().admits(candidates)]
-        key = int(rejected[0])
-        db.table.insert(key, 3)
-        assert db.sizes_batch(np.array([key], dtype=np.uint64)).tolist() == [3]
+        signatures = conjugation_signature_np(candidates, 4)
+        rejected = int(np.flatnonzero(~db.miss_filter().admits(signatures))[0])
+        db.table.insert(int(candidates[rejected]), 3)
+        sizes = db.sizes_batch(candidates)
+        assert sizes[rejected] == 3
+        assert np.count_nonzero(sizes != db.MISSING) == 1
 
     def test_miss_filter_rejects_most_absent_words(self, db4_k5):
-        """About 10% of the k = 5 filter's bits are set, so about that
-        share of absent words reaches the probe (a filter that admits
+        """About 10% of the k = 5 filter's bits are set and a word needs
+        two, so ~1% of absent words pass it (a filter that admits
         everything would still be exact)."""
         rng = np.random.default_rng(5000)
-        words = canonical_np(
-            _pack_rows(np.argsort(rng.random((5_000, 16)), axis=1)), 4
+        words = _pack_rows(np.argsort(rng.random((5_000, 16)), axis=1))
+        assert not db4_k5.table.contains_batch(canonical_np(words, 4)).any()
+        signatures = conjugation_signature_np(words, 4)
+        assert db4_k5.miss_filter().admits(signatures).mean() <= 0.03
+
+    def test_miss_filter_rejects_most_of_an_a3_pass(self, db4_k5):
+        """Shaped like a scan: the A_3 pass of three size-8 words at
+        k = 5, which holds the hits of the split."""
+        lists = MeetInTheMiddleSearch.build_lists(db4_k5, 3)
+        engine = MeetInTheMiddleSearch(db4_k5, lists)
+        gates = [gate.to_word(4) for gate in all_gates(4)]
+        rng = random.Random(8)
+        words: "list[int]" = []
+        while len(words) < 3:
+            word = packed.identity(4)
+            for gate in rng.choices(gates, k=8):
+                word = packed.compose(word, gate, 4)
+            if engine.size_of(word) == 8:
+                words.append(word)
+        batch = np.concatenate(
+            [compose_np(lists[2], np.uint64(word), 4) for word in words]
         )
-        assert not db4_k5.table.contains_batch(words).any()
-        assert db4_k5.miss_filter().admits(words).mean() <= 0.15
+        admitted = db4_k5.miss_filter().admits(conjugation_signature_np(batch, 4))
+        present = db4_k5.table.contains_batch(canonical_np(batch, 4))
+        assert present.any() and admitted[present].all()
+        assert admitted.mean() <= 0.03
 
     def test_lookup_with_keys(self, db4_k4):
         word = int(db4_k4.reps_by_size[3][1])
@@ -179,6 +223,51 @@ class TestLookups:
         )
         assert set(keys.tolist()) == {word}
         assert set(sizes.tolist()) == {3}
+
+
+class TestMissFilterExactness:
+    """The miss filter never hides a stored class, checked word by word
+    rather than by the relabeling argument."""
+
+    def test_admits_every_function_of_n3(self, db3):
+        """The complete n = 3 database stores every class: the filter
+        admits all 8! functions, and large batches answer like the
+        unfiltered probe."""
+        words = as_words([packed.pack(list(p)) for p in permutations(range(8))])
+        assert words.shape == (40_320,)
+        signatures = conjugation_signature_np(words, 3)
+        assert db3.miss_filter().admits(signatures).all()
+        expected = db3.table.lookup_batch(canonical_np(words, 3))
+        assert db3.MISSING not in expected
+        batch = 3 * GATHER_MAX_WORDS + 1
+        sizes = np.concatenate([
+            db3.sizes_batch(words[start : start + batch])
+            for start in range(0, words.shape[0], batch)
+        ])
+        assert np.array_equal(sizes, expected)
+
+    def test_admits_every_relabeling_of_each_rep_and_its_inverse(self, db4_k4):
+        """n = 4, k = 4: the signature is constant across the relabelings
+        of each stored representative r and across those of r⁻¹, and the
+        filter admits all of them and seeded members of stored classes."""
+        reps = np.concatenate([np.asarray(r) for r in db4_k4.reps_by_size])
+        miss_filter = db4_k4.miss_filter()
+        for source in (reps, inverse_np(reps, 4)):
+            for start in range(0, source.shape[0], 2_000):
+                rows = relabelings_np(source[start : start + 2_000], 4)
+                signatures = conjugation_signature_np(rows.ravel(), 4)
+                signatures = signatures.reshape(rows.shape)
+                assert (signatures == signatures[:, :1]).all()
+                assert miss_filter.admits(signatures.ravel()).all()
+        rng = random.Random(24)
+        members = []
+        for _ in range(300):
+            rep = int(reps[rng.randrange(reps.shape[0])])
+            members.append(
+                rng.choice(sorted(equivalence.equivalence_class(rep, 4)))
+            )
+        signatures = conjugation_signature_np(as_words(members), 4)
+        assert miss_filter.admits(signatures).all()
 
 
 class TestPersistence:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed_np import conjugation_signature_np
 from repro.hashing.table import (
     _ROUND_SLOTS,
     EMPTY,
     LinearProbingTable,
-    build_miss_filter,
+    MissFilter,
     probe_get,
 )
 from repro.hashing.wang import hash64shift, hash64shift_np
@@ -183,10 +184,35 @@ def _store_load_table():
     return table, stored, wrap_misses, misses
 
 
+class TestMissFilter:
+    """The two-probe filter holds every signature it was built from."""
+
+    def test_admits_every_signature_it_holds(self):
+        rng = np.random.default_rng(24)
+        held = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+        others = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+        miss_filter = MissFilter.build(np.split(held, [7_000, 7_001]), 10_000)
+        assert miss_filter.bitset.shape == (1 << 13,)
+        assert miss_filter.admits(held).all()
+        assert miss_filter.admits(others).mean() < 0.03
+
+    def test_signatures_sharing_a_word_in_one_chunk_all_stick(self):
+        """A fancy-indexed OR keeps one write per repeated word index;
+        the build re-inserts the rest."""
+        rng = np.random.default_rng(25)
+        low_bits = rng.permutation(1 << 12)[:40].astype(np.uint64)
+        same_word = (np.uint64(5) << np.uint64(60)) | low_bits
+        miss_filter = MissFilter.build([same_word], 1)
+        assert miss_filter.admits(same_word).all()
+        assert np.count_nonzero(miss_filter.bitset) == 1
+        assert miss_filter.admits(same_word ^ np.uint64(1 << 63)).sum() == 0
+
+
 class TestBatchProbeMatchesScalar:
     """``probe_lookup_batch`` settles each key where ``probe_get`` does,
     on both storage back ends, at the real store's load factor; so does
-    the lookup behind the miss filter."""
+    the lookup behind the miss filter, whose signatures admit every
+    stored key, though none of these keys is a permutation."""
 
     @staticmethod
     def _batches(stored, wrap_misses, misses):
@@ -214,8 +240,9 @@ class TestBatchProbeMatchesScalar:
             for key in batch.tolist()
         ]
         assert table.lookup_batch(batch).tolist() == expected
-        admitted = build_miss_filter(slot_keys, len(table)).admits(batch)
-        assert all(admitted[np.array(expected) != table.missing_value])
+        miss_filter = db.miss_filter()
+        for keys in (table.keys(), batch[np.array(expected) != table.missing_value]):
+            assert miss_filter.admits(conjugation_signature_np(keys, 4)).all()
         assert db.sizes_batch(batch, assume_canonical=True).tolist() == expected
         return expected
 
