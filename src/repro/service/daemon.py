@@ -319,12 +319,13 @@ class SynthesisService(RequestFront):
         The completion search runs under one tracked cancel token that
         carries the request deadline, or ``hard_timeout`` without one:
         expiry, breaker trips, and shutdown preempt it at the next
-        completion boundary, after which the request degrades instead of
-        erroring.  A late answer counts as a deadline miss, as a late
-        scan does (:meth:`_count_if_late`).  Compile answers are never
-        cached: the result is keyed by the *spec* (not a permutation
-        class), and the embedding payload already makes re-compilation
-        cheap to reason about.
+        checkpoint -- around the database pass, and before each ``A_i``
+        list of a full search -- after which the request degrades
+        instead of erroring.  A late answer counts as a deadline miss,
+        as a late scan does (:meth:`_count_if_late`).  Compile answers
+        are never cached: the result is keyed by the *spec* (not a
+        permutation class), and the embedding payload already makes
+        re-compilation cheap to reason about.
         """
         from repro.specs import compile_spec
 

@@ -10,12 +10,13 @@ The pipeline behind the ``repro compile`` CLI and the daemon's
 
 Guarantee taxonomy (see ``docs/COMPILE.md``):
 
-* ``optimal`` -- every consistent completion was sized exactly (the
-  completion search was exhaustive) *and* the engine's answer for the
-  winner is provably minimal.  The circuit is gate-minimal over all
-  functions matching the spec.
-* ``upper_bound`` -- the completion space was sampled, or the engine
-  itself only guarantees a bound.  The circuit is correct on every
+* ``optimal`` -- the completion search was exhaustive and proved its
+  answer minimal over every consistent completion *and* the engine's
+  answer for the winner is provably minimal.  The circuit is
+  gate-minimal over all functions matching the spec.
+* ``upper_bound`` -- the completion space was sampled, the capped full
+  searches left a completion unsized, or the engine itself only
+  guarantees a bound.  The circuit is correct on every
   specified row; its size may not be globally minimal.
 
 Engines exposing the optimal synthesizer's fast surface (``database`` +
@@ -62,7 +63,8 @@ class CompileResult:
         engine: Registry name of the engine that synthesized it.
         size/circuit/depth/cost: The circuit and its metrics.
         guarantee: ``"optimal"`` or ``"upper_bound"`` (see module doc).
-        exhaustive: Whether every consistent completion was sized.
+        exhaustive: Whether every consistent completion was sized or
+            proven no smaller than the chosen one.
         completions_tried: How many completions were evaluated.
         seconds: Wall time (excluded from :meth:`to_wire`).
     """
@@ -134,9 +136,12 @@ def compile_spec(
         samples: Sampled-regime budget for the completion search.
         exhaustive_limit: Largest ``t!`` enumerated exhaustively.
         seed: Seed for the sampled regime (deterministic).
-        cancel: Optional cooperative checkpoint called between
-            completion evaluations (raises to abort -- the daemon
-            passes a :class:`repro.service.tasks.CancelToken`'s).
+        cancel: Optional cooperative checkpoint (raises to abort --
+            the daemon passes a
+            :class:`repro.service.tasks.CancelToken`'s).  The database
+            path calls it around its database pass and before each
+            ``A_i`` list of a full search; other engines get it between
+            completion evaluations and as ``options["cancel"]``.
 
     Raises:
         SpecError: The spec cannot be embedded into ``n_wires``.

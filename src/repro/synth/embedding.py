@@ -10,8 +10,11 @@ this module does on top of the optimal synthesizer.
 Two regimes:
 
 * **Exhaustive** -- with ``t`` unspecified rows there are ``t!``
-  completions; for ``t! <= exhaustive_limit`` all of them are sized and
-  a provably minimal-over-completions circuit is returned.
+  completions; for ``t! <= exhaustive_limit`` all of them are sized
+  against the database and a provably minimal-over-completions circuit
+  is returned.  When none is in the database, the full searches size
+  only a capped number, and the answer stays exact only if the cap
+  covered them all or the best reached the floor ``k + 1``.
 * **Sampled** -- beyond that, *distinct* random completions are drawn
   (seeded, reproducible, without replacement) and the best found is
   returned, flagged as a bound.  When the draw nevertheless covers all
@@ -100,8 +103,9 @@ class EmbeddingResult:
         circuit: The best circuit found.
         permutation: The completion it implements.
         size: Its gate count.
-        exhaustive: True when every completion was sized (so ``size`` is
-            the true optimum over don't-cares), False for sampled runs.
+        exhaustive: True when every completion was sized or proven
+            no smaller than the chosen one (so ``size`` is the true
+            optimum over don't-cares), False for sampled or capped runs.
         completions_tried: How many completions were evaluated.
     """
 
@@ -136,8 +140,13 @@ def synthesize_partial(
 
     ``cancel`` is an optional cooperative checkpoint (e.g. a
     :meth:`repro.service.tasks.CancelToken.checkpoint` bound method)
-    called before and after the batched database pass and between
-    full-search evaluations; it may raise to abort.
+    called before and after the batched database pass and, in the full
+    searches, before each ``A_i`` list; it may raise to abort.
+
+    The full searches (pass 2) size at most ``samples // 10`` of the
+    completions that are not in the database, and the result is
+    ``exhaustive`` only when that cap covered all of them or the best
+    one reached the floor ``k + 1`` that nothing deferred can beat.
     """
     best_perm = None
     best_size = None
@@ -182,16 +191,29 @@ def synthesize_partial(
             if size == 0:
                 break
     # Pass 2 (only when nothing was within the fast path): full
-    # meet-in-the-middle queries on a bounded number of completions.
+    # meet-in-the-middle queries on a bounded number of completions, as
+    # branch and bound.  Pass 1 proved every deferred completion larger
+    # than k, so one of size k + 1 cannot be beaten and ends the search.
+    # Until then each completion is sized only as deep as could beat the
+    # best so far; a smaller one is found at the same list and hit as by
+    # an unbounded scan, so the first minimum is the same.
     if best_perm is None:
-        for perm in deferred[: max(1, samples // 10)]:
-            if cancel is not None:
-                cancel()
-            size, exact = synthesizer.size_or_bound(perm)
-            if not exact:
-                continue
-            if best_size is None or size < best_size:
+        floor = 0 if database is None else database.k + 1
+        capped = deferred[: max(1, samples // 10)]
+        for perm in capped:
+            if best_size == floor:
+                break
+            max_size = None if best_size is None else best_size - 1
+            size, exact = synthesizer.size_or_bound(
+                perm, cancel=cancel, max_size=max_size
+            )
+            if exact:
                 best_perm, best_size = perm, size
+        # Completions past the cap were never sized: only the floor or
+        # a cap that covered them all keeps the answer exhaustive.
+        exhaustive = exhaustive and (
+            best_size == floor or len(capped) == len(deferred)
+        )
     if best_perm is None:
         raise SynthesisError(
             "every evaluated completion exceeds the synthesizer's reach; "

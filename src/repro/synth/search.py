@@ -126,18 +126,34 @@ class MeetInTheMiddleSearch:
         :class:`SizeLimitExceededError` when size > L."""
         return self.search(word, cancel=cancel).circuit
 
-    def size_of(self, word: int, cancel=None) -> int:
-        """Optimal size of ``word`` (without reconstructing the circuit)."""
+    def size_of(
+        self, word: int, cancel=None, max_size: "int | None" = None
+    ) -> int:
+        """Optimal size of ``word`` (without reconstructing the circuit).
+
+        ``max_size`` (default and at most L) is the largest size worth
+        proving: the scan covers only A_1..A_{max_size-k}, and a
+        function larger than ``max_size`` raises
+        :class:`SizeLimitExceededError` with ``lower_bound = max_size +
+        1``.  A smaller function is found at the same list and the same
+        first hit as by the full scan.
+        """
+        limit = self.max_size
+        if max_size is not None:
+            limit = min(max_size, limit)
         fast = self.db.size_of(word)
-        if fast is not None:
-            return fast
-        i, _v, h_size, tested = self._scan_lists(word, cancel=cancel)
-        if i is None:
-            raise SizeLimitExceededError(
-                f"function requires more than {self.max_size} gates",
-                lower_bound=self.max_size + 1,
+        if fast is None:
+            i, _v, h_size, _tested = self._scan_lists(
+                word, cancel=cancel, max_size=limit
             )
-        return i + h_size
+            if i is not None:
+                return i + h_size
+        elif fast <= limit:
+            return fast
+        raise SizeLimitExceededError(
+            f"function requires more than {limit} gates",
+            lower_bound=limit + 1,
+        )
 
     def search(self, word: int, cancel=None) -> SearchOutcome:
         """Full query returning the circuit plus search statistics.
@@ -195,9 +211,12 @@ class MeetInTheMiddleSearch:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _scan_lists(self, word: int, cancel=None):
+    def _scan_lists(self, word: int, cancel=None, max_size: "int | None" = None):
         """Scan A_1, A_2, ... for the smallest split; returns
         ``(i, v, h_size, candidates_tested)`` or ``(None, None, None, t)``.
+
+        ``max_size`` stops the scan after A_{max_size-k}: a function
+        found there has size at most ``max_size``.
 
         ``cancel`` (when given) runs before each list is composed -- the
         cooperative preemption point for cancellable hard work: each
@@ -206,9 +225,12 @@ class MeetInTheMiddleSearch:
         """
         n = self.db.n_wires
         word_u = np.uint64(word)
+        lists = self.lists
+        if max_size is not None:
+            lists = lists[: max(0, max_size - self.db.k)]
         tested = 0
         with trace("search.scan"):
-            for i, candidates_v in enumerate(self.lists, start=1):
+            for i, candidates_v in enumerate(lists, start=1):
                 if cancel is not None:
                     cancel()
                 if candidates_v.shape[0] == 0:

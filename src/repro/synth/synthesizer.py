@@ -240,16 +240,28 @@ class OptimalSynthesizer:
         perm = Permutation.coerce(spec, self.n_wires)
         return self.search_engine.size_of(perm.word)
 
-    def size_or_bound(self, spec) -> tuple[int, bool]:
-        """``(value, exact)``: the optimal size when reachable
-        (exact=True), else a proven lower bound (exact=False)."""
+    def size_or_bound(
+        self, spec, cancel=None, max_size: "int | None" = None
+    ) -> tuple[int, bool]:
+        """``(value, exact)``: the optimal size when it is at most
+        ``max_size`` (default L; exact=True), else a proven lower bound
+        (exact=False).
+
+        ``max_size`` and ``cancel`` go to
+        :meth:`repro.synth.search.MeetInTheMiddleSearch.size_of`: the
+        scan stops after A_{max_size-k}, and ``cancel`` runs before
+        each list.
+        """
         from repro.errors import SizeLimitExceededError
 
         perm = Permutation.coerce(spec, self.n_wires)
         try:
-            return self.search_engine.size_of(perm.word), True
+            size = self.search_engine.size_of(
+                perm.word, cancel=cancel, max_size=max_size
+            )
         except SizeLimitExceededError as exc:
             return exc.lower_bound, False
+        return size, True
 
     def verify(self, circuit: Circuit, spec) -> bool:
         """Check that a circuit implements a specification."""

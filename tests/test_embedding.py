@@ -1,9 +1,13 @@
 """Tests for don't-care/irreversible embedding synthesis."""
 
+import random
+
 import pytest
 
+from repro.core.circuit import Circuit
+from repro.core.gates import all_gates
 from repro.core.permutation import Permutation
-from repro.errors import SynthesisError
+from repro.errors import SizeLimitExceededError, SynthesisError
 from repro.synth.embedding import (
     EmbeddingResult,
     PartialSpec,
@@ -12,6 +16,7 @@ from repro.synth.embedding import (
     synthesize_boolean_embedding,
     synthesize_partial,
 )
+from repro.synth.search import MeetInTheMiddleSearch
 from repro.synth.synthesizer import OptimalSynthesizer
 
 
@@ -20,6 +25,99 @@ def synth():
     synthesizer = OptimalSynthesizer(k=4, max_list_size=2, cache_dir=False)
     synthesizer.prepare()
     return synthesizer
+
+
+@pytest.fixture(scope="module")
+def synth7(handle4):
+    """The shared k = 4, L = 7 state: every completion of the specs
+    below is beyond k, so the completion search falls to pass 2."""
+    return OptimalSynthesizer.from_handle(handle4)
+
+
+#: Exhaustive specs with no completion in the k = 4 database, and the
+#: optimal size of each completion in order (None: beyond L = 7).
+PASS2_SPECS = {
+    "A": (
+        (None, 9, 1, 8, 4, 13, 7, 12, 10, 3, 11, 2, None, None, 14, 5),
+        (7, 6, None, None, None, None),
+    ),
+    # Pass 2 improves 7 -> 6 -> 5, and 5 = k + 1 is the floor.
+    "B": (
+        (4, 7, 14, None, 0, 1, 10, 11, 12, 15, None, 13, 8, 9, None, 2),
+        (7, 6, 7, 5, 6, 5),
+    ),
+    "C": (
+        (5, 4, 15, None, 1, 0, None, 3, 13, None, 7, 6, 9, 8, 2, 10),
+        (None, 7, 6, None, 5, None),
+    ),
+}
+
+
+def _unbounded_pass2(spec, synthesizer, samples):
+    """Reference for a spec with no completion in the database: size
+    the first ``samples // 10`` completions in order, each to the full
+    reach L, and keep the first minimum.
+
+    Returns ``(permutation, size, circuit text, completions_tried)``.
+    """
+    deferred = list(spec.completions())
+    best_perm, best_size = None, None
+    for perm in deferred[: max(1, samples // 10)]:
+        size, exact = synthesizer.size_or_bound(perm)
+        if exact and (best_size is None or size < best_size):
+            best_perm, best_size = perm, size
+    if best_perm is None:
+        raise SynthesisError("every evaluated completion is out of reach")
+    circuit = str(synthesizer.synthesize(best_perm))
+    return best_perm, best_size, circuit, len(deferred)
+
+
+def _seeded_pass2_specs(database, count, seed=25):
+    """Random 5-7-gate circuits with three output rows freed, kept
+    when none of their six completions is in ``database``."""
+    rng = random.Random(seed)
+    gates = all_gates(4)
+    specs = []
+    while len(specs) < count:
+        length = rng.randint(5, 7)
+        circuit = Circuit(
+            gates=tuple(rng.choice(gates) for _ in range(length)), n_wires=4
+        )
+        values = list(Permutation.from_word(circuit.to_word(), 4).values)
+        for row in rng.sample(range(16), 3):
+            values[row] = None
+        spec = PartialSpec(outputs=tuple(values), n_wires=4)
+        if all(database.size_of(p.word) is None for p in spec.completions()):
+            specs.append(spec)
+    return specs
+
+
+class _ScanCounter:
+    """Wraps ``MeetInTheMiddleSearch._scan_lists`` to count scans, their
+    candidates, and checkpoints run while a scan is open."""
+
+    def __init__(self, monkeypatch):
+        self.scans = 0
+        self.candidates = 0
+        self.inside = False
+        self.checkpoints_inside = 0
+        scan = MeetInTheMiddleSearch._scan_lists
+
+        def counted(engine, *args, **kwargs):
+            self.inside = True
+            try:
+                result = scan(engine, *args, **kwargs)
+            finally:
+                self.inside = False
+            self.scans += 1
+            self.candidates += result[3]
+            return result
+
+        monkeypatch.setattr(MeetInTheMiddleSearch, "_scan_lists", counted)
+
+    def checkpoint(self):
+        if self.inside:
+            self.checkpoints_inside += 1
 
 
 class TestPartialSpec:
@@ -132,6 +230,127 @@ class TestSynthesizePartial:
             embed_boolean_function([0, 1], n_inputs=2)
         with pytest.raises(SynthesisError):
             embed_boolean_function(list(range(16)), n_inputs=4, n_wires=4)
+
+
+class TestPassTwo:
+    """The full searches run when no completion is in the database."""
+
+    def test_completion_sizes(self, synth7):
+        for outputs, sizes in PASS2_SPECS.values():
+            spec = PartialSpec(outputs=outputs, n_wires=4)
+            found = []
+            for perm in spec.completions():
+                size, exact = synth7.size_or_bound(perm)
+                found.append(size if exact else None)
+                assert synth7.database.size_of(perm.word) is None
+            assert tuple(found) == sizes
+
+    @pytest.mark.parametrize("samples", [10, 20, 60])
+    def test_same_answer_as_unbounded_search(self, synth7, samples):
+        specs = [
+            PartialSpec(outputs=outputs, n_wires=4)
+            for outputs, _ in PASS2_SPECS.values()
+        ]
+        specs += _seeded_pass2_specs(synth7.database, 50)
+        reached = 0
+        for spec in specs:
+            try:
+                expected = _unbounded_pass2(spec, synth7, samples)
+            except SynthesisError:
+                with pytest.raises(SynthesisError):
+                    synthesize_partial(spec, synth7, samples=samples)
+                continue
+            reached += 1
+            result = synthesize_partial(spec, synth7, samples=samples)
+            assert (
+                result.permutation,
+                result.size,
+                str(result.circuit),
+                result.completions_tried,
+            ) == expected
+        assert reached >= 30
+
+    def test_exhaustive_only_when_pass_two_proved_it(self, synth7):
+        a = PartialSpec(outputs=PASS2_SPECS["A"][0], n_wires=4)
+        b = PartialSpec(outputs=PASS2_SPECS["B"][0], n_wires=4)
+        # A's cap of 1 or 2 completions leaves some of six unsized.
+        for samples, size in ((10, 7), (20, 6)):
+            result = synthesize_partial(a, synth7, samples=samples)
+            assert (result.size, result.exhaustive) == (size, False)
+        # A cap covering all six proves the optimum ...
+        result = synthesize_partial(a, synth7, samples=200)
+        assert (result.size, result.exhaustive) == (6, True)
+        # ... and so does reaching the floor k + 1 before the cap.
+        result = synthesize_partial(b, synth7, samples=50)
+        assert (result.size, result.exhaustive) == (5, True)
+
+    @pytest.mark.parametrize(
+        "name, scans, candidates",
+        [("B", (7, 35_768), (5, 17_932)), ("C", (7, 68_960), (6, 34_952))],
+    )
+    def test_work_saved(self, synth7, monkeypatch, name, scans, candidates):
+        spec = PartialSpec(outputs=PASS2_SPECS[name][0], n_wires=4)
+        counter = _ScanCounter(monkeypatch)
+        reference = _unbounded_pass2(spec, synth7, 200)
+        assert (counter.scans, counter.candidates) == scans
+        counter.scans = counter.candidates = 0
+        result = synthesize_partial(spec, synth7, samples=200)
+        assert (counter.scans, counter.candidates) == candidates
+        assert (result.permutation, result.size) == reference[:2]
+
+    def test_checkpoint_runs_inside_pass_two_scans(self, synth7, monkeypatch):
+        spec = PartialSpec(outputs=PASS2_SPECS["C"][0], n_wires=4)
+        counter = _ScanCounter(monkeypatch)
+        synthesize_partial(spec, synth7, samples=200, cancel=counter.checkpoint)
+        # One checkpoint per A_i list of the five pass-2 sizings
+        # (3 + 3 + 2 + 1 + 1); the final synthesize takes none.
+        assert counter.checkpoints_inside == 10
+
+
+class TestSizeBound:
+    """``size_of(word, max_size=...)`` scans only as deep as it must."""
+
+    @pytest.mark.parametrize("name, index", [("B", 3), ("B", 1), ("A", 0)])
+    def test_bound(self, engine4_l7, name, index):
+        outputs, sizes = PASS2_SPECS[name]
+        spec = PartialSpec(outputs=outputs, n_wires=4)
+        word = list(spec.completions())[index].word
+        size = sizes[index]
+        k = engine4_l7.db.k
+        assert size > k
+        lists = []
+        assert engine4_l7.size_of(
+            word, max_size=size, cancel=lambda: lists.append(1)
+        ) == size
+        assert len(lists) == size - k
+        lists.clear()
+        with pytest.raises(SizeLimitExceededError) as info:
+            engine4_l7.size_of(
+                word, max_size=size - 1, cancel=lambda: lists.append(1)
+            )
+        assert info.value.lower_bound == size
+        assert len(lists) == size - 1 - k
+
+    def test_bound_is_capped_at_reach(self, engine4_l7):
+        hwb4 = Permutation.from_values(
+            [0, 2, 4, 12, 8, 5, 9, 11, 1, 6, 10, 13, 3, 14, 7, 15]
+        )
+        with pytest.raises(SizeLimitExceededError) as info:
+            engine4_l7.size_of(hwb4.word, max_size=20)
+        assert info.value.lower_bound == engine4_l7.max_size + 1
+
+    def test_database_hit_above_bound_raises(self, engine4_l7):
+        shift = Permutation.from_values([*range(1, 16), 0])
+        assert engine4_l7.size_of(shift.word, max_size=4) == 4
+        with pytest.raises(SizeLimitExceededError) as info:
+            engine4_l7.size_of(shift.word, max_size=3)
+        assert info.value.lower_bound == 4
+
+    def test_size_or_bound_passes_the_bound(self, synth7):
+        outputs, sizes = PASS2_SPECS["B"]
+        perm = list(PartialSpec(outputs=outputs, n_wires=4).completions())[0]
+        assert synth7.size_or_bound(perm, max_size=7) == (7, True)
+        assert synth7.size_or_bound(perm, max_size=6) == (7, False)
 
 
 class TestQasmExport:
