@@ -16,12 +16,21 @@ shared ``.rdb`` store (``REPRO_CACHE_DIR``, default ``.db-cache``):
    must re-route the dead shard's slice and return the **identical**
    response line, and the rolled-up ``health`` must show the supervisor
    restarting the victim back to ``ok``.
-3. **Throughput** -- a 4th shard joins live (``shard_join``), then a
-   512-request fast-path batch is timed against the 4-shard cluster vs
-   the single daemon.  Gate: speedup >= ``SHARD_SMOKE_MIN_SPEEDUP``
-   (default 2.0 with >= 4 cores; relaxed to 1.2 below that, where the
-   win is only I/O and batch-window overlap, not CPU parallelism --
-   docs/SHARDING.md records measured numbers).
+3. **Throughput** -- a 4th shard joins live (``shard_join``), then
+   batches of 48 ``size`` requests on distinct classes of optimal size
+   7 and 8 are timed against the 4-shard cluster vs the single daemon,
+   alternating.  Each class is an ``A_i`` scan at k = 5, ``--lists 3``;
+   no class appears in two batches, and every answer must come from a
+   scan, so no timed line is a database or result-cache hit.  Gate:
+   median speedup >= ``SHARD_SMOKE_MIN_SPEEDUP`` (default 2.0 with >= 4
+   cores; relaxed to 1.2 below that, where the shards share too few
+   cores to run their scans side by side -- docs/SHARDING.md records
+   measured numbers).  A warmed 512-request fast-path batch is timed
+   and printed too, but not gated.
+
+The scan classes come from the request-path benchmark's scan pool
+(``perfbench/data/pools.json.gz``), which records each class's optimal
+size.
 
 Env: ``SMOKE_K`` (default 5), ``REPRO_CACHE_DIR`` (default .db-cache),
 ``SHARD_SMOKE_MIN_SPEEDUP`` (float, overrides the core-count default).
@@ -31,6 +40,7 @@ Run:  PYTHONPATH=src python scripts/shard_smoke.py
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import statistics
@@ -40,9 +50,16 @@ import time
 from pathlib import Path
 
 K = int(os.environ.get("SMOKE_K", "5"))
+LISTS = 3
 CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".db-cache"))
 THROUGHPUT_REQUESTS = 512
 TIMED_RUNS = 3
+#: The gated batch: SCAN_REQUESTS scan-bound ``size`` requests, half of
+#: each optimal size in SCAN_SIZES, timed SCAN_RUNS times per side.
+SCAN_POOL = Path(__file__).resolve().parents[1] / "perfbench/data/pools.json.gz"
+SCAN_SIZES = (7, 8)
+SCAN_REQUESTS = 48
+SCAN_RUNS = 6
 
 #: Mixed batch: synth and size across easy and mid-depth specs, each a
 #: distinct equivalence class so a 3-ring genuinely scatters it, plus
@@ -86,7 +103,7 @@ def launch(count: int, faults=None):
     cluster = ShardCluster.launch(
         count,
         k=K,
-        max_list_size=1,
+        max_list_size=LISTS,
         cache_dir=CACHE_DIR,
         faults=faults,
     )
@@ -100,7 +117,7 @@ def fast_path_line() -> str:
     from repro.engines import create_engine
 
     engine = create_engine(
-        "optimal", n_wires=4, k=K, max_list_size=1, cache_dir=CACHE_DIR
+        "optimal", n_wires=4, k=K, max_list_size=LISTS, cache_dir=CACHE_DIR
     ).prepare()
     reps = engine.impl.database.reps_by_size[min(3, K)]
     entries = [
@@ -112,6 +129,41 @@ def fast_path_line() -> str:
         for i in range(THROUGHPUT_REQUESTS)
     ]
     return json.dumps({"id": 0, "op": "batch", "requests": entries})
+
+
+def scan_lines(count: int) -> "list[str]":
+    """``count`` batches of SCAN_REQUESTS ``size`` requests on distinct
+    classes of the SCAN_SIZES, no class in two batches."""
+    from repro.core.permutation import Permutation
+
+    with gzip.open(SCAN_POOL, "rt", encoding="ascii") as fh:
+        pool = json.load(fh)["scan"]
+    per_size = SCAN_REQUESTS // len(SCAN_SIZES)
+    words = [pool[str(size)].split() for size in SCAN_SIZES]
+    lines = []
+    for index in range(count):
+        picked = [w[index * per_size:(index + 1) * per_size] for w in words]
+        entries = [
+            {"id": i, "op": "size", "spec": Permutation(int(word, 16), 4).spec()}
+            for i, word in enumerate(w for row in zip(*picked) for w in row)
+        ]
+        lines.append(json.dumps({"id": 0, "op": "batch", "requests": entries}))
+    return lines
+
+
+def scan_seconds(router, line: str) -> float:
+    """Time one scan batch and check that every answer was a scan."""
+    start = time.perf_counter()
+    body = json.loads(router.handle_line(line))
+    elapsed = time.perf_counter() - start
+    assert body.get("ok"), f"scan batch failed: {body}"
+    results = body["result"]["results"]
+    assert len(results) == SCAN_REQUESTS, f"short scan batch: {body}"
+    for sub in results:
+        assert sub.get("ok") and sub["result"]["source"] == "scan", (
+            f"scan batch entry not answered by a scan: {sub}"
+        )
+    return elapsed
 
 
 def check_batch_body(label: str, raw: str) -> None:
@@ -139,7 +191,7 @@ def solo_answer(line: str) -> str:
 
     command = [
         sys.executable, "-m", "repro", "serve", "--stdio",
-        "-k", str(K), "--lists", "1",
+        "-k", str(K), "--lists", str(LISTS),
     ]
     shutdown = json.dumps({"id": 1, "op": "shutdown"})
     done = subprocess.run(
@@ -257,7 +309,25 @@ def main() -> int:
                 assert warm.get("ok"), f"warmup batch failed: {warm}"
             t_single = median_seconds(single.router, line)
             t_sharded = median_seconds(cluster.router, line)
-            speedup = t_single / t_sharded if t_sharded > 0 else float("inf")
+            print(
+                f"[shard-smoke] {THROUGHPUT_REQUESTS}-request fast-path "
+                f"batch (not gated): single={t_single * 1000:.1f}ms "
+                f"4-shard={t_sharded * 1000:.1f}ms "
+                f"speedup={t_single / t_sharded:.2f}x"
+            )
+
+            # One warm-up line per cluster maps the scan lists and builds
+            # every shard's miss filter; then timed lines alternate.
+            lines = iter(scan_lines(2 + 2 * SCAN_RUNS))
+            for router in (single.router, cluster.router):
+                scan_seconds(router, next(lines))
+            singles, shardeds = [], []
+            for _ in range(SCAN_RUNS):
+                singles.append(scan_seconds(single.router, next(lines)))
+                shardeds.append(scan_seconds(cluster.router, next(lines)))
+            t_single = statistics.median(singles)
+            t_sharded = statistics.median(shardeds)
+            speedup = t_single / t_sharded
 
             cores = os.cpu_count() or 1
             override = os.environ.get("SHARD_SMOKE_MIN_SPEEDUP")
@@ -267,8 +337,13 @@ def main() -> int:
                 else (2.0 if cores >= 4 else 1.2)
             )
             print(
-                f"[shard-smoke] {THROUGHPUT_REQUESTS}-request fast-path "
-                f"batch: single={t_single * 1000:.1f}ms "
+                f"[shard-smoke] {SCAN_REQUESTS}-request scan batch runs (ms):"
+                f" single={[round(t * 1000) for t in singles]}"
+                f" 4-shard={[round(t * 1000) for t in shardeds]}"
+            )
+            print(
+                f"[shard-smoke] {SCAN_REQUESTS}-request scan batch: "
+                f"single={t_single * 1000:.1f}ms "
                 f"4-shard={t_sharded * 1000:.1f}ms "
                 f"speedup={speedup:.2f}x (required {required:.2f}x on "
                 f"{cores} cores)"
