@@ -6,8 +6,9 @@ acceptance properties end to end:
 
 * every response is byte-identical to a direct search call on the
   warm handle's engine;
-* batch coalescing is observable in the ``stats`` output
-  (mean batch size > 1 under concurrent load);
+* batch coalescing is observable in the ``stats`` output: requests
+  that queue while the dispatcher is busy leave as one batch (mean
+  batch size > 1 under concurrent load);
 * the daemon drains gracefully on shutdown.
 
 The workload mixes the three serving paths: ~70% database hits
@@ -98,8 +99,6 @@ def test_service_throughput(benchmark, service_handle):
             n_wires=service_handle.n_wires,
             k=service_handle.k,
             max_list_size=service_handle.max_list_size,
-            batch_window=0.002,
-            max_batch=256,
         ),
     )
     daemon = TCPDaemon(service, port=0).start()

@@ -275,8 +275,6 @@ def cmd_serve(args) -> int:
         n_wires=args.wires,
         k=args.k,
         max_list_size=args.lists,
-        batch_window=args.batch_window / 1000.0,
-        max_batch=args.max_batch,
         result_cache_path=args.result_cache,
         db_cache_dir=False if args.no_cache else None,
         verbose=not args.stdio,
@@ -310,19 +308,24 @@ def _serve_sharded(args) -> int:
     from repro.service import TCPDaemon
     from repro.service.sharding import ShardCluster
 
-    if args.stdio:
-        print(
-            "error: --stdio and --shards are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_cache:
-        print(
-            "error: --no-cache is incompatible with --shards "
-            "(shards share one cached .rdb store)",
-            file=sys.stderr,
-        )
-        return 2
+    # Every serve flag the cluster does not pass on is refused before
+    # any shard starts, rather than parsed and silently dropped.
+    unpassed = "the shards would run without it"
+    for flag, given, reason in (
+        ("--stdio", args.stdio, "a router fronts TCP shard daemons"),
+        ("--no-cache", args.no_cache, "shards share one cached .rdb store"),
+        ("--result-cache", args.result_cache is not None, unpassed),
+        ("--hard-timeout", args.hard_timeout is not None, unpassed),
+        ("--breaker-threshold", args.breaker_threshold is not None, unpassed),
+        ("--breaker-cooldown", args.breaker_cooldown is not None, unpassed),
+        ("--trace", args.trace, unpassed),
+    ):
+        if given:
+            print(
+                f"error: {flag} is incompatible with --shards ({reason})",
+                file=sys.stderr,
+            )
+            return 2
     cluster = ShardCluster.launch(
         args.shards,
         n_wires=args.wires,
@@ -885,15 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sharded cluster: N shard daemons behind a "
         "consistent-hash router, the way to use more cores "
         "(0 = single daemon)",
-    )
-    p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=2.0,
-        help="batch coalescing window in milliseconds (default 2)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=256, help="maximum batch size"
     )
     p_serve.add_argument(
         "--result-cache",

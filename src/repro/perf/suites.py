@@ -118,7 +118,6 @@ class BenchContext:
                     n_wires=handle.n_wires,
                     k=handle.k,
                     max_list_size=handle.max_list_size,
-                    batch_window=0.0,
                 ),
             )
             self._service.start()
@@ -152,7 +151,6 @@ class BenchContext:
                         n_wires=handle.n_wires,
                         k=handle.k,
                         max_list_size=handle.max_list_size,
-                        batch_window=0.0,
                     ),
                 ).start()
                 supervisor.add(

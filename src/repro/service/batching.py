@@ -1,17 +1,14 @@
 """Request queue with batch coalescing.
 
 The daemon's dispatcher does not process requests one at a time: it
-blocks until at least one request is pending, then waits a short
-*coalescing window* for concurrent arrivals and drains everything into
-one batch (bounded by ``max_batch``).  The batch then flows through the
-vectorized database path -- one ``canonical_np`` + ``lookup_batch`` call
-for the whole group instead of per-request ``size_of`` calls -- which is
-where the service's throughput under concurrent load comes from.
-
-The window only costs latency when traffic is concurrent enough to
-benefit: the very first request in an idle queue is dispatched after at
-most ``coalesce_window`` seconds, and a full batch dispatches
-immediately.
+blocks while the queue is empty, then takes everything pending as one
+batch (bounded by ``max_batch``).  Requests that arrive while the
+dispatcher is busy therefore leave together, and the batch flows
+through the vectorized database path -- one ``canonical_np`` +
+``lookup_batch`` call for the whole group instead of per-request
+``size_of`` calls -- which is where the service's throughput under
+concurrent load comes from.  A request that finds the dispatcher idle
+is dispatched at once.
 """
 
 from __future__ import annotations
@@ -66,14 +63,8 @@ class PendingRequest:
 class BatchQueue:
     """Bounded FIFO of :class:`PendingRequest` with coalesced dequeue."""
 
-    def __init__(
-        self,
-        max_batch: int = 256,
-        coalesce_window: float = 0.002,
-        max_depth: int = 100_000,
-    ) -> None:
+    def __init__(self, max_batch: int = 256, max_depth: int = 100_000) -> None:
         self.max_batch = max_batch
-        self.coalesce_window = coalesce_window
         self.max_depth = max_depth
         self._items: "deque[PendingRequest]" = deque()
         self._lock = threading.Lock()
@@ -103,7 +94,7 @@ class BatchQueue:
             self._not_empty.notify()
 
     def next_batch(self) -> "list[PendingRequest] | None":
-        """Block for work, coalesce concurrent arrivals, return a batch.
+        """Block while the queue is empty, then return what is pending.
 
         Returns None only when the queue is closed *and* fully drained,
         which is the dispatcher's signal to exit.  After close, remaining
@@ -116,20 +107,6 @@ class BatchQueue:
                 # Bounded wait: close() notifies, but a bounded loop also
                 # survives a missed wakeup instead of parking forever.
                 self._not_empty.wait(timeout=0.5)
-            # Something is pending.  Give concurrent producers a short
-            # window to pile on, unless we already have a full batch or
-            # are draining a closed queue (no new producers can arrive).
-            if (
-                not self._closed
-                and self.coalesce_window > 0
-                and len(self._items) < self.max_batch
-            ):
-                deadline = time.monotonic() + self.coalesce_window
-                while len(self._items) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._not_empty.wait(remaining)
             batch = []
             while self._items and len(batch) < self.max_batch:
                 batch.append(self._items.popleft())

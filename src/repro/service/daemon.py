@@ -7,7 +7,8 @@ Architecture::
                                        answer control ops
         -> RequestFront.validate       every work request, once: wire
                                        count + spec parse
-        -> default-engine synth/size   BatchQueue (coalescing window)
+        -> default-engine synth/size   BatchQueue: the dispatcher takes
+                                       everything queued as one batch
             -> dispatcher thread       ONE canonical_np + lookup_batch
                                        pass (lookup_with_keys) per batch
                 -> ResultCache         keyed by canonical representative
@@ -104,9 +105,6 @@ class ServiceConfig:
     n_wires: int = 4
     k: int = 6
     max_list_size: "int | None" = None
-    batch_window: float = 0.002
-    max_batch: int = 256
-    cache_capacity: int = 65536
     result_cache_path: "str | None" = None
     db_cache_dir: object = None  # None = default dir, False = no persistence
     verbose: bool = False
@@ -136,13 +134,9 @@ class SynthesisService(RequestFront):
             fallback_engine=self.resilience.fallback_engine,
         )
         self.cache = cache if cache is not None else ResultCache(
-            capacity=self.config.cache_capacity,
-            path=self.config.result_cache_path,
+            path=self.config.result_cache_path
         )
-        self.queue = BatchQueue(
-            max_batch=self.config.max_batch,
-            coalesce_window=self.config.batch_window,
-        )
+        self.queue = BatchQueue()
         # Every hard unit of work (scan, compile, named engine) runs
         # under a cancel token tracked here; a breaker trip preempts all
         # of them instead of letting abandoned work burn on.
@@ -477,8 +471,7 @@ class SynthesisService(RequestFront):
                 "k": self.handle.k,
                 "max_list_size": self.handle.max_list_size,
                 "max_size": self.handle.max_size,
-                "batch_window": self.config.batch_window,
-                "max_batch": self.config.max_batch,
+                "max_batch": self.queue.max_batch,
             },
             "queue_depth": self.queue.depth,
             "mean_batch_size": batch.get("mean"),
@@ -583,10 +576,10 @@ class SynthesisService(RequestFront):
             )
 
     def _process_batch(self, batch: "list[PendingRequest]") -> None:
-        """Resolve a coalesced batch of validated requests.
+        """Resolve a batch of validated requests.
 
         One vectorized canonicalization + hash probe covers the whole
-        batch (the point of coalescing); then each request is answered
+        batch (the point of batching); then each request is answered
         from the result cache, the database, or a cached proof, and the
         rest go to the hard path.
         """

@@ -45,8 +45,7 @@ DC_SPEC = {
 
 def make_service(handle4, extra=None, **config_kwargs) -> SynthesisService:
     config = ServiceConfig(
-        n_wires=4, k=4, max_list_size=3, batch_window=0.0,
-        extra=extra or {}, **config_kwargs,
+        n_wires=4, k=4, max_list_size=3, extra=extra or {}, **config_kwargs,
     )
     return SynthesisService(handle4, config=config).start()
 
@@ -529,16 +528,15 @@ class TestShutdownPreemptsHardWork:
         assert svc.stopped
 
     def test_shutdown_cancels_the_rest_of_a_batch(self, handle4):
-        # Two hard queries coalesce into one batch and scan one after the
-        # other.  Shutdown during the first must stop the second too: it
-        # is never scanned and degrades with the shutdown tag.
+        # Two hard queries queue before the dispatcher starts, so they
+        # leave as one batch and scan one after the other.  Shutdown
+        # during the first must stop the second too: it is never scanned
+        # and degrades with the shutdown tag.
         slow = SlowSearch(handle4.engine, before=0.3)
         svc = SynthesisService(
             with_engine(handle4, slow),
-            config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.5
-            ),
-        ).start()
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
+        )
         answers = []
         clients = [
             threading.Thread(target=lambda s=spec: answers.append(
@@ -549,6 +547,9 @@ class TestShutdownPreemptsHardWork:
         for client in clients:
             client.start()
         deadline = time.monotonic() + 10.0
+        while svc.queue.depth < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        svc.start()
         while not slow.words and time.monotonic() < deadline:
             time.sleep(0.001)
         assert svc.tasks.in_flight == 2  # both scans tracked, one running

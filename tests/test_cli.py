@@ -267,6 +267,33 @@ class TestServeAndQuery:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7878 and args.shards == 0 and not args.stdio
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--stdio"],
+            ["--no-cache"],
+            ["--result-cache", "results.json"],
+            ["--hard-timeout", "5"],
+            ["--breaker-threshold", "3"],
+            ["--breaker-cooldown", "10"],
+            ["--trace"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_serve_shards_rejects_a_flag_it_would_drop(
+        self, capsys, monkeypatch, flags
+    ):
+        from repro.service.sharding import ShardCluster
+
+        def launch(*args, **kwargs):
+            raise AssertionError("a shard started before the flag check")
+
+        monkeypatch.setattr(ShardCluster, "launch", launch)
+        code = main(["serve", "--shards", "2", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {flags[0]} is incompatible with --shards" in err
+
     def test_parser_query_flags(self):
         args = build_parser().parse_args(
             ["query", self.SHIFT, "--port", "9999", "--size-only"]

@@ -316,7 +316,6 @@ class TestInstrumentation:
                 n_wires=4,
                 k=4,
                 max_list_size=3,
-                batch_window=0.0,
                 extra={"trace": True},
             ),
         )
@@ -350,9 +349,7 @@ class TestInstrumentation:
 
         svc = SynthesisService(
             handle4,
-            config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.0
-            ),
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
         )
         svc.start()
         try:

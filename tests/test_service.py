@@ -3,6 +3,7 @@ metrics, the boxed scan, and the daemon end to end over TCP and stdio."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import threading
@@ -47,6 +48,8 @@ IDENTITY = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"
 #: 400,018 bytes of nested brackets: under the line cap, too deep to parse.
 DEEP_LINE = "[" * 200_009 + "]" * 200_009
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
+#: Database hits at k = 4: the shift (size 4), NOT(a) and the identity.
+EASY_SPECS = [SHIFT, "[1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14]", IDENTITY]
 
 
 @pytest.fixture()
@@ -54,9 +57,7 @@ def service(handle4):
     """A started service over the shared warm handle (no TCP)."""
     svc = SynthesisService(
         handle4,
-        config=ServiceConfig(
-            n_wires=4, k=4, max_list_size=3, batch_window=0.0
-        ),
+        config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
     )
     svc.start()
     yield svc
@@ -66,6 +67,21 @@ def service(handle4):
 def submit(svc, op, **fields) -> dict:
     line = json.dumps({"id": fields.pop("id", 1), "op": op, **fields})
     return json.loads(svc.handle_line(line))
+
+
+class GatedSearch:
+    """Stub scan engine: each scan waits for ``gate`` to open, so a test
+    can hold the dispatcher busy for as long as it needs."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def search(self, word, cancel=None):
+        self.entered.set()
+        assert self.gate.wait(30.0)
+        return self.engine.search(word, cancel=cancel)
 
 
 # ----------------------------------------------------------------------
@@ -288,14 +304,14 @@ class TestResultCache:
 # ----------------------------------------------------------------------
 class TestBatchQueue:
     def test_coalesces_pending_items(self):
-        queue = BatchQueue(max_batch=10, coalesce_window=0.0)
+        queue = BatchQueue(max_batch=10)
         for i in range(5):
             queue.put(PendingRequest(i))
         batch = queue.next_batch()
         assert [p.request for p in batch] == [0, 1, 2, 3, 4]
 
     def test_respects_max_batch(self):
-        queue = BatchQueue(max_batch=3, coalesce_window=0.0)
+        queue = BatchQueue(max_batch=3)
         for i in range(5):
             queue.put(PendingRequest(i))
         assert len(queue.next_batch()) == 3
@@ -314,7 +330,7 @@ class TestBatchQueue:
             queue.put(PendingRequest(1))
 
     def test_drains_after_close_then_none(self):
-        queue = BatchQueue(max_batch=2, coalesce_window=0.05)
+        queue = BatchQueue(max_batch=2)
         for i in range(3):
             queue.put(PendingRequest(i))
         queue.close()
@@ -322,24 +338,44 @@ class TestBatchQueue:
         assert len(queue.next_batch()) == 1
         assert queue.next_batch() is None
 
-    def test_coalescing_window_gathers_concurrent_producers(self):
-        queue = BatchQueue(max_batch=64, coalesce_window=0.25)
-        start = threading.Barrier(3)
+    def test_requests_queued_behind_a_busy_dispatcher_are_one_batch(self, handle4):
+        # A gated scan holds the dispatcher; three size requests queue
+        # behind it and must come out together, in one lookup pass.
+        gated = GatedSearch(handle4.engine)
+        svc = SynthesisService(
+            dataclasses.replace(handle4, engine=gated),
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
+        ).start()
+        answers = {}
 
-        def producer():
-            start.wait()
-            for i in range(4):
-                queue.put(PendingRequest(i))
-                time.sleep(0.01)
+        def ask(op, spec):
+            answers[spec] = submit(svc, op, spec=spec)
 
-        threads = [threading.Thread(target=producer) for _ in range(2)]
-        for t in threads:
-            t.start()
-        start.wait()
-        batch = queue.next_batch()
-        for t in threads:
-            t.join()
-        assert len(batch) > 1
+        clients = [threading.Thread(target=ask, args=("synth", HARD_SPECS[0]))]
+        try:
+            clients[0].start()
+            assert gated.entered.wait(10.0)
+            for spec in EASY_SPECS:
+                clients.append(threading.Thread(target=ask, args=("size", spec)))
+                clients[-1].start()
+            deadline = time.monotonic() + 10.0
+            while svc.queue.depth < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert svc.queue.depth == 3
+            gated.gate.set()
+            for client in clients:
+                client.join(timeout=30.0)
+            assert not any(client.is_alive() for client in clients)
+            assert answers[HARD_SPECS[0]]["result"]["source"] == "scan"
+            assert [answers[s]["result"]["source"] for s in EASY_SPECS] == [
+                "db"
+            ] * 3
+            batches = svc.metrics.histogram("batch_size")
+            assert (batches.count, batches.min, batches.max) == (2, 1, 3)
+            assert svc.metrics.histogram("lookup_seconds").count == 2
+        finally:
+            gated.gate.set()
+            svc.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -404,12 +440,11 @@ class TestServiceCore:
     def test_each_scan_in_a_batch_is_one_scan_seconds_sample(self, handle4):
         # The dispatcher sheds a request whose remaining deadline is below
         # the p90 of scan_seconds, so a sample must be one scan's cost.
+        # Both requests queue before the dispatcher starts: one batch.
         svc = SynthesisService(
             handle4,
-            config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.5
-            ),
-        ).start()
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
+        )
         answers = []
         clients = [
             threading.Thread(target=lambda s=spec: answers.append(
@@ -420,6 +455,10 @@ class TestServiceCore:
         try:
             for client in clients:
                 client.start()
+            deadline = time.monotonic() + 10.0
+            while svc.queue.depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            svc.start()
             for client in clients:
                 client.join(timeout=30.0)
             assert not any(client.is_alive() for client in clients)
@@ -527,9 +566,7 @@ class TestTCPEndToEnd:
     def test_concurrent_clients_batch_and_drain(self, handle4):
         svc = SynthesisService(
             handle4,
-            config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.02,
-            ),
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
         )
         daemon = TCPDaemon(svc, port=0)
         with daemon:

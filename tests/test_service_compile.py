@@ -40,9 +40,7 @@ SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
 def service(handle4):
     svc = SynthesisService(
         handle4,
-        config=ServiceConfig(
-            n_wires=4, k=4, max_list_size=3, batch_window=0.0
-        ),
+        config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
     )
     svc.start()
     yield svc
@@ -60,9 +58,7 @@ def make_cluster(handle4, count=3):
     for index in range(count):
         svc = SynthesisService(
             handle4,
-            config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.0
-            ),
+            config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
         ).start()
         shard = InProcessShard(f"shard-{index}", svc).start()
         shards.append(shard)
@@ -178,7 +174,7 @@ class TestDaemonCompile:
         service = SynthesisService(
             handle4,
             config=ServiceConfig(
-                n_wires=4, k=4, max_list_size=3, batch_window=0.0,
+                n_wires=4, k=4, max_list_size=3,
                 extra={"fault_plan": [
                     {"kind": "delay", "op": "compile", "delay": 0.05},
                 ]},

@@ -50,8 +50,7 @@ SPECS = [IDENTITY, SHIFT, HARD_SPEC, HARD_SPEC_2]
 
 def make_service(handle4, extra=None, **config_kwargs) -> SynthesisService:
     config = ServiceConfig(
-        n_wires=4, k=4, max_list_size=3, batch_window=0.0,
-        extra=extra or {}, **config_kwargs,
+        n_wires=4, k=4, max_list_size=3, extra=extra or {}, **config_kwargs,
     )
     return SynthesisService(handle4, config=config).start()
 

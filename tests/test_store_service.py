@@ -52,7 +52,6 @@ def _mapped_store_service(cache) -> SynthesisService:
         n_wires=4,
         k=4,
         max_list_size=1,
-        batch_window=0.0,
         db_cache_dir=cache,
     )
     return SynthesisService.from_config(config)
