@@ -139,13 +139,14 @@ def scan_lines(count: int) -> "list[str]":
     with gzip.open(SCAN_POOL, "rt", encoding="ascii") as fh:
         pool = json.load(fh)["scan"]
     per_size = SCAN_REQUESTS // len(SCAN_SIZES)
-    words = [pool[str(size)].split() for size in SCAN_SIZES]
+    by_size = [pool[str(size)].split() for size in SCAN_SIZES]
     lines = []
     for index in range(count):
-        picked = [w[index * per_size:(index + 1) * per_size] for w in words]
+        part = slice(index * per_size, (index + 1) * per_size)
+        words = [w for row in zip(*(ws[part] for ws in by_size)) for w in row]
         entries = [
             {"id": i, "op": "size", "spec": Permutation(int(word, 16), 4).spec()}
-            for i, word in enumerate(w for row in zip(*picked) for w in row)
+            for i, word in enumerate(words)
         ]
         lines.append(json.dumps({"id": 0, "op": "batch", "requests": entries}))
     return lines
