@@ -367,9 +367,7 @@ class TestBatchQueue:
                 client.join(timeout=30.0)
             assert not any(client.is_alive() for client in clients)
             assert answers[HARD_SPECS[0]]["result"]["source"] == "scan"
-            assert [answers[s]["result"]["source"] for s in EASY_SPECS] == [
-                "db"
-            ] * 3
+            assert {answers[s]["result"]["source"] for s in EASY_SPECS} == {"db"}
             batches = svc.metrics.histogram("batch_size")
             assert (batches.count, batches.min, batches.max) == (2, 1, 3)
             assert svc.metrics.histogram("lookup_seconds").count == 2
