@@ -77,7 +77,7 @@ class CheckConfig:
     determinism_scope: tuple[str, ...] = _tuple(
         "repro/core/", "repro/hashing/", "repro/synth/", "repro/analysis/",
         "repro/rng/", "repro/sat/", "repro/stabilizer/", "repro/apps/",
-        "repro/io/", "repro/engines/", "repro/service/workers.py",
+        "repro/io/", "repro/engines/",
     )
     #: Files inside the scope that may read clocks/entropy (metrics and
     #: other observability code).

@@ -7,7 +7,7 @@ outputs.  Any unseeded RNG or wall-clock read in a compute path breaks
 that silently.
 
 Flagged inside the configured scope (``repro/core``, ``repro/synth``,
-``repro/service/workers.py``, ...):
+``repro/engines``, ...):
 
 * module-level ``random.*`` draws (global, unseeded RNG state);
 * ``numpy.random`` legacy global functions (``np.random.seed``,

@@ -25,7 +25,7 @@ from repro.service.daemon import (
     serve_stdio,
 )
 from repro.service.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.service.resilience import (
     CircuitBreaker,
     Deadline,
@@ -33,7 +33,6 @@ from repro.service.resilience import (
     RetryPolicy,
 )
 from repro.service.tasks import CancelToken, TaskRegistry
-from repro.service.workers import HardResult
 
 __all__ = [
     "BatchQueue",
@@ -45,8 +44,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "Gauge",
-    "HardResult",
     "Histogram",
     "MetricsRegistry",
     "PendingRequest",

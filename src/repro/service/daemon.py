@@ -75,7 +75,7 @@ from repro.errors import (
     WorkCancelledError,
 )
 from repro.perf.trace import enable as _perf_enable
-from repro.perf.trace import get_tracer as _perf_get_tracer
+from repro.perf.trace import is_enabled as _perf_is_enabled
 from repro.perf.trace import trace as trace_span
 from repro.service import protocol
 from repro.service.batching import BatchQueue, PendingRequest
@@ -91,7 +91,6 @@ from repro.service.tasks import (
     CancelToken,
     TaskRegistry,
 )
-from repro.service.workers import solve_with_engine
 from repro.synth.search import peel_minimal_circuit
 from repro.synth.synthesizer import SynthesisHandle
 
@@ -131,7 +130,6 @@ class SynthesisService(RequestFront):
         super().__init__(
             metrics=metrics,
             faults=FaultInjector.from_extra(self.config.extra),
-            fallback_engine=self.resilience.fallback_engine,
         )
         self.cache = cache if cache is not None else ResultCache(
             path=self.config.result_cache_path
@@ -289,7 +287,6 @@ class SynthesisService(RequestFront):
             self.queue.put(pending)
         except ServiceShutdownError as exc:
             return self.error_line(request.id, exc)
-        self.metrics.gauge("queue_depth").set(self.queue.depth)
         response = pending.wait(self.resilience.request_timeout)
         if response is None:
             # The connection thread is abandoning the request: the
@@ -336,7 +333,6 @@ class SynthesisService(RequestFront):
                 ),
             )
         token = self.tasks.begin(CancelToken(self._hard_deadline(deadline)))
-        started = time.perf_counter()
         try:
             with lock, trace_span(
                 "service.compile", engine=name, kind=spec.kind
@@ -355,9 +351,6 @@ class SynthesisService(RequestFront):
             return self.error_line(request.id, exc)
         self.tasks.end(token, DONE)
         self._count_if_late(token)
-        self.metrics.histogram("compile_seconds").observe(
-            time.perf_counter() - started
-        )
         return self._ok(request.id, result.to_wire(), "engine")
 
     def _synthesize(self, request, perm, name, engine, lock, deadline) -> str:
@@ -426,7 +419,7 @@ class SynthesisService(RequestFront):
         upper-bound answer (``reason`` is ``deadline``, ``breaker_open``,
         ``shutdown``, ``scan_error`` or another cancellation reason)."""
         if reason == "deadline":
-            self._deadline_missed()
+            self.breaker.record_deadline_miss()
         return self.degraded(request, target, reason)
 
     def _hard_deadline(self, deadline: "Deadline | None") -> Deadline:
@@ -443,13 +436,8 @@ class SynthesisService(RequestFront):
         whether it was late."""
         late = token.deadline.expired()
         if late:
-            self._deadline_missed()
+            self.breaker.record_deadline_miss()
         return late
-
-    def _deadline_missed(self) -> None:
-        """Count a blown deadline toward tripping the breaker."""
-        self.metrics.counter("deadline_misses").inc()
-        self.breaker.record_deadline_miss()
 
     def _shed(self, pending: PendingRequest, reason: str) -> None:
         """Degrade a queued request instead of scanning for it."""
@@ -482,7 +470,9 @@ class SynthesisService(RequestFront):
             "database": self._database_info(),
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
-            "trace": self._trace_stats(),
+            # Under --trace the spans are the span_<name> histograms in
+            # metrics.
+            "trace": {"enabled": _perf_is_enabled()},
             "tasks": self.tasks.snapshot(),
             "resilience": {"breaker": self.breaker.snapshot()},
         }
@@ -503,13 +493,6 @@ class SynthesisService(RequestFront):
             "format": "rdb" if path is not None else None,
             "mapped": is_mapped(db),
         }
-
-    def _trace_stats(self) -> dict:
-        """The ``stats`` payload's span-tracing block."""
-        tracer = _perf_get_tracer()
-        if tracer is None:
-            return {"enabled": False}
-        return {"enabled": True, "aggregate": tracer.aggregate()}
 
     def health(self) -> dict:
         """Resilience status (the ``health`` op payload).
@@ -562,7 +545,6 @@ class SynthesisService(RequestFront):
                     started - pending.enqueued_at
                 )
             self.metrics.histogram("batch_size").observe(len(batch))
-            self.metrics.gauge("queue_depth").set(self.queue.depth)
             try:
                 self._process_batch(batch)
             except Exception as exc:  # pragma: no cover - defensive
@@ -571,9 +553,6 @@ class SynthesisService(RequestFront):
                         pending.resolve(
                             self.error_line(pending.request.id, exc)
                         )
-            self.metrics.histogram("batch_seconds").observe(
-                time.perf_counter() - started
-            )
 
     def _process_batch(self, batch: "list[PendingRequest]") -> None:
         """Resolve a batch of validated requests.
@@ -586,13 +565,9 @@ class SynthesisService(RequestFront):
         db = self.handle.database
         n = self.n_wires
         with trace_span("service.batch", size=len(batch)):
-            lookup_started = time.perf_counter()
             with trace_span("service.lookup", words=len(batch)):
                 words = np.array([p.word for p in batch], dtype=np.uint64)
                 keys, sizes = db.lookup_with_keys(words)
-            self.metrics.histogram("lookup_seconds").observe(
-                time.perf_counter() - lookup_started
-            )
             hard: list[tuple[PendingRequest, int]] = []
             for pending, canon, size in zip(
                 batch, keys.tolist(), sizes.tolist()
@@ -682,13 +657,14 @@ class SynthesisService(RequestFront):
         started = time.perf_counter()
         try:
             token.checkpoint()  # cancelled while waiting its turn
-            result = solve_with_engine(
-                self.handle.engine, word, cancel=token.checkpoint
-            )
+            outcome = self.handle.engine.search(word, cancel=token.checkpoint)
         except WorkCancelledError as exc:
             self.tasks.end(token, CANCELLED)
             self._shed(pending, exc.reason)
             return exc.reason == "deadline"
+        except SizeLimitExceededError as exc:
+            # An exhausted scan is an answer too: a proof that size > L.
+            outcome = exc
         except Exception as exc:
             self.tasks.end(token, DEGRADED)
             log.error(
@@ -705,22 +681,18 @@ class SynthesisService(RequestFront):
         self.tasks.end(token, DONE)
         late = self._count_if_late(token)
         n = self.n_wires
-        if result.lower_bound is not None:
+        if isinstance(outcome, SizeLimitExceededError):
             self.cache.store_bound(
-                n, canon, result.lower_bound, self.handle.max_size
+                n, canon, outcome.lower_bound, self.handle.max_size
             )
-            pending.resolve(self.error_line(
-                request.id,
-                SizeLimitExceededError(
-                    result.message, lower_bound=result.lower_bound
-                ),
-            ))
+            pending.resolve(self.error_line(request.id, outcome))
             return late
-        self.cache.store_circuit(n, canon, word, result.size, result.circuit)
+        circuit = str(outcome.circuit)
+        self.cache.store_circuit(n, canon, word, outcome.size, circuit)
         pending.resolve(self._ok_synthesis(
-            request, word, result.size, result.circuit, "scan",
-            lists_scanned=result.lists_scanned,
-            candidates_tested=result.candidates_tested,
+            request, word, outcome.size, circuit, "scan",
+            lists_scanned=outcome.lists_scanned,
+            candidates_tested=outcome.candidates_tested,
         ))
         return late
 
@@ -734,15 +706,11 @@ class SynthesisService(RequestFront):
         if request.op == "size":
             pending.resolve(self._ok_synthesis(request, word, size, None, "db"))
             return
-        peel_started = time.perf_counter()
         try:
             circuit = peel_minimal_circuit(word, self.handle.database, size)
         except ReproError as exc:  # pragma: no cover - inconsistent db
             pending.resolve(self.error_line(request.id, exc))
             return
-        self.metrics.histogram("peel_seconds").observe(
-            time.perf_counter() - peel_started
-        )
         text = str(circuit)
         self.cache.store_circuit(n, canon, word, size, text)
         pending.resolve(self._ok_synthesis(request, word, size, text, "db"))
@@ -900,7 +868,8 @@ def serve_stdio(service: SynthesisService, stdin=None, stdout=None) -> int:
 
     Returns the number of lines served.  EOF triggers graceful shutdown,
     as does a ``shutdown`` request (after its acknowledgement is
-    written).
+    written), and so does a failed write or flush: the only client has
+    gone, so nothing more can be answered.
     """
     import sys
 
@@ -913,8 +882,11 @@ def serve_stdio(service: SynthesisService, stdin=None, stdout=None) -> int:
             if not line.strip():
                 continue
             response = service.handle_line(line.strip())
-            stdout.write(response + "\n")
-            stdout.flush()
+            try:
+                stdout.write(response + "\n")
+                stdout.flush()
+            except OSError:
+                break
             served += 1
             if service.stopping:
                 break

@@ -195,13 +195,11 @@ class FaultInjector:
         path.write_bytes(data[: max(1, len(data) // 2)] + b"\x00garbled")
         return True
 
-    def kill_shard(self, backend) -> bool:
+    def kill_shard(self, backend) -> None:
         """Stage ``shard_kill``: SIGKILL the shard backend the router is
         about to forward to (crash-mid-request chaos primitive)."""
-        if self._take("shard_kill", shard=backend.shard_id) is None:
-            return False
-        backend.kill()
-        return True
+        if self._take("shard_kill", shard=backend.shard_id) is not None:
+            backend.kill()
 
     def partition_shard(self, shard_id: str) -> bool:
         """Stage ``shard_partition``: should the router treat this shard

@@ -46,6 +46,10 @@ from repro.service import protocol
 from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import Deadline
 
+#: Engine answering degraded (upper-bound) responses: servable, cheap,
+#: no database needed, and always terminates (the MMD heuristic).
+FALLBACK_ENGINE = "heuristic"
+
 
 class RequestFront:
     """Protocol handling, lifecycle and degradation common to every server.
@@ -64,12 +68,9 @@ class RequestFront:
         *,
         metrics: "MetricsRegistry | None" = None,
         faults=None,
-        fallback_engine: str = "heuristic",
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
-        #: Engine answering degraded (upper-bound) responses.
-        self.fallback_engine = fallback_engine
         self._engines: "dict[str, tuple[Engine, threading.Lock]]" = {}
         self._engines_lock = threading.Lock()
         self._shutdown_hooks: list = []
@@ -265,7 +266,7 @@ class RequestFront:
         return {"n_wires": self.n_wires}
 
     def degraded(self, request: "protocol.Request", target, reason: str) -> str:
-        """Answer a validated work request from the fallback engine.
+        """Answer a validated work request from :data:`FALLBACK_ENGINE`.
 
         The circuit is valid (for ``compile``: right on every specified
         row) but its size only bounds the optimum from above, so the
@@ -275,7 +276,7 @@ class RequestFront:
         database scan, so it is cheap enough to run inline even right
         after the exact path blew its budget.
         """
-        name = self.fallback_engine
+        name = FALLBACK_ENGINE
         try:
             engine, lock = self.engine(name)
             with lock:
@@ -318,4 +319,4 @@ class RequestFront:
         )
 
 
-__all__ = ["RequestFront"]
+__all__ = ["FALLBACK_ENGINE", "RequestFront"]

@@ -1,9 +1,18 @@
-"""Thread-safe counters, gauges, and histograms for the service daemon.
+"""Thread-safe counters and histograms for the service daemon.
 
 The registry is intentionally tiny -- a dict of named instruments behind
 one lock -- because the daemon only ever touches it on the request path
 (a handful of increments per batch).  ``snapshot()`` renders everything
 to plain JSON-serializable values for the ``stats`` protocol request.
+
+One model: the component that owns an event counts it once (task
+outcomes live in the ``TaskRegistry``, deadline misses in the breaker,
+fired faults in the ``FaultInjector``), and a stage that has a span is
+timed only by it -- under ``--trace`` the tracer's sink fills one
+``span_<name>`` histogram per span name.  The daemon times by hand only
+what a span cannot give: queue wait and cancel latency (no span covers
+them), each scan that returns (its p90 is the shed estimate, traced or
+not) and each named-engine call (span names carry no engine).
 
 Histograms keep exact count/sum/min/max plus a bounded reservoir of
 recent observations for approximate percentiles; with the default
@@ -31,35 +40,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value
-
-    def snapshot(self):
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, pool size, ...)."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
         return self._value
 
     def snapshot(self):
@@ -158,9 +138,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -172,4 +149,4 @@ class MetricsRegistry:
         return {name: instrument.snapshot() for name, instrument in items}
 
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]

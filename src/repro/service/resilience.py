@@ -53,9 +53,6 @@ class ResilienceConfig:
     #: Server-side cap on how long a connection thread stays parked on
     #: a queued request; the backstop that guarantees no hung connection.
     request_timeout: float = 600.0
-    #: Engine answering degraded (upper-bound) responses.  Must be
-    #: daemon-servable and cheap; the MMD heuristic is both.
-    fallback_engine: str = "heuristic"
 
     @classmethod
     def from_extra(cls, extra: "dict | None") -> "ResilienceConfig":

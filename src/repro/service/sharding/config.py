@@ -1,13 +1,11 @@
 """Tunables for the sharded daemon (router + shard cluster).
 
-Mirrors :class:`repro.service.resilience.ResilienceConfig`: a frozen
-dataclass built from ``extra["sharding"]`` that rejects unknown keys --
-a typo must fail loudly at startup, not silently run with defaults.
+A frozen dataclass that validates its values at construction -- a bad
+knob must fail loudly at startup, not silently misroute.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
@@ -53,19 +51,6 @@ class ShardingConfig:
                 raise ServiceError(f"sharding {name} must be >= 1")
         if self.max_restarts < 0:
             raise ServiceError("sharding max_restarts must be >= 0")
-
-    @classmethod
-    def from_extra(cls, extra: "dict | None") -> "ShardingConfig":
-        """Build from ``ServiceConfig.extra["sharding"]``."""
-        raw = dict((extra or {}).get("sharding", {}))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ServiceError(
-                f"unknown sharding option(s): {', '.join(unknown)} "
-                f"(valid: {', '.join(sorted(known))})"
-            )
-        return cls(**raw)
 
 
 __all__ = ["ShardingConfig"]

@@ -78,8 +78,10 @@ class ShardRouter(RequestFront):
         spawner: Optional callable ``spawner(shard_id) -> backend``
             used by the ``shard_join`` op; a cluster launcher provides
             one, unit-test routers may not.
-        fallback_engine: Engine answering when no shard can (default
-            ``"heuristic"`` -- in-process, no database needed).
+
+    When no shard can answer, the router degrades in-process to
+    :data:`repro.service.front.FALLBACK_ENGINE`.  Fired faults are
+    counted once, by the injector (``health.faults``).
     """
 
     def __init__(
@@ -91,11 +93,8 @@ class ShardRouter(RequestFront):
         metrics: "MetricsRegistry | None" = None,
         faults=None,
         spawner=None,
-        fallback_engine: str = "heuristic",
     ) -> None:
-        super().__init__(
-            metrics=metrics, faults=faults, fallback_engine=fallback_engine
-        )
+        super().__init__(metrics=metrics, faults=faults)
         self.supervisor = supervisor
         self.ring = supervisor.ring
         self.n_wires = n_wires
@@ -212,10 +211,8 @@ class ShardRouter(RequestFront):
                 return None, reason
             tried.add(managed.shard_id)
             if self.faults is not None:
-                if self.faults.kill_shard(managed.backend):
-                    self.metrics.counter("fault_shard_kills").inc()
+                self.faults.kill_shard(managed.backend)
                 if self.faults.partition_shard(managed.shard_id):
-                    self.metrics.counter("fault_shard_partitions").inc()
                     self.supervisor.note_failure(managed.shard_id)
                     self.metrics.counter("reroutes").inc()
                     reason = "shard_unreachable"
@@ -369,10 +366,8 @@ class ShardRouter(RequestFront):
         )
         token = self.tasks.begin(CancelToken(deadline))
         if managed is not None and self.faults is not None:
-            if self.faults.kill_shard(managed.backend):
-                self.metrics.counter("fault_shard_kills").inc()
+            self.faults.kill_shard(managed.backend)
             if self.faults.partition_shard(managed.shard_id):
-                self.metrics.counter("fault_shard_partitions").inc()
                 self.supervisor.note_failure(managed.shard_id)
                 managed = None
         envelope = None

@@ -112,10 +112,9 @@ class TaskRegistry:
     Thread-safe; shared by the dispatcher, the connection threads
     (compiles, named engines, forwards), and shutdown.  ``metrics`` is
     an optional :class:`repro.service.metrics.MetricsRegistry` that
-    receives the ``tasks_*`` outcome counters and the
-    ``cancel_latency_seconds`` histogram (explicit
+    receives the ``cancel_latency_seconds`` histogram (explicit
     :meth:`CancelToken.cancel` to ``end``; an expired deadline adds no
-    sample).
+    sample).  Outcomes are counted here only, in :meth:`snapshot`.
     """
 
     def __init__(self, metrics=None) -> None:
@@ -150,12 +149,10 @@ class TaskRegistry:
                 )
             if not self._in_flight:
                 self._idle.notify_all()
-        if self.metrics is not None:
-            self.metrics.counter(f"tasks_{outcome}").inc()
-            if token.cancelled_at is not None:
-                self.metrics.histogram("cancel_latency_seconds").observe(
-                    max(0.0, time.monotonic() - token.cancelled_at)
-                )
+        if self.metrics is not None and token.cancelled_at is not None:
+            self.metrics.histogram("cancel_latency_seconds").observe(
+                max(0.0, time.monotonic() - token.cancelled_at)
+            )
 
     @property
     def in_flight(self) -> int:

@@ -105,7 +105,7 @@ class TestDeadlineDegradation:
             # Degradation is fast: no scan happened after the deadline.
             assert elapsed < 5.0
             assert svc.metrics.counter("responses_degraded").value == 1
-            assert svc.metrics.counter("deadline_misses").value >= 1
+            assert svc.breaker.snapshot()["deadline_misses"] >= 1
         finally:
             svc.shutdown()
 
@@ -148,7 +148,6 @@ class TestDeadlineDegradation:
             )
             assert body["ok"], body
             assert body["result"]["source"] == "engine"
-            assert svc.metrics.counter("deadline_misses").value == 1
             assert svc.breaker.snapshot()["deadline_misses"] == 1
         finally:
             svc.shutdown()
@@ -192,7 +191,7 @@ class TestDeadlineDegradation:
             assert body["ok"], body
             assert body["result"]["source"] == "scan"
             assert body["result"]["size"] == 5
-            assert svc.metrics.counter("deadline_misses").value == 1
+            assert svc.breaker.snapshot()["deadline_misses"] == 1
             tasks = svc.stats()["tasks"]
             assert tasks["done"] == 1
             assert tasks["in_flight"] == 0
@@ -226,10 +225,13 @@ class TestAbandonedRequest:
             second = submit(svc, "synth", spec=HARD_SPEC_2, id=2)
             first.join(timeout=30.0)
             assert not first.is_alive()
-            batches = svc.metrics.histogram("batch_seconds")
-            while batches.count < 2 and time.monotonic() < deadline:
+            # Both requests were abandoned: the first mid-scan, the
+            # second in the queue.  The second's degraded answer, which
+            # nobody reads, means the dispatcher reached it.
+            abandoned = svc.metrics.counter("degraded_abandoned")
+            while abandoned.value < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert batches.count == 2  # the dispatcher reached the second
+            assert abandoned.value == 2
             assert slow.words == [Permutation.coerce(HARD_SPEC, 4).word]
             assert not second["ok"], second
             assert second["error"]["kind"] == "internal"

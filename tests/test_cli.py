@@ -437,3 +437,47 @@ class TestServeAndQuery:
         assert responses[1]["result"]["size"] == 4
         assert responses[2]["result"]["config"]["k"] == 3
         assert responses[3]["result"]["draining"] is True
+
+    def test_serve_stdio_reader_going_away_is_a_clean_exit(self, tmp_path):
+        """`repro serve --stdio | head -1`: the reader closes the pipe
+        with ~2,000 answers unread, more than a pipe buffer holds, so a
+        later write fails.  The daemon shuts down as at EOF."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        pings = tmp_path / "pings.jsonl"
+        pings.write_text("".join(
+            json.dumps({"id": i, "op": "ping"}) + "\n" for i in range(2000)
+        ))
+        with pings.open() as stdin:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve", "--stdio",
+                    "-k", "3", "--lists", "1", "--no-cache",
+                ],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            try:
+                first = json.loads(proc.stdout.readline())
+                proc.stdout.close()
+                code = proc.wait(timeout=300)
+                stderr = proc.stderr.read().decode()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+                proc.stderr.close()
+        assert first["id"] == 0 and first["result"]["pong"] is True
+        assert code == 0, stderr
+        assert stderr == ""

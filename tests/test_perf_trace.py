@@ -323,24 +323,40 @@ class TestInstrumentation:
         try:
             import json
 
-            response = json.loads(
-                svc.handle_line(
-                    json.dumps(
-                        {
-                            "id": 1,
-                            "op": "size",
-                            "spec": "[1,0,2,3,4,5,6,7,8,9,10,11,12,13,14,15]",
-                        }
-                    )
-                )
-            )
-            assert response["ok"]
+            requests = [
+                {
+                    "id": 1,
+                    "op": "size",
+                    "spec": "[1,0,2,3,4,5,6,7,8,9,10,11,12,13,14,15]",
+                },
+                {
+                    "id": 2,
+                    "op": "synth",
+                    "spec": "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]",
+                },
+                {
+                    "id": 3,
+                    "op": "compile",
+                    "spec": {
+                        "kind": "affine_xor",
+                        "matrix": [[1, 0], [1, 1]],
+                        "constant": [0, 1],
+                    },
+                },
+            ]
+            for request in requests:
+                response = json.loads(svc.handle_line(json.dumps(request)))
+                assert response["ok"], response
             stats = svc.stats()
-            assert stats["trace"]["enabled"] is True
-            assert "service.batch" in stats["trace"]["aggregate"]
-            # The sink feeds span_<name> histograms in the registry.
-            metrics = svc.metrics.snapshot()
-            assert any(key.startswith("span_service.batch") for key in metrics)
+            # The sink's span_<name> histograms are the one view of the
+            # spans: no second aggregate rides along.
+            assert stats["trace"] == {"enabled": True}
+            metrics = stats["metrics"]
+            for span in (
+                "service.batch", "service.lookup", "search.peel",
+                "service.compile",
+            ):
+                assert metrics[f"span_{span}"]["count"] >= 1, span
         finally:
             svc.shutdown()
 

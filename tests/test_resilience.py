@@ -53,7 +53,6 @@ class TestResilienceConfig:
     def test_defaults_from_empty_extra(self):
         config = ResilienceConfig.from_extra(None)
         assert config.breaker_failure_threshold == 5
-        assert config.fallback_engine == "heuristic"
 
     def test_overrides(self):
         config = ResilienceConfig.from_extra(
@@ -63,8 +62,10 @@ class TestResilienceConfig:
         assert config.breaker_cooldown == 0.5
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ServiceError, match="unknown resilience option"):
-            ResilienceConfig.from_extra({"resilience": {"hard_timeot": 1}})
+        # The fallback engine is a constant, not a knob.
+        for key in ("hard_timeot", "fallback_engine"):
+            with pytest.raises(ServiceError, match="unknown resilience option"):
+                ResilienceConfig.from_extra({"resilience": {key: 1}})
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for the synthesis service layer: protocol, cache, batching,
-metrics, the boxed scan, and the daemon end to end over TCP and stdio."""
+metrics, the hard scan, and the daemon end to end over TCP and stdio."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from repro.service import (
     serve_stdio,
 )
 from repro.service import protocol
-from repro.service.workers import solve_with_engine
 
 # Specs with optimal size 5 and 6: above the k=4 database depth of the
 # shared fixtures, so they exercise the hard (A_i-list scan) path.
@@ -45,6 +44,12 @@ HARD_SPECS = [
 OUT_OF_REACH = "[0,2,4,12,8,5,9,11,1,6,10,13,3,14,7,15]"
 
 IDENTITY = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"
+#: A truth table with two don't-care rows (tests/test_service_compile.py).
+COMPILE_SPEC = {
+    "kind": "truth_table",
+    "n_inputs": 4,
+    "rows": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, None, 1, 1, None, 1, 1],
+}
 #: 400,018 bytes of nested brackets: under the line cap, too deep to parse.
 DEEP_LINE = "[" * 200_009 + "]" * 200_009
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
@@ -67,6 +72,22 @@ def service(handle4):
 def submit(svc, op, **fields) -> dict:
     line = json.dumps({"id": fields.pop("id", 1), "op": op, **fields})
     return json.loads(svc.handle_line(line))
+
+
+class LookupSpy:
+    """Database stand-in that counts the dispatcher's batch lookups and
+    passes everything else through."""
+
+    def __init__(self, database):
+        self.database = database
+        self.calls = 0
+
+    def lookup_with_keys(self, words):
+        self.calls += 1
+        return self.database.lookup_with_keys(words)
+
+    def __getattr__(self, name):
+        return getattr(self.database, name)
 
 
 class GatedSearch:
@@ -182,15 +203,11 @@ class TestProtocol:
 # Metrics
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_counter_and_gauge(self):
+    def test_counter(self):
         registry = MetricsRegistry()
         registry.counter("requests").inc()
         registry.counter("requests").inc(4)
-        registry.gauge("depth").set(3)
-        registry.gauge("depth").dec()
-        snap = registry.snapshot()
-        assert snap["requests"] == 5
-        assert snap["depth"] == 2
+        assert registry.snapshot()["requests"] == 5
 
     def test_histogram_snapshot(self):
         registry = MetricsRegistry()
@@ -223,7 +240,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +359,9 @@ class TestBatchQueue:
         # A gated scan holds the dispatcher; three size requests queue
         # behind it and must come out together, in one lookup pass.
         gated = GatedSearch(handle4.engine)
+        lookups = LookupSpy(handle4.database)
         svc = SynthesisService(
-            dataclasses.replace(handle4, engine=gated),
+            dataclasses.replace(handle4, engine=gated, database=lookups),
             config=ServiceConfig(n_wires=4, k=4, max_list_size=3),
         ).start()
         answers = {}
@@ -370,7 +388,7 @@ class TestBatchQueue:
             assert {answers[s]["result"]["source"] for s in EASY_SPECS} == {"db"}
             batches = svc.metrics.histogram("batch_size")
             assert (batches.count, batches.min, batches.max) == (2, 1, 3)
-            assert svc.metrics.histogram("lookup_seconds").count == 2
+            assert lookups.calls == 2
         finally:
             gated.gate.set()
             svc.shutdown()
@@ -467,6 +485,23 @@ class TestServiceCore:
         finally:
             svc.shutdown()
 
+    def test_metrics_hold_each_event_once(self, service):
+        # Stages with a span (batch, lookup, peel, compile) are timed by
+        # it alone; task outcomes, deadline misses and the queue depth
+        # are reported by their owners, not repeated as metrics.
+        submit(service, "synth", spec=SHIFT, id=1)
+        submit(service, "synth", spec=HARD_SPECS[0], id=2)
+        submit(service, "size", spec=EASY_SPECS[1], id=3)
+        submit(service, "compile", spec=COMPILE_SPEC, id=4)
+        submit(service, "synth", spec=HARD_SPECS[1], engine="heuristic", id=5)
+        assert set(service.stats()["metrics"]) == {
+            "requests_total", "requests_synth", "requests_size",
+            "requests_compile", "engine_requests_optimal",
+            "engine_requests_heuristic", "engine_seconds_heuristic",
+            "queue_wait_seconds", "batch_size", "served_from_db",
+            "hard_queries", "scan_seconds", "responses_ok",
+        }
+
     def test_out_of_reach_envelope_and_cached_proof(self, service):
         body = submit(service, "synth", spec=OUT_OF_REACH)
         assert not body["ok"]
@@ -537,24 +572,24 @@ class TestServiceCore:
 
 
 # ----------------------------------------------------------------------
-# The boxed A_i scan
+# The A_i scan behind the dispatcher
 # ----------------------------------------------------------------------
-class TestSolveWithEngine:
-    def test_matches_engine(self, handle4):
-        words = [Permutation.from_spec(s).word for s in HARD_SPECS[:2]]
-        results = [solve_with_engine(handle4.engine, w) for w in words]
-        assert [r.size for r in results] == [5, 5]
-        for word, result in zip(words, results):
-            direct = handle4.engine.search(word)
-            assert result.circuit == str(direct.circuit)
+class TestHardScan:
+    def test_matches_engine(self, service, handle4):
+        for index, spec in enumerate(HARD_SPECS[:2]):
+            result = submit(service, "synth", spec=spec, id=index)["result"]
+            assert result["source"] == "scan" and result["size"] == 5
+            direct = handle4.engine.search(Permutation.from_spec(spec).word)
+            assert result["circuit"] == str(direct.circuit)
 
-    def test_reports_bound(self, handle4):
-        word = Permutation.from_spec(OUT_OF_REACH).word
-        result = solve_with_engine(handle4.engine, word)
-        # The exhausted search is a proof, boxed as a bound (the daemon
-        # answers it with a size_limit envelope), not an exception.
-        assert result.size is None and result.lower_bound == 8
-        assert "requires more than 7 gates" in result.message
+    def test_reports_bound(self, service):
+        body = submit(service, "synth", spec=OUT_OF_REACH)
+        # The exhausted search is a proof, answered as a size_limit
+        # envelope with its bound.
+        assert not body["ok"]
+        assert body["error"]["kind"] == "size_limit"
+        assert body["error"]["lower_bound"] == 8
+        assert "requires more than 7 gates" in body["error"]["message"]
 
 
 # ----------------------------------------------------------------------
@@ -664,6 +699,28 @@ class TestStdioTransport:
         served = serve_stdio(svc, stdin=io.StringIO(""), stdout=stdout)
         assert served == 0
         assert svc.stopped
+
+    def test_serve_stdio_stops_when_the_reader_goes_away(
+        self, handle4, tmp_path
+    ):
+        # A failed write means the only client has gone: stop reading
+        # and shut down as at EOF, saving the result cache.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = tmp_path / "results.json"
+        svc = SynthesisService(handle4, config=ServiceConfig(
+            n_wires=4, k=4, max_list_size=3, result_cache_path=str(path),
+        ))
+        unread = json.dumps({"id": 2, "op": "ping"}) + "\n"
+        stdin = io.StringIO(
+            json.dumps({"id": 1, "op": "synth", "spec": SHIFT}) + "\n" + unread
+        )
+        assert serve_stdio(svc, stdin=stdin, stdout=ClosedPipe()) == 0
+        assert svc.stopped
+        assert stdin.read() == unread
+        assert ResultCache().load(path) == 1
 
     def test_deeply_nested_line_is_a_protocol_error(self, handle4):
         # Under the 1 MiB line cap, but nested far past the JSON
