@@ -470,8 +470,6 @@ class SynthesisService(RequestFront):
             "database": self._database_info(),
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
-            # Under --trace the spans are the span_<name> histograms in
-            # metrics.
             "trace": {"enabled": _perf_is_enabled()},
             "tasks": self.tasks.snapshot(),
             "resilience": {"breaker": self.breaker.snapshot()},
@@ -868,9 +866,11 @@ def serve_stdio(service: SynthesisService, stdin=None, stdout=None) -> int:
 
     Returns the number of lines served.  EOF triggers graceful shutdown,
     as does a ``shutdown`` request (after its acknowledgement is
-    written), and so does a failed write or flush: the only client has
-    gone, so nothing more can be answered.
+    written), and so does a broken pipe on stdout: the only client has
+    gone, so nothing more can be answered.  Any other write error
+    propagates.
     """
+    import os
     import sys
 
     stdin = stdin if stdin is not None else sys.stdin
@@ -885,7 +885,14 @@ def serve_stdio(service: SynthesisService, stdin=None, stdout=None) -> int:
             try:
                 stdout.write(response + "\n")
                 stdout.flush()
-            except OSError:
+            except BrokenPipeError:
+                # A buffered stdout keeps the line it failed to flush and
+                # flushes it again at exit; against /dev/null that flush
+                # succeeds instead of exiting 120 with "Exception ignored".
+                if stdout is sys.__stdout__:
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, stdout.fileno())
+                    os.close(devnull)
                 break
             served += 1
             if service.stopping:

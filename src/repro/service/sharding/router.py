@@ -80,8 +80,7 @@ class ShardRouter(RequestFront):
             one, unit-test routers may not.
 
     When no shard can answer, the router degrades in-process to
-    :data:`repro.service.front.FALLBACK_ENGINE`.  Fired faults are
-    counted once, by the injector (``health.faults``).
+    :data:`repro.service.front.FALLBACK_ENGINE`.
     """
 
     def __init__(

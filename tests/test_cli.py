@@ -438,10 +438,15 @@ class TestServeAndQuery:
         assert responses[2]["result"]["config"]["k"] == 3
         assert responses[3]["result"]["draining"] is True
 
-    def test_serve_stdio_reader_going_away_is_a_clean_exit(self, tmp_path):
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_serve_stdio_reader_going_away_is_a_clean_exit(
+        self, tmp_path, buffering
+    ):
         """`repro serve --stdio | head -1`: the reader closes the pipe
         with ~2,000 answers unread, more than a pipe buffer holds, so a
-        later write fails.  The daemon shuts down as at EOF."""
+        later write fails.  The daemon shuts down as at EOF.  Buffered
+        stdout keeps the failed line and flushes it again at exit, so
+        that exit flush must not fail either."""
         import json
         import os
         import subprocess
@@ -453,6 +458,9 @@ class TestServeAndQuery:
         src_dir = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
         pings = tmp_path / "pings.jsonl"
         pings.write_text("".join(
             json.dumps({"id": i, "op": "ping"}) + "\n" for i in range(2000)

@@ -348,8 +348,6 @@ class TestInstrumentation:
                 response = json.loads(svc.handle_line(json.dumps(request)))
                 assert response["ok"], response
             stats = svc.stats()
-            # The sink's span_<name> histograms are the one view of the
-            # spans: no second aggregate rides along.
             assert stats["trace"] == {"enabled": True}
             metrics = stats["metrics"]
             for span in (

@@ -4,6 +4,7 @@ metrics, the hard scan, and the daemon end to end over TCP and stdio."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import io
 import json
 import threading
@@ -721,6 +722,20 @@ class TestStdioTransport:
         assert svc.stopped
         assert stdin.read() == unread
         assert ResultCache().load(path) == 1
+
+    def test_serve_stdio_raises_other_write_errors(self, handle4):
+        # Only a broken pipe means the reader has gone; a full disk
+        # behind a redirected stdout is an error, not an EOF.
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        svc = SynthesisService(handle4)
+        stdin = io.StringIO(json.dumps({"id": 1, "op": "ping"}) + "\n")
+        with pytest.raises(OSError) as info:
+            serve_stdio(svc, stdin=stdin, stdout=FullDisk())
+        assert info.value.errno == errno.ENOSPC
+        assert svc.stopped
 
     def test_deeply_nested_line_is_a_protocol_error(self, handle4):
         # Under the 1 MiB line cap, but nested far past the JSON
