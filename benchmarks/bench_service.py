@@ -145,7 +145,7 @@ def test_service_throughput(benchmark, service_handle):
         with ServiceClient(host, port) as client:
             stats = client.stats()
         served = stats["metrics"]["requests_synth"]
-        mean_batch = stats["mean_batch_size"]
+        mean_batch = stats["metrics"]["batch_size"]["mean"]
         hit_rate = stats["cache"]["hit_rate"]
 
         print_header("Synthesis service throughput")

@@ -14,9 +14,10 @@ Run:  python examples/boolean_embedding.py
 
 from __future__ import annotations
 
-from repro import OptimalSynthesizer
+from repro.core.circuit import Circuit
+from repro.engines import create_engine
 from repro.io.qasm import to_qasm
-from repro.synth.embedding import synthesize_boolean_embedding
+from repro.specs import TruthTableSpec, compile_spec
 
 FUNCTIONS = {
     "AND(a,b)": ([0, 0, 0, 1], 2),
@@ -30,22 +31,21 @@ FUNCTIONS = {
 
 
 def main() -> None:
-    synth = OptimalSynthesizer(k=4, max_list_size=3)
-    synth.prepare()
+    engine = create_engine("optimal", k=4, max_list_size=3).prepare()
 
     print("irreversible function -> optimal reversible embedding "
           "(output on wire d)\n")
     print(f"{'function':<12} {'gates':>5}  circuit")
     for name, (truth_table, n_inputs) in FUNCTIONS.items():
-        result = synthesize_boolean_embedding(
-            truth_table, n_inputs, synthesizer=synth
-        )
+        spec = TruthTableSpec(rows=tuple(truth_table), n_inputs=n_inputs)
+        result = compile_spec(spec, engine)
         flag = "" if result.exhaustive else "  (sampled completions)"
         print(f"{name:<12} {result.size:>5}  {result.circuit}{flag}")
 
     print("\nexporting the AND embedding to OpenQASM 2.0:\n")
-    and_result = synthesize_boolean_embedding([0, 0, 0, 1], 2, synth)
-    print(to_qasm(and_result.circuit, comment="AND(a,b) -> d, optimal"))
+    and_spec = TruthTableSpec(rows=(0, 0, 0, 1), n_inputs=2)
+    circuit = Circuit.parse(compile_spec(and_spec, engine).circuit, 4)
+    print(to_qasm(circuit, comment="AND(a,b) -> d, optimal"))
 
 
 if __name__ == "__main__":

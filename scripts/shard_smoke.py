@@ -65,13 +65,19 @@ SCAN_RUNS = 6
 #: distinct equivalence class so a 3-ring genuinely scatters it, plus
 #: entries that reach the request front's shared validation: a
 #: don't-care compile, an unparseable spec, and a named engine asked for
-#: another wire count.  The first entry stays first: phase 2 kills its
-#: owner.
+#: another wire count.  The line and entry 4 carry a generous
+#: ``deadline_ms``, so both deadline fields cross the wire.  The first
+#: entry stays first: phase 2 kills its owner.
 MIXED_REQUESTS = [
     {"id": 1, "op": "synth", "spec": "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"},
     {"id": 2, "op": "size", "spec": "[1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14]"},
     {"id": 3, "op": "synth", "spec": "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"},
-    {"id": 4, "op": "size", "spec": "[8,3,2,9,7,12,5,14,0,11,10,1,15,4,13,6]"},
+    {
+        "id": 4,
+        "op": "size",
+        "spec": "[8,3,2,9,7,12,5,14,0,11,10,1,15,4,13,6]",
+        "deadline_ms": 60000,
+    },
     {"id": 5, "op": "synth", "spec": "[3,2,1,0,7,6,5,4,11,10,9,8,15,14,13,12]"},
     {"id": 6, "op": "size", "spec": "[15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0]"},
     {
@@ -92,7 +98,9 @@ MIXED_REQUESTS = [
         "wires": 2,
     },
 ]
-MIXED_LINE = json.dumps({"id": 0, "op": "batch", "requests": MIXED_REQUESTS})
+MIXED_LINE = json.dumps({
+    "id": 0, "op": "batch", "deadline_ms": 60000, "requests": MIXED_REQUESTS,
+})
 #: Entries of MIXED_REQUESTS that must fail, by id, with this error kind.
 EXPECTED_ERRORS = {8: "invalid_spec", 9: "invalid_spec"}
 

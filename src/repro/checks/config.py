@@ -100,7 +100,7 @@ class CheckConfig:
     canonical_call_names: tuple[str, ...] = _tuple("canonical",)
     #: Method names that perform raw canonical-table lookups.
     canonical_lookup_methods: tuple[str, ...] = _tuple(
-        "get", "lookup_batch", "contains_batch", "size_of_canonical"
+        "get", "lookup_batch", "contains_batch"
     )
 
     # --- engine-layering ---------------------------------------------

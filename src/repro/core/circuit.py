@@ -58,13 +58,14 @@ class Circuit:
 
     @staticmethod
     def parse(text: str, n_wires: int) -> "Circuit":
-        """Parse whitespace-separated gates in the paper's syntax.
+        """Parse whitespace-separated gates in the paper's syntax; reads
+        back what ``str`` writes, ``"(identity)"`` included.
 
         >>> Circuit.parse("TOF(a,b,d) CNOT(a,b)", 4).gate_count
         2
         """
         text = text.strip()
-        if not text:
+        if not text or text == "(identity)":
             return Circuit.empty(n_wires)
         # Gates are separated by whitespace, but wire lists may contain
         # spaces after commas; normalize by splitting on ')' instead.

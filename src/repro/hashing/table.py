@@ -449,27 +449,6 @@ class LinearProbingTable:
         """
         return self._keys, self._values
 
-    def save_arrays(self) -> "dict[str, npt.NDArray[np.generic]]":
-        """Dense (key, value) arrays for persistence."""
-        keys, values = self.items()
-        arrays: "dict[str, npt.NDArray[np.generic]]" = {
-            "keys": keys,
-            "values": values,
-        }
-        return arrays
-
-    @staticmethod
-    def from_arrays(
-        keys: npt.ArrayLike, values: npt.ArrayLike, headroom: float = 1.6
-    ) -> "LinearProbingTable":
-        """Rebuild a table sized for ``len(keys)`` entries."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        needed = max(16, int(keys.shape[0] * headroom))
-        bits = max(4, int(needed - 1).bit_length())
-        table = LinearProbingTable(capacity_bits=bits)
-        table.insert_batch(keys, values)
-        return table
-
 
 def _run_lengths_cyclic(occupied: npt.NDArray[np.bool_]) -> npt.NDArray[np.int64]:
     """Lengths of maximal runs of True values in a cyclic boolean array."""

@@ -48,6 +48,7 @@ __all__ = [
     "enable",
     "get_tracer",
     "is_enabled",
+    "remove_sink",
     "render_tree",
     "trace",
 ]
@@ -206,6 +207,13 @@ class Tracer:
         with self._lock:
             self._sinks.append(sink)
 
+    def remove_sink(self, sink: Sink) -> int:
+        """Unregister ``sink``; returns how many sinks remain."""
+        with self._lock:
+            if sink in self._sinks:
+                self._sinks.remove(sink)
+            return len(self._sinks)
+
     def roots(self) -> list[Span]:
         """Completed root spans, oldest first (bounded by max_roots)."""
         with self._lock:
@@ -270,8 +278,10 @@ def enable(
         if tracer is None:
             tracer = Tracer(max_roots=max_roots, max_children=max_children)
             _active = tracer
-    if sink is not None:
-        tracer.add_sink(sink)
+        # Under the switch lock, so a concurrent remove_sink cannot turn
+        # this tracer off between its creation and this sink's arrival.
+        if sink is not None:
+            tracer.add_sink(sink)
     return tracer
 
 
@@ -280,6 +290,14 @@ def disable() -> None:
     global _active
     with _switch_lock:
         _active = None
+
+
+def remove_sink(sink: Sink) -> None:
+    """Unregister ``sink``; tracing turns off once no sink is left."""
+    global _active
+    with _switch_lock:
+        if _active is not None and _active.remove_sink(sink) == 0:
+            _active = None
 
 
 def is_enabled() -> bool:

@@ -55,7 +55,7 @@ CACHE_FORMAT_VERSION = 1
 MAX_CIRCUITS_PER_ENTRY = 48
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One equivalence class worth of results.
 

@@ -3,10 +3,11 @@
 Architecture::
 
     TCP / stdio transports             (one thread per connection)
-        -> RequestFront.handle_line    decode, count, start the Deadline,
-                                       answer control ops
-        -> RequestFront.validate       every work request, once: wire
-                                       count + spec parse
+        -> RequestFront.handle_line    decode, count, answer control ops,
+                                       encode the response
+        -> RequestFront.validate       every work request and batch
+                                       entry, once: wire count + spec
+                                       parse; its Deadline
         -> default-engine synth/size   BatchQueue: the dispatcher takes
                                        everything queued as one batch
             -> dispatcher thread       ONE canonical_np + lookup_batch
@@ -22,12 +23,12 @@ Architecture::
 
 The front (:mod:`repro.service.front`) is shared with the shard router,
 so both answer a line through the same validation, error and degradation
-code.  A ``batch`` runs its entries in order, each through the path a
-top-level request takes.  Control ops (``ping``/``stats``/``health``/
-``shutdown``) are answered synchronously on the connection thread.
-Graceful shutdown closes the queue (new work gets a ``shutdown`` error
-envelope), drains everything already accepted, persists the result
-cache, and only then stops the transports.
+code.  A ``batch`` runs its validated entries in order, each through
+the path a top-level request takes.  Control ops (``ping``/``stats``/
+``health``/``shutdown``) are answered synchronously on the connection
+thread.  Graceful shutdown closes the queue (new work gets a
+``shutdown`` error envelope), drains everything already accepted,
+persists the result cache, and only then stops the transports.
 
 One daemon uses one core for its hard work; ``repro serve --shards N``
 is how to use more (see ``docs/SHARDING.md``).
@@ -76,6 +77,7 @@ from repro.errors import (
 )
 from repro.perf.trace import enable as _perf_enable
 from repro.perf.trace import is_enabled as _perf_is_enabled
+from repro.perf.trace import remove_sink as _perf_remove_sink
 from repro.perf.trace import trace as trace_span
 from repro.service import protocol
 from repro.service.batching import BatchQueue, PendingRequest
@@ -201,9 +203,11 @@ class SynthesisService(RequestFront):
         if self._dispatcher is not None:
             while self._dispatcher.is_alive():
                 self._dispatcher.join(timeout=1.0)
+            if self.config.extra.get("trace"):
+                _perf_remove_sink(self._span_sink)
         # Anything that raced past close without being dispatched.
         for pending in self.queue.drain_remaining():
-            pending.resolve(self.error_line(
+            pending.resolve(self.error_response(
                 pending.request.id,
                 ServiceShutdownError("service stopped before dispatch"),
             ))
@@ -219,8 +223,8 @@ class SynthesisService(RequestFront):
     # ------------------------------------------------------------------
     # Work requests
     # ------------------------------------------------------------------
-    def _cluster_op(self, request: "protocol.Request") -> str:
-        return self.error_line(
+    def _cluster_op(self, request: "protocol.Request") -> dict:
+        return self.error_response(
             request.id,
             ProtocolError(
                 f"op {request.op!r} needs a sharded router "
@@ -228,17 +232,22 @@ class SynthesisService(RequestFront):
             ),
         )
 
-    def _run_batch(self, entries, results, deadline) -> None:
+    def _run_batch(self, entries, results) -> None:
         """A single daemon has no shards to scatter over: entries run in
-        order, each through :meth:`submit` like a top-level request, so a
-        class repeated inside one batch is served from cache.  A sharded
-        router produces the same envelopes for the same entries (the
-        shard-smoke CI job compares the two byte for byte -- see
-        ``docs/SHARDING.md``)."""
-        for index, sub in entries:
-            results[index] = json.loads(self.submit(sub))
+        order, each through :meth:`_run_work` like a top-level request
+        (and refused like one once draining), so a class repeated inside
+        one batch is served from cache.  A sharded router produces the
+        same envelopes for the same entries (the shard-smoke CI job
+        compares the two byte for byte -- see ``docs/SHARDING.md``)."""
+        for index, sub, target, deadline in entries:
+            if self.stopping:
+                results[index] = self.error_response(
+                    sub.id, ServiceShutdownError("service is draining")
+                )
+            else:
+                results[index] = self._run_work(sub, target, deadline)
 
-    def _run_work(self, request: "protocol.Request", target, deadline) -> str:
+    def _run_work(self, request: "protocol.Request", target, deadline) -> dict:
         """Run a validated work request where it belongs.
 
         Default-engine ``synth``/``size`` park on the batch queue for the
@@ -254,7 +263,7 @@ class SynthesisService(RequestFront):
         try:
             engine, lock = self.engine(name)
         except SynthesisError as exc:
-            return self.error_line(
+            return self.error_response(
                 request.id, ProtocolError(str(exc), kind="protocol")
             )
         if request.op == "compile":
@@ -271,7 +280,7 @@ class SynthesisService(RequestFront):
         options.setdefault("handle", self.handle)
         return options
 
-    def _enqueue(self, request: "protocol.Request", word: int, deadline) -> str:
+    def _enqueue(self, request: "protocol.Request", word: int, deadline) -> dict:
         """Park a default-engine request on the queue and wait for the
         dispatcher.
 
@@ -286,7 +295,7 @@ class SynthesisService(RequestFront):
         try:
             self.queue.put(pending)
         except ServiceShutdownError as exc:
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         response = pending.wait(self.resilience.request_timeout)
         if response is None:
             # The connection thread is abandoning the request: the
@@ -294,7 +303,7 @@ class SynthesisService(RequestFront):
             # the next checkpoint -- nobody will read the answer.
             pending.token.cancel("abandoned")
             self.metrics.counter("responses_timeout").inc()
-            return self.error_line(
+            return self.error_response(
                 request.id,
                 ProtocolError(
                     "request was not resolved within "
@@ -304,7 +313,7 @@ class SynthesisService(RequestFront):
             )
         return response
 
-    def _compile(self, request, spec, name, engine, lock, deadline) -> str:
+    def _compile(self, request, spec, name, engine, lock, deadline) -> dict:
         """Answer a ``compile`` op: spec form in, circuit + embedding out.
 
         The completion search runs under one tracked cancel token that
@@ -326,7 +335,7 @@ class SynthesisService(RequestFront):
             or not isinstance(samples, int)
             or samples < 1
         ):
-            return self.error_line(
+            return self.error_response(
                 request.id,
                 ProtocolError(
                     f"samples must be a positive integer, got {samples!r}"
@@ -348,12 +357,12 @@ class SynthesisService(RequestFront):
             return self._degrade(request, spec, exc.reason)
         except Exception as exc:
             self.tasks.end(token, DEGRADED)
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         self.tasks.end(token, DONE)
         self._count_if_late(token)
         return self._ok(request.id, result.to_wire(), "engine")
 
-    def _synthesize(self, request, perm, name, engine, lock, deadline) -> str:
+    def _synthesize(self, request, perm, name, engine, lock, deadline) -> dict:
         """Answer one ``synth``/``size`` request with a named engine.
 
         Engine answers are not class-invariant (relabeling changes the
@@ -392,7 +401,7 @@ class SynthesisService(RequestFront):
                 return self._degrade(request, perm, exc.reason)
             except Exception as exc:
                 self.tasks.end(token, DEGRADED)
-                return self.error_line(request.id, exc)
+                return self.error_response(request.id, exc)
             self.tasks.end(token, DONE)
             self._count_if_late(token)
             self.metrics.histogram(f"engine_seconds_{name}").observe(
@@ -414,7 +423,7 @@ class SynthesisService(RequestFront):
     # ------------------------------------------------------------------
     # Degradation
     # ------------------------------------------------------------------
-    def _degrade(self, request: "protocol.Request", target, reason: str) -> str:
+    def _degrade(self, request: "protocol.Request", target, reason: str) -> dict:
         """The daemon's one degradation point: the fallback engine's
         upper-bound answer (``reason`` is ``deadline``, ``breaker_open``,
         ``shutdown``, ``scan_error`` or another cancellation reason)."""
@@ -450,7 +459,6 @@ class SynthesisService(RequestFront):
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Config + metrics + cache state (the ``stats`` op payload)."""
-        batch = self.metrics.histogram("batch_size").snapshot()
         return {
             "version": __version__,
             "uptime": self.uptime(),
@@ -462,7 +470,6 @@ class SynthesisService(RequestFront):
                 "max_batch": self.queue.max_batch,
             },
             "queue_depth": self.queue.depth,
-            "mean_batch_size": batch.get("mean"),
             "engines": {
                 "default": DEFAULT_ENGINE,
                 "loaded": sorted(self._engines),
@@ -549,7 +556,7 @@ class SynthesisService(RequestFront):
                 for pending in batch:
                     if pending.response is None:
                         pending.resolve(
-                            self.error_line(pending.request.id, exc)
+                            self.error_response(pending.request.id, exc)
                         )
 
     def _process_batch(self, batch: "list[PendingRequest]") -> None:
@@ -589,7 +596,7 @@ class SynthesisService(RequestFront):
                 bound = self.cache.bound_for(n, canon, self.handle.max_size)
                 if bound is not None:
                     self.metrics.counter("served_from_cache").inc()
-                    pending.resolve(self.error_line(
+                    pending.resolve(self.error_response(
                         request.id,
                         SizeLimitExceededError(
                             f"function requires more than "
@@ -683,12 +690,13 @@ class SynthesisService(RequestFront):
             self.cache.store_bound(
                 n, canon, outcome.lower_bound, self.handle.max_size
             )
-            pending.resolve(self.error_line(request.id, outcome))
+            pending.resolve(self.error_response(request.id, outcome))
             return late
-        circuit = str(outcome.circuit)
-        self.cache.store_circuit(n, canon, word, outcome.size, circuit)
+        text = str(outcome.circuit)
+        self.cache.store_circuit(n, canon, word, outcome.size, text)
         pending.resolve(self._ok_synthesis(
-            request, word, outcome.size, circuit, "scan",
+            request, word, outcome.size, text, "scan",
+            circuit=outcome.circuit,
             lists_scanned=outcome.lists_scanned,
             candidates_tested=outcome.candidates_tested,
         ))
@@ -707,11 +715,13 @@ class SynthesisService(RequestFront):
         try:
             circuit = peel_minimal_circuit(word, self.handle.database, size)
         except ReproError as exc:  # pragma: no cover - inconsistent db
-            pending.resolve(self.error_line(request.id, exc))
+            pending.resolve(self.error_response(request.id, exc))
             return
         text = str(circuit)
         self.cache.store_circuit(n, canon, word, size, text)
-        pending.resolve(self._ok_synthesis(request, word, size, text, "db"))
+        pending.resolve(self._ok_synthesis(
+            request, word, size, text, "db", circuit=circuit
+        ))
 
     # ------------------------------------------------------------------
     # Response shaping
@@ -721,30 +731,26 @@ class SynthesisService(RequestFront):
         request: "protocol.Request",
         word: int,
         size: int,
-        circuit_text: "str | None",
+        text: "str | None",
         source: str,
+        circuit: "Circuit | None" = None,
         **extra,
-    ) -> str:
-        result = {
-            "spec": Permutation(word, self.n_wires).spec(),
-            "word": protocol.word_to_hex(word),
-            "size": size,
-        }
+    ) -> dict:
+        """A default-engine answer; a cache hit has no fresh ``circuit``,
+        so its ``text`` is parsed for the depth and cost."""
+        depth = cost = None
         if request.op == "synth":
-            result["circuit"] = circuit_text
-            circuit = Circuit.parse(
-                circuit_text if circuit_text != "(identity)" else "",
-                self.n_wires,
-            )
-            result["depth"] = circuit.depth()
-            result["cost"] = circuit.cost()
-        result.update(extra)
-        return self._ok(request.id, result, source)
+            if circuit is None:
+                circuit = Circuit.parse(text, self.n_wires)
+            depth, cost = circuit.depth(), circuit.cost()
+        body = self.synthesis_body(request.op, word, size, text, depth, cost)
+        body.update(extra)
+        return self._ok(request.id, body, source)
 
-    def _ok(self, request_id, body: dict, source: str) -> str:
+    def _ok(self, request_id, body: dict, source: str) -> dict:
         self.metrics.counter("responses_ok").inc()
         body["source"] = source
-        return protocol.encode_response(request_id, result=body)
+        return protocol.response(request_id, result=body)
 
 
 # ----------------------------------------------------------------------

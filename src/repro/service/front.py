@@ -10,21 +10,22 @@ A JSONL line takes the same steps whether it reaches a
    :class:`~repro.service.resilience.Deadline` (queue time and injected
    delays count against it), and answers the control ops.
 3. A work request -- ``synth``/``size``/``compile`` with any engine, at
-   top level or as a ``batch`` entry -- is validated once by
-   :meth:`RequestFront.validate`: the wire-count check plus the spec
-   parse, yielding its :class:`Permutation` or function-form spec.
+   top level or as a ``batch`` entry -- is counted, timed and validated
+   once, here: :meth:`RequestFront.validate` is the wire-count check
+   plus the spec parse, yielding its :class:`Permutation` or
+   function-form spec.
 4. The subclass runs it (``_run_work`` / ``_run_batch``): the daemon on
    its dispatcher or the connection thread, the router by forwarding it
    to the owning shard.
 
-When the exact path cannot answer (deadline, breaker, shutdown, no live
-shard), :meth:`RequestFront.degraded` shapes the one degraded answer,
-and :meth:`RequestFront.error_line` renders every error line.
+Below ``handle_line`` a response is an envelope dict, encoded once at
+the end.  When the exact path cannot answer (deadline, breaker,
+shutdown, no live shard), :meth:`RequestFront.degraded` shapes the one
+degraded answer, and :meth:`RequestFront.error_response` every error.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -146,31 +147,37 @@ class RequestFront:
         try:
             request = protocol.decode_request(line)
         except ProtocolError as exc:
-            return self.error_line(None, exc)
-        return self.submit(request)
+            envelope = self.error_response(None, exc)
+        else:
+            envelope = self.submit(request)
+        return protocol.encode_response(envelope)
 
-    def submit(self, request: "protocol.Request") -> str:
-        """Execute one decoded request and return the response line."""
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter(f"requests_{request.op}").inc()
-        # The deadline starts at accept time, *before* any injected delay
-        # or queueing: everything the server spends counts against it.
-        deadline = Deadline.from_ms(request.deadline_ms)
+    def submit(self, request: "protocol.Request") -> dict:
+        """Execute one decoded request and return its response envelope."""
+        self._count(request)
+        # Deadlines count from accept time, *before* any injected delay
+        # or queueing: everything the server spends counts against them.
+        accepted = time.monotonic()
         if self.faults is not None:
             self.faults.delay_request(request.op)
         if request.op not in protocol.WORK_OPS and request.op != "batch":
             return self._control(request)
         if self.stopping:
-            return self.error_line(
+            return self.error_response(
                 request.id, ServiceShutdownError("service is draining")
             )
         if request.op == "batch":
-            return self._batch(request, deadline)
+            return self._batch(request, accepted)
         try:
             target = self.validate(request)
         except ReproError as exc:
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
+        deadline = Deadline.from_ms(request.deadline_ms, start=accepted)
         return self._run_work(request, target, deadline)
+
+    def _count(self, request: "protocol.Request") -> None:
+        self.metrics.counter("requests_total").inc()
+        self.metrics.counter(f"requests_{request.op}").inc()
 
     def validate(self, request: "protocol.Request"):
         """The work request's :class:`Permutation` (``synth``/``size``)
@@ -207,7 +214,7 @@ class RequestFront:
             )
         return perm
 
-    def _control(self, request: "protocol.Request") -> str:
+    def _control(self, request: "protocol.Request") -> dict:
         """Answer a control op (everything but work and ``batch``)."""
         if request.op == "ping":
             body = self.ping()
@@ -220,27 +227,39 @@ class RequestFront:
             body = {"draining": True}
         else:
             return self._cluster_op(request)
-        return protocol.encode_response(request.id, result=body)
+        return protocol.response(request.id, result=body)
 
     def ping(self) -> dict:
         """The ``ping`` op payload."""
         return {"pong": True, "version": __version__}
 
-    def _batch(self, request: "protocol.Request", deadline) -> str:
+    def _batch(self, request: "protocol.Request", accepted: float) -> dict:
         """Answer a ``batch`` op: one complete response envelope per
         entry, in order (its own id/ok/error), so one bad entry never
-        poisons the batch."""
+        poisons the batch.  Entries are admitted like top-level requests;
+        each one's deadline is the earlier of its own and the line's."""
         entries = request.options.get("requests", [])
         results: "list[dict | None]" = [None] * len(entries)
-        decoded = []
+        work = []
         for index, entry in enumerate(entries):
             try:
-                decoded.append((index, protocol.decode_payload(entry)))
+                sub = protocol.decode_payload(entry)
             except ProtocolError as exc:
                 entry_id = entry.get("id") if isinstance(entry, dict) else None
-                results[index] = json.loads(self.error_line(entry_id, exc))
-        self._run_batch(decoded, results, deadline)
-        return protocol.encode_response(
+                results[index] = self.error_response(entry_id, exc)
+                continue
+            self._count(sub)
+            try:
+                target = self.validate(sub)
+            except ReproError as exc:
+                results[index] = self.error_response(sub.id, exc)
+                continue
+            budgets = (request.deadline_ms, sub.deadline_ms)
+            ms = min((b for b in budgets if b is not None), default=None)
+            deadline = Deadline.from_ms(ms, start=accepted)
+            work.append((index, sub, target, deadline))
+        self._run_batch(work, results)
+        return protocol.response(
             request.id, result={"count": len(results), "results": results}
         )
 
@@ -265,7 +284,7 @@ class RequestFront:
     def _engine_options(self, name: str) -> dict:
         return {"n_wires": self.n_wires}
 
-    def degraded(self, request: "protocol.Request", target, reason: str) -> str:
+    def degraded(self, request: "protocol.Request", target, reason: str) -> dict:
         """Answer a validated work request from :data:`FALLBACK_ENGINE`.
 
         The circuit is valid (for ``compile``: right on every specified
@@ -291,17 +310,12 @@ class RequestFront:
                         SynthesisRequest(spec=target, n_wires=self.n_wires)
                     )
         except Exception as exc:  # pragma: no cover - fallback engine broke
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         if request.op != "compile":
-            body = {
-                "spec": target.spec(),
-                "word": protocol.word_to_hex(target.word),
-                "size": result.size,
-            }
-            if request.op == "synth":
-                body["circuit"] = result.circuit
-                body["depth"] = result.depth
-                body["cost"] = result.cost
+            body = self.synthesis_body(
+                request.op, target.word, result.size,
+                result.circuit, result.depth, result.cost,
+            )
         self.metrics.counter("responses_ok").inc()
         self.metrics.counter("responses_degraded").inc()
         self.metrics.counter(f"degraded_{reason}").inc()
@@ -309,12 +323,29 @@ class RequestFront:
         body["guarantee"] = GUARANTEE_UPPER_BOUND
         body["degraded_reason"] = reason
         body["tier"] = name
-        return protocol.encode_response(request.id, result=body)
+        return protocol.response(request.id, result=body)
 
-    def error_line(self, request_id, exc: BaseException) -> str:
-        """The error response line for ``exc``."""
+    def synthesis_body(
+        self, op: str, word: int, size: int, circuit=None, depth=None,
+        cost=None,
+    ) -> dict:
+        """The one ``synth``/``size`` answer body, exact or degraded;
+        ``synth`` adds the circuit text, its depth and its cost."""
+        body = {
+            "spec": Permutation(word, self.n_wires).spec(),
+            "word": protocol.word_to_hex(word),
+            "size": size,
+        }
+        if op == "synth":
+            body["circuit"] = circuit
+            body["depth"] = depth
+            body["cost"] = cost
+        return body
+
+    def error_response(self, request_id, exc: BaseException) -> dict:
+        """The error response envelope for ``exc``."""
         self.metrics.counter("responses_error").inc()
-        return protocol.encode_response(
+        return protocol.response(
             request_id, error=protocol.error_envelope(exc)
         )
 

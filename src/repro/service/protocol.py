@@ -231,17 +231,21 @@ def decode_payload(payload) -> Request:
     )
 
 
-def encode_response(
+def response(
     request_id, result: "dict | None" = None, error: "dict | None" = None
-) -> str:
-    """Render one response line (without the trailing newline)."""
+) -> dict:
+    """One response envelope: ``result`` on success, else ``error``."""
     if (result is None) == (error is None):
         raise ValueError("exactly one of result/error must be given")
     if error is not None:
-        body = {"id": request_id, "ok": False, "error": error}
-    else:
-        body = {"id": request_id, "ok": True, "result": result}
-    return json.dumps(body, separators=(",", ":"), sort_keys=True)
+        return {"id": request_id, "ok": False, "error": error}
+    return {"id": request_id, "ok": True, "result": result}
+
+
+def encode_response(envelope: dict) -> str:
+    """Render one response envelope as a line (without the trailing
+    newline)."""
+    return json.dumps(envelope, separators=(",", ":"), sort_keys=True)
 
 
 def decode_response(line: "str | bytes") -> dict:
@@ -299,5 +303,6 @@ __all__ = [
     "encode_response",
     "error_envelope",
     "raise_for_error",
+    "response",
     "word_to_hex",
 ]

@@ -79,19 +79,20 @@ class Deadline:
 
     __slots__ = ("expires_at", "_clock")
 
-    def __init__(self, seconds: float, clock=time.monotonic) -> None:
+    def __init__(self, seconds: float, clock=time.monotonic, start=None) -> None:
         self._clock = clock
-        self.expires_at = clock() + seconds
+        self.expires_at = (clock() if start is None else start) + seconds
 
     @classmethod
     def from_ms(
-        cls, deadline_ms: "int | None", clock=time.monotonic
+        cls, deadline_ms: "int | None", clock=time.monotonic, start=None
     ) -> "Deadline | None":
         """A deadline for a protocol ``deadline_ms`` field (None = no
-        deadline)."""
+        deadline), counted from the ``clock`` reading ``start`` (default
+        now)."""
         if deadline_ms is None:
             return None
-        return cls(deadline_ms / 1000.0, clock)
+        return cls(deadline_ms / 1000.0, clock, start)
 
     def remaining(self) -> float:
         """Seconds left; negative once expired."""

@@ -21,9 +21,11 @@ shard maps the complete ``.rdb`` store, so the re-routed answer is
 does the router degrade to a local fallback-engine answer tagged
 ``"guarantee": "upper_bound"`` -- a response is always written.
 
-``batch`` ops scatter by owner and gather with per-shard deadlines; a
-failed slice re-routes its members individually (exact) or degrades
-(tagged), never poisons the batch, and never blocks on a dead peer.
+``batch`` ops scatter by owner and gather with per-shard deadlines; an
+entry whose deadline has passed degrades unforwarded, as a top-level
+request does.  A failed slice re-routes its members individually
+(exact) or degrades (tagged), never poisons the batch, and never blocks
+on a dead peer.
 
 Every forward runs under a :class:`repro.service.tasks.CancelToken`
 tracked by the router's :class:`repro.service.tasks.TaskRegistry` and,
@@ -36,7 +38,6 @@ accounting, and the routing-table epoch.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -127,11 +128,9 @@ class ShardRouter(RequestFront):
             "epoch": self.ring.epoch,
         }
 
-    def _cluster_op(self, request: "protocol.Request") -> str:
+    def _cluster_op(self, request: "protocol.Request") -> dict:
         if request.op == "shards":
-            return protocol.encode_response(
-                request.id, result=self.shards_status()
-            )
+            return protocol.response(request.id, result=self.shards_status())
         if request.op == "shard_join":
             return self._shard_join(request)
         return self._shard_leave(request)
@@ -150,11 +149,11 @@ class ShardRouter(RequestFront):
             return routing_word(target, self.n_wires)
         return target.word
 
-    def _run_work(self, request: "protocol.Request", target, deadline) -> str:
+    def _run_work(self, request: "protocol.Request", target, deadline) -> dict:
         try:
             word = self._routing_word(request, target)
         except ReproError as exc:
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         canon, _, _ = canonical_variant(word, self.n_wires)
         return self._route_work(request, target, canon, deadline)
 
@@ -167,7 +166,7 @@ class ShardRouter(RequestFront):
         target,
         canon: int,
         deadline: "Deadline | None",
-    ) -> str:
+    ) -> dict:
         """Forward one validated work request to the owner of ``canon``
         (walking the preference list); degrade when no shard answers."""
         payload = self._forward_payload(request, deadline)
@@ -177,10 +176,10 @@ class ShardRouter(RequestFront):
             self.tasks.end(token, DONE)
             self.metrics.counter("responses_forwarded").inc()
             if envelope.get("ok"):
-                return protocol.encode_response(
+                return protocol.response(
                     request.id, result=envelope.get("result", {})
                 )
-            return protocol.encode_response(
+            return protocol.response(
                 request.id, error=envelope.get("error", {})
             )
         if token.cancelled:
@@ -293,36 +292,37 @@ class ShardRouter(RequestFront):
     # ------------------------------------------------------------------
     # Batch scatter/gather
     # ------------------------------------------------------------------
-    def _run_batch(self, entries, results, deadline) -> None:
-        """Scatter the decoded entries by owner, one shard-side ``batch``
-        per slice, and gather the envelopes back in request order."""
-        valid: list = []  # (index, sub_request, target)
+    def _run_batch(self, entries, results) -> None:
+        """Scatter the validated entries by owner, one shard-side
+        ``batch`` per slice, and gather the envelopes back in request
+        order."""
+        routed: list = []  # (index, sub_request, target, deadline)
         words: "list[int]" = []
-        for index, sub in entries:
+        for entry in entries:
+            index, sub, target, _deadline = entry
             try:
-                target = self.validate(sub)
                 words.append(self._routing_word(sub, target))
             except ReproError as exc:
-                results[index] = json.loads(self.error_line(sub.id, exc))
-                continue
-            valid.append((index, sub, target))
+                results[index] = self.error_response(sub.id, exc)
+            else:
+                routed.append(entry)
         # One canonicalization call for every routing key of the line.
         keys = canonical_np(np.array(words, dtype=np.uint64), self.n_wires)
-        parsed = [  # (index, sub_request, target, canon)
-            (*entry, canon) for entry, canon in zip(valid, keys.tolist())
+        parsed = [  # (index, sub_request, target, deadline, canon)
+            (*entry, canon) for entry, canon in zip(routed, keys.tolist())
         ]
         groups: "dict[str | None, list]" = {}
         for item in parsed:
-            groups.setdefault(self.ring.owner(item[3]), []).append(item)
+            groups.setdefault(self.ring.owner(item[4]), []).append(item)
 
         def run_slice(owner, items) -> None:
             try:
-                self._forward_slice(owner, items, results, deadline)
+                self._forward_slice(owner, items, results)
             except Exception:  # defensive: never poison the batch
-                for index, sub, target, _canon in items:
+                for index, sub, target, _deadline, _canon in items:
                     if results[index] is None:
-                        results[index] = json.loads(
-                            self.degraded(sub, target, "router_error")
+                        results[index] = self.degraded(
+                            sub, target, "router_error"
                         )
 
         if len(groups) > 1:
@@ -349,17 +349,28 @@ class ShardRouter(RequestFront):
         elif groups:
             owner, items = next(iter(groups.items()))
             run_slice(owner, items)
-        for index, sub, target, _canon in parsed:
+        for index, sub, target, _deadline, _canon in parsed:
             if results[index] is None:  # pragma: no cover - wedged peer
-                results[index] = json.loads(
-                    self.degraded(sub, target, "router_timeout")
-                )
+                results[index] = self.degraded(sub, target, "router_timeout")
 
-    def _forward_slice(
-        self, owner, items, results, deadline: "Deadline | None"
-    ) -> None:
+    def _forward_slice(self, owner, items, results) -> None:
         """Forward one owner's slice as a shard-side ``batch``; on any
-        failure, re-route the members individually."""
+        failure, re-route the members individually.  An entry already
+        past its deadline degrades here, unforwarded, as in
+        :meth:`_forward`; the slice waits for its latest deadline."""
+        live = []
+        for item in items:
+            index, sub, target, deadline, _canon = item
+            if deadline is not None and deadline.expired():
+                results[index] = self.degraded(sub, target, "deadline")
+            else:
+                live.append(item)
+        if not live:
+            return
+        deadlines = [item[3] for item in live]
+        deadline = None if None in deadlines else max(
+            deadlines, key=lambda d: d.expires_at
+        )
         managed = (
             self.supervisor.get(owner) if owner is not None else None
         )
@@ -375,8 +386,7 @@ class ShardRouter(RequestFront):
                 "id": None,
                 "op": "batch",
                 "requests": [
-                    self._forward_payload(sub, deadline)
-                    for _index, sub, _target, _canon in items
+                    self._forward_payload(item[1], item[3]) for item in live
                 ],
             }
             envelope = self._call(
@@ -387,11 +397,9 @@ class ShardRouter(RequestFront):
                 self.supervisor.note_failure(managed.shard_id)
         if envelope is not None and envelope.get("ok"):
             answers = (envelope.get("result") or {}).get("results") or []
-            if len(answers) == len(items):
-                for (index, _sub, _target, _canon), answer in zip(
-                    items, answers
-                ):
-                    results[index] = answer
+            if len(answers) == len(live):
+                for item, answer in zip(live, answers):
+                    results[item[0]] = answer
                 self.tasks.end(token, DONE)
                 self.metrics.counter("slices_forwarded").inc()
                 return
@@ -401,17 +409,17 @@ class ShardRouter(RequestFront):
         # only as the last resort.  The batch never loses a request.
         self.tasks.end(token, _failed(token))
         self.metrics.counter("slices_rerouted").inc()
-        for index, sub, target, canon in items:
-            results[index] = json.loads(
-                self._route_work(sub, target, canon, deadline)
+        for index, sub, target, entry_deadline, canon in live:
+            results[index] = self._route_work(
+                sub, target, canon, entry_deadline
             )
 
     # ------------------------------------------------------------------
     # Shard membership ops
     # ------------------------------------------------------------------
-    def _shard_join(self, request: "protocol.Request") -> str:
+    def _shard_join(self, request: "protocol.Request") -> dict:
         if self._spawner is None:
-            return self.error_line(
+            return self.error_response(
                 request.id,
                 ProtocolError(
                     "this router has no shard spawner; shard_join needs a "
@@ -422,7 +430,7 @@ class ShardRouter(RequestFront):
         if shard_id is None:
             shard_id = self._fresh_shard_id()
         elif not isinstance(shard_id, str) or not shard_id:
-            return self.error_line(
+            return self.error_response(
                 request.id,
                 ProtocolError("shard_join 'shard' must be a non-empty string"),
             )
@@ -430,9 +438,9 @@ class ShardRouter(RequestFront):
             backend = self._spawner(shard_id)
             managed = self.supervisor.add(backend)
         except ServiceError as exc:
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         self.metrics.counter("shard_joins").inc()
-        return protocol.encode_response(
+        return protocol.response(
             request.id,
             result={
                 "shard": shard_id,
@@ -450,15 +458,15 @@ class ShardRouter(RequestFront):
             if existing is None or existing.state == LEFT:
                 return candidate
 
-    def _shard_leave(self, request: "protocol.Request") -> str:
+    def _shard_leave(self, request: "protocol.Request") -> dict:
         shard_id = request.options.get("shard")
         try:
             summary = self.supervisor.drain(shard_id)
         except ServiceError as exc:
-            return self.error_line(request.id, exc)
+            return self.error_response(request.id, exc)
         self.metrics.counter("shard_leaves").inc()
         summary["members"] = list(self.ring.members)
-        return protocol.encode_response(request.id, result=summary)
+        return protocol.response(request.id, result=summary)
 
     # ------------------------------------------------------------------
     # Rollups

@@ -2,9 +2,8 @@
 
 This is the bridge between the caller's vocabulary (inputs, outputs,
 constants, garbage) and the synthesizer's (a partially-specified
-permutation of ``2 ** n_wires`` codes).  The construction generalizes
-:func:`repro.synth.embedding.embed_boolean_function` to multi-output
-functions and per-row don't-cares:
+permutation of ``2 ** n_wires`` codes), for single- and multi-output
+functions with per-row don't-cares:
 
 * Inputs ride wires ``0 .. n_inputs - 1``; any higher input wire is
   held at the constant 0.

@@ -131,10 +131,6 @@ class OptimalDatabase:
         canon, _, _ = canonical_variant(word, self.n_wires)
         return self.table.get(canon)
 
-    def size_of_canonical(self, canon: int) -> "int | None":
-        """Size lookup for an already-canonical word (no canonicalization)."""
-        return self.table.get(canon)
-
     def sizes_batch(
         self, words: np.ndarray, assume_canonical: bool = False
     ) -> np.ndarray:

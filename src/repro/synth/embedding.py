@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
-from repro.errors import SizeLimitExceededError, SynthesisError
+from repro.errors import SynthesisError
 from repro.rng.mt19937 import MersenneTwister
 
 
@@ -286,66 +286,3 @@ def natural_reversible_extension(
         for x in range(1 << n_wires)
     ]
     return Permutation.from_values(values)
-
-
-def synthesize_boolean_embedding(
-    truth_table: "list[int]",
-    n_inputs: int,
-    synthesizer,
-    n_wires: int = 4,
-    samples: int = 60,
-    seed: int = 5489,
-) -> EmbeddingResult:
-    """End-to-end irreversible synthesis: embed, seed the natural
-    extension, and search completions for the best circuit."""
-    spec = embed_boolean_function(truth_table, n_inputs, n_wires)
-    natural = natural_reversible_extension(truth_table, n_inputs, n_wires)
-    extras = [natural] if spec.matches(natural) else []
-    return synthesize_partial(
-        spec,
-        synthesizer,
-        samples=samples,
-        seed=seed,
-        extra_candidates=extras,
-    )
-
-
-def embed_boolean_function(
-    truth_table: "list[int]",
-    n_inputs: int,
-    n_wires: int = 4,
-    constant_value: int = 0,
-) -> PartialSpec:
-    """Embed an irreversible single-output Boolean function.
-
-    The function's ``n_inputs`` variables ride on wires ``0..n_inputs-1``;
-    the output replaces the top wire (``n_wires - 1``), which enters as
-    the constant ``constant_value``; any middle wires are constant-0
-    inputs with garbage outputs.  Rows whose constant inputs are not at
-    their required values are don't-cares, as are all garbage bits --
-    the classic embedding that turns e.g. AND into a Toffoli.
-    """
-    if len(truth_table) != 1 << n_inputs:
-        raise SynthesisError("truth table length does not match n_inputs")
-    if n_inputs >= n_wires:
-        raise SynthesisError("need at least one output/ancilla wire")
-    size = 1 << n_wires
-    out_wire = n_wires - 1
-    outputs: list = [None] * size
-    used = set()
-    for assignment in range(1 << n_inputs):
-        x = assignment | (constant_value << out_wire)
-        f_value = truth_table[assignment] & 1
-        # Inputs pass through; the out wire carries f; middle wires are
-        # garbage -- choose the lexicographically first unused completion
-        # consistent with (inputs, f) to keep the row specified-but-
-        # deterministic on the non-garbage bits.
-        for garbage in range(1 << (n_wires - n_inputs - 1)):
-            y = assignment | (garbage << n_inputs) | (f_value << out_wire)
-            if y not in used:
-                outputs[x] = y
-                used.add(y)
-                break
-        else:
-            raise SynthesisError("embedding ran out of output codes")
-    return PartialSpec(outputs=tuple(outputs), n_wires=n_wires)

@@ -35,6 +35,10 @@ class TestConstruction:
     def test_parse_empty(self):
         assert Circuit.parse("  ", 4) == Circuit.empty(4)
 
+    def test_parse_reads_back_the_empty_circuit(self):
+        empty = Circuit.empty(4)
+        assert Circuit.parse(str(empty), 4) == empty
+
 
 class TestSemantics:
     def test_application_order_is_left_to_right(self):

@@ -334,7 +334,7 @@ class TestServeAndQuery:
         code = main(["query", "--stats", "--port", str(port)])
         out = capsys.readouterr().out
         assert code == 0
-        assert '"mean_batch_size"' in out
+        assert '"queue_depth"' in out
         code = main(["query", "--shutdown", "--port", str(port)])
         out = capsys.readouterr().out
         assert code == 0

@@ -8,12 +8,12 @@ from repro.core.circuit import Circuit
 from repro.core.gates import all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError, SynthesisError
+from repro.engines import create_engine
+from repro.specs import TruthTableSpec, compile_spec, plan_embedding
 from repro.synth.embedding import (
     EmbeddingResult,
     PartialSpec,
-    embed_boolean_function,
     natural_reversible_extension,
-    synthesize_boolean_embedding,
     synthesize_partial,
 )
 from repro.synth.search import MeetInTheMiddleSearch
@@ -25,6 +25,12 @@ def synth():
     synthesizer = OptimalSynthesizer(k=4, max_list_size=2, cache_dir=False)
     synthesizer.prepare()
     return synthesizer
+
+
+@pytest.fixture(scope="module")
+def engine(synth):
+    """The ``optimal`` engine over ``synth``'s warm database."""
+    return create_engine("optimal", handle=synth.handle())
 
 
 @pytest.fixture(scope="module")
@@ -185,14 +191,12 @@ class TestSynthesizePartial:
         result = synthesize_partial(spec, synth)
         assert result.size == 0
 
-    def test_and_embedding_is_single_toffoli(self, synth):
+    def test_and_embedding_is_single_toffoli(self, engine):
         """AND(a, b) onto wire d: the natural reversible extension is
         the Toffoli gate, so the optimum over don't-cares is 1 gate."""
-        result = synthesize_boolean_embedding(
-            [0, 0, 0, 1], n_inputs=2, synthesizer=synth
-        )
+        result = compile_spec(TruthTableSpec((0, 0, 0, 1), 2), engine)
         assert result.size == 1
-        assert str(result.circuit) == "TOF(a,b,d)"
+        assert result.circuit == "TOF(a,b,d)"
 
     def test_natural_extension_of_and_is_toffoli(self):
         natural = natural_reversible_extension([0, 0, 0, 1], 2, 4)
@@ -200,36 +204,27 @@ class TestSynthesizePartial:
 
         assert natural.word == TOF(0, 1, 3).to_word(4)
 
-    def test_xor_embedding_is_two_cnots(self, synth):
+    def test_xor_embedding_is_two_cnots(self, engine):
         """XOR(a, b) onto wire d: two CNOTs."""
-        result = synthesize_boolean_embedding(
-            [0, 1, 1, 0], n_inputs=2, synthesizer=synth
-        )
+        result = compile_spec(TruthTableSpec((0, 1, 1, 0), 2), engine)
         assert result.size == 2
-        assert result.circuit.gate_count == 2
+        assert Circuit.parse(result.circuit, 4).gate_count == 2
 
-    def test_majority_embedding(self, synth):
+    def test_majority_embedding(self, engine):
         """MAJ(a, b, c) onto wire d embeds within a few gates."""
-        majority = [0, 0, 0, 1, 0, 1, 1, 1]
-        result = synthesize_boolean_embedding(
-            majority, n_inputs=3, synthesizer=synth
-        )
-        spec = embed_boolean_function(majority, n_inputs=3, n_wires=4)
+        majority = TruthTableSpec((0, 0, 0, 1, 0, 1, 1, 1), 3)
+        result = compile_spec(majority, engine)
+        spec = plan_embedding(majority, n_wires=4).partial
         assert spec.matches(result.permutation)
         assert 1 <= result.size <= 4
 
     def test_extra_candidate_must_match(self, synth):
-        spec = embed_boolean_function([0, 0, 0, 1], n_inputs=2, n_wires=4)
+        and_spec = TruthTableSpec((0, 0, 0, 1), 2)
+        spec = plan_embedding(and_spec, n_wires=4).partial
         with pytest.raises(SynthesisError):
             synthesize_partial(
                 spec, synth, extra_candidates=[Permutation.identity(4)]
             )
-
-    def test_embedding_validation(self):
-        with pytest.raises(SynthesisError):
-            embed_boolean_function([0, 1], n_inputs=2)
-        with pytest.raises(SynthesisError):
-            embed_boolean_function(list(range(16)), n_inputs=4, n_wires=4)
 
 
 class TestPassTwo:

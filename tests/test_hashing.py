@@ -116,13 +116,6 @@ class TestLinearProbingTable:
         keys, values = table.items()
         assert dict(zip(keys.tolist(), values.tolist())) == {10: 1, 20: 2}
 
-    def test_from_arrays_roundtrip(self):
-        keys = np.array([3, 1, 4, 159, 265], dtype=np.uint64)
-        values = np.array([1, 2, 3, 4, 5], dtype=np.uint8)
-        table = LinearProbingTable.from_arrays(keys, values)
-        for key, value in zip(keys.tolist(), values.tolist()):
-            assert table.get(key) == value
-
     def test_stats(self):
         table = LinearProbingTable(capacity_bits=8)
         for key in range(100):

@@ -358,6 +358,30 @@ class TestInstrumentation:
         finally:
             svc.shutdown()
 
+    def test_stopped_traced_service_turns_tracing_off(self, handle4):
+        import json
+
+        from repro.service.daemon import ServiceConfig, SynthesisService
+
+        def config(**extra):
+            return ServiceConfig(n_wires=4, k=4, max_list_size=3, extra=extra)
+
+        traced = SynthesisService(handle4, config=config(trace=True)).start()
+        traced.shutdown()
+        before = traced.metrics.snapshot()
+        svc = SynthesisService(handle4, config=config()).start()
+        try:
+            assert svc.stats()["trace"] == {"enabled": False}
+            response = json.loads(svc.handle_line(json.dumps({
+                "id": 1, "op": "synth",
+                "spec": "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]",
+            })))
+            assert response["ok"], response
+        finally:
+            svc.shutdown()
+        assert traced.metrics.snapshot() == before
+        assert not any(name.startswith("span_") for name in svc.metrics.snapshot())
+
     def test_service_without_trace_reports_disabled(self, handle4):
         from repro.service.daemon import ServiceConfig, SynthesisService
 

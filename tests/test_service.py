@@ -31,6 +31,7 @@ from repro.service import (
     serve_stdio,
 )
 from repro.service import protocol
+from repro.service.cache import CacheEntry
 
 # Specs with optimal size 5 and 6: above the k=4 database depth of the
 # shared fixtures, so they exercise the hard (A_i-list scan) path.
@@ -166,15 +167,16 @@ class TestProtocol:
         assert req.op == "health"
 
     def test_response_roundtrip(self):
-        line = protocol.encode_response(7, result={"size": 3})
+        envelope = protocol.response(7, result={"size": 3})
+        line = protocol.encode_response(envelope)
         body = protocol.decode_response(line)
         assert body == {"id": 7, "ok": True, "result": {"size": 3}}
 
     def test_encode_requires_exactly_one(self):
         with pytest.raises(ValueError):
-            protocol.encode_response(1)
+            protocol.response(1)
         with pytest.raises(ValueError):
-            protocol.encode_response(1, result={}, error={})
+            protocol.response(1, result={}, error={})
 
     def test_error_envelope_size_limit(self):
         env = protocol.error_envelope(
@@ -315,6 +317,10 @@ class TestResultCache:
         cache.lookup(4, 2)
         assert cache.hit_rate() == pytest.approx(0.5)
         assert cache.stats()["entries"] == 1
+
+    def test_entry_is_slotted(self):
+        # One entry per cached class: no per-instance __dict__.
+        assert not hasattr(CacheEntry(size=3), "__dict__")
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +509,31 @@ class TestServiceCore:
             "hard_queries", "scan_seconds", "responses_ok",
         }
 
+    def test_stats_registers_no_instrument(self, service):
+        # A daemon that has dispatched nothing has no batch sizes to
+        # report, and asking for stats must not create the histogram.
+        for _ in range(2):
+            assert "batch_size" not in service.stats()["metrics"]
+
+    def test_a_batch_line_is_encoded_once(self, service, monkeypatch):
+        encode = protocol.encode_response
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "encode_response", spy)
+        entries = [
+            {"id": i, "op": "synth" if i % 2 else "size", "spec": spec}
+            for i, spec in enumerate((EASY_SPECS * 3)[:8])
+        ]
+        line = json.dumps({"id": 9, "op": "batch", "requests": entries})
+        body = json.loads(service.handle_line(line))
+        assert body["ok"] and body["result"]["count"] == 8
+        assert all(entry["ok"] for entry in body["result"]["results"])
+        assert len(calls) == 1
+
     def test_out_of_reach_envelope_and_cached_proof(self, service):
         body = submit(service, "synth", spec=OUT_OF_REACH)
         assert not body["ok"]
@@ -641,7 +672,7 @@ class TestTCPEndToEnd:
                 stats = client.stats()
                 assert stats["metrics"]["requests_synth"] >= 6 * 4 * len(specs)
                 # concurrency must actually have been coalesced
-                assert stats["mean_batch_size"] > 1.0
+                assert stats["metrics"]["batch_size"]["mean"] > 1.0
                 ack = client.shutdown()
                 assert ack == {"draining": True}
             deadline = time.monotonic() + 10

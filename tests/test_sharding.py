@@ -324,9 +324,9 @@ class TestRouter:
         forward = router._forward_slice
         route = router._route_work
 
-        def record_slice(owner, items, results, deadline):
+        def record_slice(owner, items, results):
             slices[owner] = [item[0] for item in items]
-            return forward(owner, items, results, deadline)
+            return forward(owner, items, results)
 
         def record_route(request, target, canon, deadline):
             routed.append(canon)
@@ -412,6 +412,52 @@ class TestRouter:
         self.assert_rejected_alike(
             handle4, entry, "this daemon serves n_wires=4, got a 2-wire spec"
         )
+
+    @pytest.mark.parametrize("field_on", ["line", "entry"])
+    def test_batch_deadline_matches_single_daemon(self, handle4, field_on):
+        """A batch entry's deadline is the earlier of its own and the
+        line's, both counted from accept.  A delay on the ``batch`` op
+        burns it, so a solo daemon and a 2-shard router both degrade the
+        hard entry, with the same bytes."""
+        plan = [{"kind": "delay", "delay": 0.05, "op": "batch"}]
+        router, _sup, _shards = make_cluster(
+            handle4, count=2, faults=FaultInjector(FaultPlan.from_dicts(plan))
+        )
+        single = make_service(handle4, extra={"fault_plan": plan})
+        entry = {"id": 7, "op": "synth", "spec": HARD_SPEC}
+        line = {"id": 8, "op": "batch", "requests": [entry]}
+        (line if field_on == "line" else entry)["deadline_ms"] = 10
+        try:
+            alone = single.handle_line(json.dumps(line))
+            assert router.handle_line(json.dumps(line)) == alone
+            result = json.loads(alone)["result"]["results"][0]["result"]
+            assert result["source"] == "degraded"
+            assert result["degraded_reason"] == "deadline"
+        finally:
+            single.shutdown()
+            router.shutdown()
+
+    def test_batch_entries_count_alike(self, handle4):
+        router, _sup, _shards = make_cluster(handle4, count=2)
+        single = make_service(handle4)
+        line = json.dumps({"id": 8, "op": "batch", "requests": [
+            {"id": 1, "op": "synth", "spec": SHIFT},
+            {"id": 2, "op": "size", "spec": HARD_SPEC},
+        ]})
+        names = (
+            "requests_total", "requests_batch", "requests_synth",
+            "requests_size",
+        )
+        try:
+            assert router.handle_line(line) == single.handle_line(line)
+            counts = [
+                {name: target.metrics.snapshot().get(name) for name in names}
+                for target in (router, single)
+            ]
+            assert counts[0] == counts[1] == dict(zip(names, (3, 1, 1, 1)))
+        finally:
+            single.shutdown()
+            router.shutdown()
 
     @staticmethod
     def assert_rejected_alike(handle4, entry, message):
