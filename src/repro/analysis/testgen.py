@@ -29,6 +29,9 @@ class TestCase:
         optimal_size: Its provably minimal NCT gate count.
     """
 
+    #: Not a pytest test class, despite the name.
+    __test__ = False
+
     permutation: Permutation
     optimal_size: int
 
@@ -40,6 +43,9 @@ class TestCase:
 @dataclass
 class TestSuite:
     """A size-stratified suite of functions with known optimal sizes."""
+
+    #: Not a pytest test class, despite the name.
+    __test__ = False
 
     n_wires: int
     cases: list[TestCase]

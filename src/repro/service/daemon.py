@@ -330,17 +330,6 @@ class SynthesisService(RequestFront):
         from repro.specs import compile_spec
 
         samples = request.options.get("samples")
-        if samples is not None and (
-            isinstance(samples, bool)
-            or not isinstance(samples, int)
-            or samples < 1
-        ):
-            return self.error_response(
-                request.id,
-                ProtocolError(
-                    f"samples must be a positive integer, got {samples!r}"
-                ),
-            )
         token = self.tasks.begin(CancelToken(self._hard_deadline(deadline)))
         try:
             with lock, trace_span(

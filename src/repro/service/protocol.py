@@ -50,6 +50,11 @@ fit the remaining budget is answered from the fallback engine with
 ``"guarantee": "upper_bound"`` instead of blocking -- degraded, never
 hung.  See ``docs/RESILIENCE.md``.
 
+``compile`` requests may carry ``samples``, the sampled-regime budget
+of the completion search: a positive integer of at most
+:data:`MAX_COMPILE_SAMPLES`, so no request sizes more completions than
+the exhaustive regime enumerates.
+
 Success response::
 
     {"id": 7, "ok": true, "result": {"size": 4, "circuit": "...", ...}}
@@ -102,6 +107,13 @@ MAX_LINE_BYTES = 1 << 20
 
 #: Maximum sub-requests accepted in one ``batch`` op.
 MAX_BATCH_REQUESTS = 1024
+
+#: Largest ``samples`` a ``compile`` request may ask for: the default
+#: exhaustive limit (``repro.synth.embedding.EXHAUSTIVE_LIMIT``, not
+#: imported here so that a daemon serving no compile never loads the
+#: completion search).  The completion draw runs before the request's
+#: first cancel checkpoint, so the budget must be bounded up front.
+MAX_COMPILE_SAMPLES = 5040
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,16 @@ def decode_payload(payload) -> Request:
     ):
         raise ProtocolError(
             f"deadline_ms must be a positive integer, got {deadline_ms!r}"
+        )
+    samples = payload.get("samples")
+    if op == "compile" and samples is not None and (
+        isinstance(samples, bool)
+        or not isinstance(samples, int)
+        or not 1 <= samples <= MAX_COMPILE_SAMPLES
+    ):
+        raise ProtocolError(
+            "samples must be a positive integer of at most "
+            f"{MAX_COMPILE_SAMPLES}, got {samples!r}"
         )
     if op == "batch":
         requests = payload.get("requests")
@@ -296,6 +318,7 @@ __all__ = [
     "WORK_OPS",
     "MAX_LINE_BYTES",
     "MAX_BATCH_REQUESTS",
+    "MAX_COMPILE_SAMPLES",
     "Request",
     "decode_payload",
     "decode_request",

@@ -44,7 +44,7 @@ from repro.engines import (
 )
 from repro.errors import SynthesisError
 from repro.perf.trace import trace
-from repro.synth.embedding import synthesize_partial
+from repro.synth.embedding import EXHAUSTIVE_LIMIT, synthesize_partial
 
 from repro.specs.embed import EmbeddingPlan, plan_embedding
 
@@ -123,7 +123,7 @@ def compile_spec(
     *,
     n_wires: int = 4,
     samples: int = 200,
-    exhaustive_limit: int = 5040,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     seed: int = 5489,
     cancel=None,
 ) -> CompileResult:

@@ -19,19 +19,33 @@ Two regimes:
   (seeded, reproducible, without replacement) and the best found is
   returned, flagged as a bound.  When the draw nevertheless covers all
   ``t!`` completions the answer is exact and reported as such.
+
+Either regime picks completions as *index orders*: row ``i`` of a
+``uint8[m, t]`` table says which free output each free row takes.  The
+table depends only on ``t`` (exhaustive) or on ``(seed, t, samples)``
+(sampled), so it is memoized, and every candidate's packed word is
+built from it with one gather, shift and OR.  A :class:`Permutation`
+is made only for the winner and for the completions pass 2 sizes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from repro.core.circuit import Circuit
+from repro.core.packed import NIBBLE_BITS, NIBBLE_MASK
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
 from repro.rng.mt19937 import MersenneTwister
+
+
+#: Largest ``t!`` sized exhaustively by default: every completion of up
+#: to 7 free rows.
+EXHAUSTIVE_LIMIT = 5040
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,7 @@ class EmbeddingResult:
 def synthesize_partial(
     spec: PartialSpec,
     synthesizer,
-    exhaustive_limit: int = 5040,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     samples: int = 200,
     seed: int = 5489,
     extra_candidates: "list[Permutation] | None" = None,
@@ -135,8 +149,9 @@ def synthesize_partial(
 
     ``extra_candidates`` lets callers seed structurally informed
     completions (e.g. the natural reversible extension of a Boolean
-    function) that uniform sampling of a huge ``t!`` space would miss;
-    candidates inconsistent with the spec are rejected.
+    function) that uniform sampling of a huge ``t!`` space would miss.
+    They are sized ahead of the drawn completions, the last one given
+    first; candidates inconsistent with the spec are rejected.
 
     ``cancel`` is an optional cooperative checkpoint (e.g. a
     :meth:`repro.service.tasks.CancelToken.checkpoint` bound method)
@@ -148,58 +163,58 @@ def synthesize_partial(
     ``exhaustive`` only when that cap covered all of them or the best
     one reached the floor ``k + 1`` that nothing deferred can beat.
     """
-    best_perm = None
-    best_size = None
-    tried = 0
-    exhaustive = spec.n_completions() <= exhaustive_limit
-    if exhaustive:
-        candidates = list(spec.completions())
-    else:
-        candidates, exhaustive = _sampled_completions(spec, samples, seed)
-    for candidate in extra_candidates or []:
+    completions, exhaustive = _candidate_words(
+        spec, samples, seed, exhaustive_limit
+    )
+    # Extras go ahead of the completions, the last one given first.
+    extras = list(reversed(extra_candidates or []))
+    for candidate in extras:
         if not spec.matches(candidate):
             raise SynthesisError(
                 "extra candidate contradicts the partial specification"
             )
-        candidates.insert(0, candidate)
+    words = np.concatenate([
+        np.array([perm.word for perm in extras], dtype=np.uint64),
+        completions,
+    ])
+    if not _all_bijections(words, spec.n_wires):
+        raise AssertionError("a completion word is not a permutation")
 
     # Pass 1: the database fast path, one batched size lookup for every
     # candidate.  If any completion has size <= k this finds the true
     # minimum over the candidate set (skipped completions all have size
-    # > k >= best).  Candidates are still visited in order, so the first
-    # minimum, the size-0 early exit and ``tried`` match a one-by-one scan.
+    # > k >= best).  The first minimum in candidate order wins, and a
+    # size-0 hit ends the visit there, so ``tried`` matches a
+    # one-by-one scan.
     database = getattr(synthesizer, "database", None)
     if cancel is not None:
         cancel()
-    sizes: "list[int | None]" = [None] * len(candidates)
-    if database is not None and candidates:
-        words = np.array([perm.word for perm in candidates], dtype=np.uint64)
-        sizes = [
-            None if size == database.MISSING else size
-            for size in database.sizes_batch(words).tolist()
-        ]
+    best_perm = None
+    best_size = None
+    tried = len(words)
+    if database is not None and len(words):
+        sizes = database.sizes_batch(words)
+        first = int(np.argmin(sizes))
+        if sizes[first] != database.MISSING:
+            best_size = int(sizes[first])
+            best_perm = Permutation(int(words[first]), spec.n_wires)
+            if best_size == 0:
+                tried = first + 1
     if cancel is not None:
         cancel()
-    deferred = []
-    for perm, size in zip(candidates, sizes):
-        tried += 1
-        if size is None:
-            deferred.append(perm)
-            continue
-        if best_size is None or size < best_size:
-            best_perm, best_size = perm, size
-            if size == 0:
-                break
     # Pass 2 (only when nothing was within the fast path): full
     # meet-in-the-middle queries on a bounded number of completions, as
-    # branch and bound.  Pass 1 proved every deferred completion larger
-    # than k, so one of size k + 1 cannot be beaten and ends the search.
+    # branch and bound.  Pass 1 proved every candidate larger than k,
+    # so one of size k + 1 cannot be beaten and ends the search.
     # Until then each completion is sized only as deep as could beat the
     # best so far; a smaller one is found at the same list and hit as by
     # an unbounded scan, so the first minimum is the same.
     if best_perm is None:
         floor = 0 if database is None else database.k + 1
-        capped = deferred[: max(1, samples // 10)]
+        capped = [
+            Permutation(int(word), spec.n_wires)
+            for word in words[: max(1, samples // 10)]
+        ]
         for perm in capped:
             if best_size == floor:
                 break
@@ -212,7 +227,7 @@ def synthesize_partial(
         # Completions past the cap were never sized: only the floor or
         # a cap that covered them all keeps the answer exhaustive.
         exhaustive = exhaustive and (
-            best_size == floor or len(capped) == len(deferred)
+            best_size == floor or len(capped) == len(words)
         )
     if best_perm is None:
         raise SynthesisError(
@@ -231,38 +246,95 @@ def synthesize_partial(
     )
 
 
-def _sampled_completions(
-    spec: PartialSpec, samples: int, seed: int
-) -> "tuple[list[Permutation], bool]":
-    """Up to ``samples`` *distinct* random completions of ``spec``.
+#: Most index-order tables each memo keeps.  A sampled table holds
+#: ``samples * t`` bytes at most: under 80 KiB at the wire's bound of
+#: 5,040 samples.
+ORDER_MEMO_SIZE = 64
 
-    Returns ``(completions, exhausted)``.  Shuffles draw permutations
-    of the free outputs with replacement, so duplicates are discarded
-    rather than spent against the budget; when the whole ``t!`` space
-    fits inside ``samples`` the completions are enumerated directly and
-    ``exhausted`` is True -- the caller's answer is then exact, not a
-    bound.  Redraws are bounded, so a pathological duplicate streak
-    degrades to fewer samples instead of an unbounded loop.
+
+def _frozen_orders(rows: list, t: int) -> np.ndarray:
+    """``rows`` as a read-only ``uint8[len(rows), t]`` table (memoized
+    tables are shared by every caller)."""
+    orders = np.array(rows, dtype=np.uint8).reshape(len(rows), t)
+    orders.setflags(write=False)
+    return orders
+
+
+@functools.lru_cache(maxsize=ORDER_MEMO_SIZE)
+def _all_orders(t: int) -> np.ndarray:
+    """Every order of ``range(t)``, in :meth:`PartialSpec.completions`
+    order (lexicographic): ``t!`` rows, one empty row for ``t = 0``."""
+    return _frozen_orders(list(permutations(range(t))), t)
+
+
+@functools.lru_cache(maxsize=ORDER_MEMO_SIZE)
+def _drawn_orders(seed: int, t: int, samples: int) -> np.ndarray:
+    """Up to ``samples`` *distinct* random orders of ``range(t)``, in
+    draw order.
+
+    A Fisher-Yates shuffle's swaps depend only on the MT19937 stream,
+    so shuffling ``range(t)`` gives the index order in which a shuffle
+    of the ``t`` free outputs lands them, and two shuffles of the free
+    outputs repeat exactly when their orders do.  The draw is thus a
+    pure function of ``(seed, t, samples)``, and every spec with the
+    same seed and free-row count reuses it.  Duplicates are discarded
+    rather than spent against the budget; redraws are bounded at
+    ``8 * samples`` attempts, so a pathological duplicate streak
+    degrades to fewer orders instead of an unbounded loop.
     """
-    total = spec.n_completions()
-    if total <= samples:
-        return list(spec.completions()), True
     rng = MersenneTwister(seed)
-    free_outputs = spec.free_outputs
     seen: set = set()
-    out: "list[Permutation]" = []
+    rows: list = []
     attempts = 0
-    max_attempts = 8 * samples
-    while len(out) < samples and attempts < max_attempts:
+    while len(rows) < samples and attempts < 8 * samples:
         attempts += 1
-        assignment = list(free_outputs)
-        rng.shuffle(assignment)
-        key = tuple(assignment)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(spec.complete(assignment))
-    return out, False
+        order = list(range(t))
+        rng.shuffle(order)
+        key = tuple(order)
+        if key not in seen:
+            seen.add(key)
+            rows.append(key)
+    return _frozen_orders(rows, t)
+
+
+def _candidate_words(
+    spec: PartialSpec, samples: int, seed: int, exhaustive_limit: int = 0
+) -> "tuple[np.ndarray, bool]":
+    """Packed words of the completions to size, and whether they are
+    all ``t!`` of them.
+
+    When ``t! <= max(exhaustive_limit, samples)`` every completion is
+    returned, in :meth:`PartialSpec.completions` order -- the caller's
+    answer is then exact, not a bound; otherwise up to ``samples``
+    distinct random ones (:func:`_drawn_orders`).  Free row
+    ``free_inputs[i]`` of the completion with order ``o`` takes
+    ``free_outputs[o[i]]``: one gather, shift and OR builds every word.
+    """
+    t = len(spec.free_inputs)
+    total = spec.n_completions()
+    exhaustive = total <= exhaustive_limit or total <= samples
+    orders = _all_orders(t) if exhaustive else _drawn_orders(seed, t, samples)
+    base = 0
+    for row, value in enumerate(spec.outputs):
+        if value is not None:
+            base |= value << (NIBBLE_BITS * row)
+    free_outputs = np.array(spec.free_outputs, dtype=np.uint64)
+    shifts = np.array(
+        [NIBBLE_BITS * row for row in spec.free_inputs], dtype=np.uint64
+    )
+    words = np.bitwise_or.reduce(
+        free_outputs[orders] << shifts, axis=1, initial=np.uint64(base)
+    )
+    return words, exhaustive
+
+
+def _all_bijections(words: np.ndarray, n_wires: int) -> bool:
+    """True iff every word packs a permutation of ``range(2**n_wires)``."""
+    size = 1 << n_wires
+    shifts = np.arange(0, NIBBLE_BITS * size, NIBBLE_BITS, dtype=np.uint64)
+    values = (words[:, None] >> shifts) & np.uint64(NIBBLE_MASK)
+    seen = np.bitwise_or.reduce(np.uint64(1) << values, axis=1)
+    return bool(np.all(seen == (1 << size) - 1))
 
 
 def natural_reversible_extension(

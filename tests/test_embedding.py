@@ -1,15 +1,22 @@
 """Tests for don't-care/irreversible embedding synthesis."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.gates import all_gates
+from repro.core.gates import NOT, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError, SynthesisError
 from repro.engines import create_engine
-from repro.specs import TruthTableSpec, compile_spec, plan_embedding
+from repro.specs import (
+    TruthTableSpec,
+    compile_spec,
+    plan_embedding,
+    spec_from_wire,
+)
 from repro.synth.embedding import (
     EmbeddingResult,
     PartialSpec,
@@ -31,6 +38,12 @@ def synth():
 def engine(synth):
     """The ``optimal`` engine over ``synth``'s warm database."""
     return create_engine("optimal", handle=synth.handle())
+
+
+@pytest.fixture(scope="module")
+def engine7(handle4):
+    """The optimal engine over the shared k = 4, L = 7 handle."""
+    return create_engine("optimal", handle=handle4)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +70,101 @@ PASS2_SPECS = {
         (None, 7, 6, None, 5, None),
     ),
 }
+
+
+#: The seven-free-row spec whose 5,040 completions are all sized (its
+#: optimum over them is 4 gates).
+SEVEN_FREE = (None, 1, None, None, None, 6, 3, None, None, None,
+              8, 9, 11, 10, 15, 14)
+
+#: SHA-256 of the newline-joined bodies of :func:`_golden_bodies`,
+#: recorded while the completion search still built one validated
+#: ``Permutation`` per candidate.
+GOLDEN_DIGEST = (
+    "b912dd7e8d7cd7c0aa786270991a1c71122243bc89a9d5566037dd1cfd64ba7b"
+)
+
+
+def _circuit_values(rng, gates, low, high):
+    """The value list of a random ``low``..``high``-gate circuit."""
+    circuit = Circuit(
+        gates=tuple(rng.choice(gates) for _ in range(rng.randint(low, high))),
+        n_wires=4,
+    )
+    return list(Permutation.from_word(circuit.to_word(), 4).values)
+
+
+def _four_bit(rows):
+    """A 4-in/4-out multi-output spec: its rows are the partial spec."""
+    return {"kind": "multi_output", "n_inputs": 4, "n_outputs": 4,
+            "rows": list(rows)}
+
+
+def _golden_corpus():
+    """Seeded ``(wire spec, compile_spec keywords)`` pairs covering the
+    compile-dc shapes, the exhaustive regime, fully specified specs,
+    ``t! <= samples``, the attempt cap, and pass 2."""
+    rng = random.Random(31)
+    gates = all_gates(4)
+    corpus = []
+    # compile-dc's shapes: (n_inputs, n_outputs, most don't-care rows).
+    for n_in, n_out, max_dc in ((2, 1, 3), (3, 1, 3), (2, 2, 3)):
+        for index in range(12):
+            rows = [rng.randrange(1 << n_out) for _ in range(1 << n_in)]
+            for row in rng.sample(range(1 << n_in), rng.randint(1, max_dc)):
+                rows[row] = None
+            if n_out == 1:
+                spec = {"kind": "truth_table", "n_inputs": n_in, "rows": rows}
+            else:
+                spec = {"kind": "multi_output", "n_inputs": n_in,
+                        "n_outputs": n_out, "rows": rows}
+            corpus.append((spec, {
+                "samples": (64, 200, 10)[index % 3],
+                "seed": (5489, 1, 7, 609)[index % 4],
+            }))
+    # Exhaustive: t = 1..7 free rows of short circuits, and SEVEN_FREE.
+    for t in range(1, 8):
+        for _ in range(3):
+            values = _circuit_values(rng, gates, 2, 5)
+            for row in rng.sample(range(16), t):
+                values[row] = None
+            corpus.append((_four_bit(values), {"samples": 64}))
+    corpus.append((_four_bit(SEVEN_FREE), {}))
+    # t = 0: fully specified lookup tables and an affine form.
+    for _ in range(3):
+        table = _circuit_values(rng, gates, 1, 6)
+        corpus.append(({"kind": "lookup_table", "n_inputs": 4,
+                        "n_outputs": 4, "table": table}, {}))
+    corpus.append(({"kind": "affine_xor", "matrix": [[1, 0], [1, 1]],
+                    "constant": [0, 1]}, {}))
+    # t! <= samples past the exhaustive limit, and the attempt cap
+    # (t = 5, samples = 119, seed 609 draws 118 distinct orders).
+    for t, samples in ((3, 6), (4, 24), (4, 64), (5, 119)):
+        values = _circuit_values(rng, gates, 2, 5)
+        for row in rng.sample(range(16), t):
+            values[row] = None
+        corpus.append((_four_bit(values), {
+            "samples": samples, "exhaustive_limit": 1, "seed": 609,
+        }))
+    # Pass 2: no completion within k = 4.
+    for outputs, _sizes in PASS2_SPECS.values():
+        for samples in (10, 20, 200):
+            corpus.append((_four_bit(outputs), {"samples": samples}))
+    return corpus
+
+
+def _golden_bodies(engine):
+    """One sorted-keys wire body per corpus entry, in order (the error
+    message for a spec with no completion in reach)."""
+    bodies = []
+    for spec, kwargs in _golden_corpus():
+        try:
+            body = compile_spec(spec_from_wire(spec), engine, **kwargs)
+        except SynthesisError as exc:
+            bodies.append(json.dumps({"error": str(exc)}))
+            continue
+        bodies.append(json.dumps(body.to_wire(), sort_keys=True))
+    return bodies
 
 
 def _unbounded_pass2(spec, synthesizer, samples):
@@ -218,6 +326,17 @@ class TestSynthesizePartial:
         assert spec.matches(result.permutation)
         assert 1 <= result.size <= 4
 
+    def test_extras_go_first_and_the_last_given_wins_a_tie(self, synth):
+        spec = PartialSpec(outputs=(None,) * 16, n_wires=4)
+        not_a, not_b = (
+            Permutation.from_word(NOT(wire).to_word(4), 4) for wire in (0, 1)
+        )
+        result = synthesize_partial(
+            spec, synth, samples=10, extra_candidates=[not_a, not_b]
+        )
+        assert (result.permutation, result.size) == (not_b, 1)
+        assert result.completions_tried == 12
+
     def test_extra_candidate_must_match(self, synth):
         and_spec = TruthTableSpec((0, 0, 0, 1), 2)
         spec = plan_embedding(and_spec, n_wires=4).partial
@@ -225,6 +344,14 @@ class TestSynthesizePartial:
             synthesize_partial(
                 spec, synth, extra_candidates=[Permutation.identity(4)]
             )
+
+
+class TestGoldenCompileBodies:
+    def test_bodies_are_unchanged(self, engine7):
+        bodies = _golden_bodies(engine7)
+        assert len(bodies) == 75
+        digest = hashlib.sha256("\n".join(bodies).encode()).hexdigest()
+        assert digest == GOLDEN_DIGEST
 
 
 class TestPassTwo:

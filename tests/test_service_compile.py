@@ -13,6 +13,7 @@ from repro.service import (
     SynthesisService,
     TCPDaemon,
 )
+from repro.service.protocol import MAX_COMPILE_SAMPLES
 from repro.service.sharding import (
     InProcessShard,
     ShardingConfig,
@@ -20,6 +21,7 @@ from repro.service.sharding import (
     ShardSupervisor,
 )
 from repro.specs import TruthTableSpec
+from repro.synth.embedding import EXHAUSTIVE_LIMIT
 
 # The designated don't-care table: f(x) = x3 with rows 10 and 13 free
 # (2 completions, exhaustive, optimal size 3 at k=4 reach).
@@ -34,6 +36,8 @@ AFFINE_SPEC = {
     "constant": [0, 1],
 }
 SHIFT = "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]"
+# AND onto wire d: 12 free rows, so `samples` sizes the random draw.
+AND_SPEC = {"kind": "truth_table", "n_inputs": 2, "rows": [0, 0, 0, 1]}
 
 
 @pytest.fixture()
@@ -145,6 +149,9 @@ class TestDaemonCompile:
             ({"spec": DC_SPEC, "wires": 3}, "invalid_spec"),
             ({"spec": DC_SPEC, "samples": 0}, "protocol"),
             ({"spec": DC_SPEC, "samples": "many"}, "protocol"),
+            ({"spec": DC_SPEC, "samples": True}, "protocol"),
+            ({"spec": DC_SPEC, "samples": MAX_COMPILE_SAMPLES + 1},
+             "protocol"),
             ({"spec": DC_SPEC, "engine": "made-up"}, "protocol"),
         ],
     )
@@ -152,6 +159,9 @@ class TestDaemonCompile:
         body = submit(service, "compile", **fields)
         assert not body["ok"], body
         assert body["error"]["kind"] == kind
+
+    def test_samples_bound_is_the_exhaustive_limit(self):
+        assert MAX_COMPILE_SAMPLES == EXHAUSTIVE_LIMIT
 
     def test_spec_must_be_an_object(self, service):
         body = submit(service, "compile", spec="[0,1,2,3]")
@@ -226,6 +236,31 @@ class TestRouterCompile:
                 ],
             })
             assert router.handle_line(line) == service.handle_line(line)
+        finally:
+            router.shutdown()
+
+    def test_samples_bound_refused_before_forwarding(self, service, handle4):
+        router, _sup, shards = make_cluster(handle4)
+        try:
+            over = json.dumps({"id": 3, "op": "compile", "spec": AND_SPEC,
+                               "samples": MAX_COMPILE_SAMPLES + 1})
+            refused = router.handle_line(over)
+            assert refused == service.handle_line(over)
+            error = json.loads(refused)["error"]
+            assert error["kind"] == "protocol"
+            assert str(MAX_COMPILE_SAMPLES) in error["message"]
+            for shard in shards:
+                metrics = shard.service.stats()["metrics"]
+                assert metrics.get("requests_compile", 0) == 0
+            at = json.dumps({"id": 4, "op": "compile", "spec": AND_SPEC,
+                             "samples": MAX_COMPILE_SAMPLES})
+            answered = router.handle_line(at)
+            assert answered == service.handle_line(at)
+            embedding = json.loads(answered)["result"]["embedding"]
+            # The natural extension plus the whole sampled budget.
+            assert embedding["completions_tried"] == MAX_COMPILE_SAMPLES + 1
+            for target in (router, service):
+                assert submit(target, "ping")["result"]["pong"] is True
         finally:
             router.shutdown()
 

@@ -3,6 +3,8 @@ embedding planner, routing words, and ``compile_spec`` end to end."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.permutation import Permutation
@@ -21,7 +23,8 @@ from repro.specs import (
     routing_word,
     spec_from_wire,
 )
-from repro.synth.embedding import PartialSpec, _sampled_completions
+from repro.rng.mt19937 import MersenneTwister
+from repro.synth.embedding import PartialSpec, _candidate_words
 
 # f(x) = x3 with two don't-care rows: the completion space is 2! = 2,
 # so the search is exhaustive and the answer provably optimal.
@@ -271,24 +274,97 @@ class TestPlanEmbedding:
 # ----------------------------------------------------------------------
 # Sampled-completion hygiene (satellite: dedup + early exhaustion)
 # ----------------------------------------------------------------------
+def _sampled_completions(
+    spec: PartialSpec, samples: int, seed: int
+) -> "tuple[list[Permutation], bool]":
+    """Up to ``samples`` *distinct* random completions of ``spec``.
+
+    Returns ``(completions, exhausted)``.  Shuffles draw permutations
+    of the free outputs with replacement, so duplicates are discarded
+    rather than spent against the budget; when the whole ``t!`` space
+    fits inside ``samples`` the completions are enumerated directly and
+    ``exhausted`` is True -- the caller's answer is then exact, not a
+    bound.  Redraws are bounded, so a pathological duplicate streak
+    degrades to fewer samples instead of an unbounded loop.
+    """
+    total = spec.n_completions()
+    if total <= samples:
+        return list(spec.completions()), True
+    rng = MersenneTwister(seed)
+    free_outputs = spec.free_outputs
+    seen: set = set()
+    out: "list[Permutation]" = []
+    attempts = 0
+    max_attempts = 8 * samples
+    while len(out) < samples and attempts < max_attempts:
+        attempts += 1
+        assignment = list(free_outputs)
+        rng.shuffle(assignment)
+        key = tuple(assignment)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(spec.complete(assignment))
+    return out, False
+
+
+def _spec_with_free_rows(t: int) -> PartialSpec:
+    """A seeded 4-wire partial spec with ``t`` free rows."""
+    rng = random.Random(t)
+    values: list = rng.sample(range(16), 16)
+    for row in rng.sample(range(16), t):
+        values[row] = None
+    return PartialSpec(outputs=tuple(values), n_wires=4)
+
+
 class TestSampledCompletions:
+    """``_candidate_words`` against the per-completion generator it
+    replaced (``_sampled_completions`` above, kept as the reference)."""
+
     def test_small_space_enumerates_exhaustively(self):
         spec = PartialSpec(outputs=(0, None, None, None), n_wires=2)
-        completions, exhausted = _sampled_completions(spec, samples=10, seed=1)
-        assert exhausted and len(completions) == 6
-        assert len({p.word for p in completions}) == 6
+        words, exhausted = _candidate_words(spec, samples=10, seed=1)
+        assert exhausted and len(words) == 6
+        assert len(set(words.tolist())) == 6
 
     def test_samples_are_distinct(self):
         outputs = [None] * 16
         outputs[0] = 0
         spec = PartialSpec(outputs=tuple(outputs), n_wires=4)
-        completions, exhausted = _sampled_completions(
-            spec, samples=50, seed=7
-        )
-        assert not exhausted and len(completions) == 50
-        assert len({p.word for p in completions}) == 50
-        for perm in completions:
-            assert spec.matches(perm)
+        words, exhausted = _candidate_words(spec, samples=50, seed=7)
+        assert not exhausted and len(words) == 50
+        assert len(set(words.tolist())) == 50
+        for word in words.tolist():
+            assert spec.matches(Permutation(word, 4))
+
+    @pytest.mark.parametrize("t", range(17))
+    def test_words_match_the_reference(self, t):
+        spec = _spec_with_free_rows(t)
+        for samples in (1, 10, 64, 200):
+            for seed in (1, 7, 5489):
+                completions, exhausted = _sampled_completions(
+                    spec, samples, seed
+                )
+                words, flag = _candidate_words(spec, samples, seed)
+                assert flag == exhausted
+                assert words.tolist() == [p.word for p in completions]
+
+    def test_attempt_cap_stops_the_draw_short(self):
+        spec = _spec_with_free_rows(5)
+        completions, exhausted = _sampled_completions(spec, 119, 609)
+        words, flag = _candidate_words(spec, 119, 609)
+        assert not exhausted and not flag
+        assert len(completions) == len(words) == 118
+        assert words.tolist() == [p.word for p in completions]
+
+    def test_exhaustive_limit_enumerates_in_completion_order(self):
+        for t in range(8):
+            spec = _spec_with_free_rows(t)
+            words, flag = _candidate_words(
+                spec, samples=1, seed=1, exhaustive_limit=5040
+            )
+            assert flag
+            assert words.tolist() == [p.word for p in spec.completions()]
 
 
 # ----------------------------------------------------------------------
