@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.engines import SynthesisRequest, create_engine
 from repro.rng.sampling import PermutationSampler
 from repro.synth.bfs import build_database

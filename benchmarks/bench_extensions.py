@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.packed_np import canonical_conjugation_only_np, canonical_np
 from repro.engines import create_engine

@@ -8,8 +8,6 @@ circuit automatically.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.adder import (
     full_adder_permutation,
     optimal_adder_circuit,

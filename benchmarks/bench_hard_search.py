@@ -11,8 +11,6 @@ The paper extended its 13/14-gate optimal circuits by boundary gates for
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.hard import extension_search, full_enumeration
 
 from conftest import print_header

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.synth.libraries import build_size_table, full_distribution, ncp, nct, ncts, nctsf
 
 from conftest import print_header

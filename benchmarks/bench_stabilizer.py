@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.engines import create_engine
 from repro.stabilizer import CliffordTableau, clifford_group_size
 

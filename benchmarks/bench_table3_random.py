@@ -9,8 +9,6 @@ sample with the same pipeline, right-censored at L, and (b) run the
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.distribution import sample_distribution
 from repro.analysis.estimates import PAPER_TABLE3_RANDOM
 

@@ -8,8 +8,6 @@ reproduce the estimation method for the tail from the Table 3 sample.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.distribution import sample_distribution
 from repro.analysis.estimates import (
     PAPER_TABLE4_FUNCTIONS,

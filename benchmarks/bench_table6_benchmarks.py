@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.benchmarks_data import BENCHMARKS
 from repro.errors import SizeLimitExceededError
 
@@ -81,7 +79,7 @@ def test_oc7_two_sided_bound(bench_synthesizer, benchmark):
         engine.prove_lower_bound, args=(perm.word,), rounds=1
     )
     print_header("oc7 optimality argument")
-    print(f"upper bound (paper circuit verified): 13")
+    print("upper bound (paper circuit verified): 13")
     print(f"lower bound (exhausted search, L={engine.max_size}): {lower}")
     assert lower == engine.max_size + 1
     assert lower <= 13

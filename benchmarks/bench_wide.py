@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro.engines import SynthesisRequest, create_engine
 
 from conftest import print_header

@@ -10,10 +10,8 @@ every downstream computation states what it knows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError
 from repro.rng.sampling import PermutationSampler
 

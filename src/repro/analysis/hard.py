@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.core import packed
 from repro.core.gates import all_gates
-from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError
 
 
@@ -41,9 +40,6 @@ class HardSearchResult:
     hardest_word: int
     exceeded_bound: bool
     candidates_examined: int
-
-    def hardest_permutation(self, n_wires: int) -> Permutation:
-        return Permutation(self.hardest_word, n_wires)
 
 
 def extension_search(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.core import packed
-from repro.core.bitops import permute_bits
 from repro.errors import InvalidGateError
 
 WIRE_NAMES = "abcdefgh"
@@ -105,15 +104,6 @@ class Gate:
             controls=tuple(wire_perm[c] for c in self.controls),
             target=wire_perm[self.target],
         )
-
-    def conjugated_state_map(self, x: int, wire_perm: tuple[int, ...]) -> int:
-        """Apply the relabeled gate to state ``x`` (used in tests)."""
-        inv = [0] * len(wire_perm)
-        for i, v in enumerate(wire_perm):
-            inv[v] = i
-        y = permute_bits(x, tuple(inv))
-        y = self.apply(y)
-        return permute_bits(y, wire_perm)
 
     def __str__(self) -> str:
         wires = ",".join(WIRE_NAMES[w] for w in (*self.controls, self.target))

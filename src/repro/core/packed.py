@@ -160,11 +160,6 @@ def inverse(p: int, n_wires: int) -> int:
     return q
 
 
-def apply_word(p: int, x: int) -> int:
-    """Evaluate the permutation at a point: ``f(x)``."""
-    return get(p, x)
-
-
 def _index_bitswap_masks(n_wires: int, lo: int) -> tuple[int, int, int, int]:
     """Masks for permuting nibble *positions* by swapping index bits
     ``lo`` and ``lo + 1``.

@@ -201,34 +201,8 @@ class SatEngine(Engine):
         )
 
 
-def make_plain_bfs(n_wires: int = 4, k: int = 4) -> PlainBfsEngine:
-    """Registry factory for the ``plain-bfs`` engine."""
-    return PlainBfsEngine(n_wires=n_wires, k=k)
-
-
-def make_heuristic(variant: str = "best") -> HeuristicEngine:
-    """Registry factory for the ``heuristic`` engine."""
-    return HeuristicEngine(variant=variant)
-
-
-def make_sat(
-    max_gates: int = 8,
-    conflict_budget: "int | None" = None,
-    time_budget: "float | None" = None,
-) -> SatEngine:
-    """Registry factory for the ``sat`` engine."""
-    return SatEngine(
-        max_gates=max_gates,
-        conflict_budget=conflict_budget,
-        time_budget=time_budget,
-    )
-
-
 __all__ = [
     "HeuristicEngine",
     "PlainBfsEngine",
     "SatEngine",
-    "make_heuristic",
-    "make_plain_bfs",
-    "make_sat",
 ]

@@ -216,35 +216,9 @@ class CliffordEngine(Engine):
         )
 
 
-def make_depth(n_wires: int = 4, max_depth: int = 4) -> DepthEngine:
-    """Registry factory for the ``depth`` engine."""
-    return DepthEngine(n_wires=n_wires, max_depth=max_depth)
-
-
-def make_linear(n_wires: int = 4) -> LinearEngine:
-    """Registry factory for the ``linear`` engine."""
-    return LinearEngine(n_wires=n_wires)
-
-
-def make_wide(
-    n_wires: int = 5, k: int = 3, max_frontier: "int | None" = 4_000_000
-) -> WideEngine:
-    """Registry factory for the ``wide`` engine."""
-    return WideEngine(n_wires=n_wires, k=k, max_frontier=max_frontier)
-
-
-def make_clifford(n_qubits: int = 2) -> CliffordEngine:
-    """Registry factory for the ``clifford`` engine."""
-    return CliffordEngine(n_qubits=n_qubits)
-
-
 __all__ = [
     "CliffordEngine",
     "DepthEngine",
     "LinearEngine",
     "WideEngine",
-    "make_clifford",
-    "make_depth",
-    "make_linear",
-    "make_wide",
 ]

@@ -2,9 +2,10 @@
 
 Wraps :class:`repro.synth.synthesizer.OptimalSynthesizer` (Algorithm 1
 over the Algorithm 2 database) in the :class:`repro.engines.api.Engine`
-protocol.  This module is also the sanctioned way for layers above the
-engine boundary (service daemon, worker pool, CLI) to obtain the
-concrete synthesizer -- the ``engine-layering`` check flags direct
+protocol.  Layers above the engine boundary (service daemon, shard
+cluster, CLI) that need the concrete synthesizer take it from
+``create_engine("optimal", ...)`` as ``engine.impl`` or a warm
+``engine.handle()`` -- the ``engine-layering`` check flags direct
 imports of ``OptimalSynthesizer`` elsewhere.
 """
 
@@ -22,24 +23,6 @@ from repro.engines.api import (
 )
 from repro.perf.trace import trace
 from repro.synth.synthesizer import OptimalSynthesizer, SynthesisHandle
-
-
-def make_optimal_synthesizer(
-    n_wires: int = 4,
-    k: int = 6,
-    max_list_size: "int | None" = None,
-    cache_dir: Any = None,
-    verbose: bool = False,
-) -> OptimalSynthesizer:
-    """The concrete facade, for infrastructure that needs the full
-    surface (warm handles, databases, ``size_or_bound``)."""
-    return OptimalSynthesizer(
-        n_wires=n_wires,
-        k=k,
-        max_list_size=max_list_size,
-        cache_dir=cache_dir,
-        verbose=verbose,
-    )
 
 
 class OptimalEngine(Engine):
@@ -62,7 +45,7 @@ class OptimalEngine(Engine):
         if handle is not None:
             self.impl = OptimalSynthesizer.from_handle(handle)
         else:
-            self.impl = make_optimal_synthesizer(
+            self.impl = OptimalSynthesizer(
                 n_wires=n_wires,
                 k=k,
                 max_list_size=max_list_size,
@@ -108,23 +91,4 @@ class OptimalEngine(Engine):
         )
 
 
-def make_engine(
-    n_wires: int = 4,
-    k: int = 6,
-    max_list_size: "int | None" = None,
-    cache_dir: Any = None,
-    verbose: bool = False,
-    handle: "SynthesisHandle | None" = None,
-) -> OptimalEngine:
-    """Registry factory for the ``optimal`` engine."""
-    return OptimalEngine(
-        n_wires=n_wires,
-        k=k,
-        max_list_size=max_list_size,
-        cache_dir=cache_dir,
-        verbose=verbose,
-        handle=handle,
-    )
-
-
-__all__ = ["OptimalEngine", "make_engine", "make_optimal_synthesizer"]
+__all__ = ["OptimalEngine"]

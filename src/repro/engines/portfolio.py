@@ -204,28 +204,4 @@ class PortfolioEngine(Engine):
         )
 
 
-def make_engine(
-    n_wires: int = 4,
-    k: int = 6,
-    max_list_size: "int | None" = None,
-    cache_dir: Any = None,
-    verbose: bool = False,
-    sat_gate_limit: int = 6,
-    conflict_budget: "int | None" = None,
-    handle: "SynthesisHandle | None" = None,
-) -> PortfolioEngine:
-    """Registry factory for the ``portfolio`` engine (and its ``race``
-    alias)."""
-    return PortfolioEngine(
-        n_wires=n_wires,
-        k=k,
-        max_list_size=max_list_size,
-        cache_dir=cache_dir,
-        verbose=verbose,
-        sat_gate_limit=sat_gate_limit,
-        conflict_budget=conflict_budget,
-        handle=handle,
-    )
-
-
-__all__ = ["PortfolioEngine", "make_engine"]
+__all__ = ["PortfolioEngine"]

@@ -1,14 +1,14 @@
 """Lazy engine registry: names in, adapters out, imports on demand.
 
-Engines are registered as ``name -> (module, factory)`` strings so that
+Engines are registered as ``name -> (module, class)`` strings so that
 listing names costs nothing and :func:`create_engine` only imports the
 module actually asked for -- the SAT encoder, the stabilizer tableaux,
 and the numpy BFS machinery stay unloaded until a query needs them.
 
-Factories accept keyword options; :func:`create_engine` filters the
-caller's options down to what the factory's signature declares, so a
+Engine classes take keyword options; :func:`create_engine` filters the
+caller's options down to what the class's constructor declares, so a
 generic caller (the CLI, the daemon) can pass its full knob set to any
-engine without each factory having to swallow ``**kwargs``.
+engine without each class having to swallow ``**kwargs``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable
+from typing import Any
 
 from repro.engines.api import Engine, EngineCapabilities
 from repro.errors import SynthesisError
@@ -25,7 +25,8 @@ from repro.perf.trace import trace
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registry row: where the factory lives, plus a summary."""
+    """One registry row: the engine class (``factory``, a name in
+    ``module``), plus a summary."""
 
     name: str
     module: str
@@ -37,7 +38,7 @@ _SPECS: dict[str, EngineSpec] = {}
 
 
 def register_engine(name: str, module: str, factory: str, summary: str) -> None:
-    """Register an engine factory by dotted module path (no import)."""
+    """Register an engine class by dotted module path (no import)."""
     if name in _SPECS:
         raise ValueError(f"duplicate engine name: {name}")
     _SPECS[name] = EngineSpec(name=name, module=module, factory=factory, summary=summary)
@@ -62,7 +63,7 @@ def _spec(name: str) -> EngineSpec:
     return spec
 
 
-def _factory(name: str) -> Callable[..., Engine]:
+def _engine_class(name: str) -> "type[Engine]":
     spec = _spec(name)
     module = import_module(spec.module)
     return getattr(module, spec.factory)
@@ -71,20 +72,20 @@ def _factory(name: str) -> Callable[..., Engine]:
 def create_engine(name: str, **options: Any) -> Engine:
     """Instantiate an engine by name (lazy import, cheap construction).
 
-    Options the factory's signature does not declare are dropped, so
+    Options the class's constructor does not declare are dropped, so
     generic callers may pass one uniform knob set (``n_wires``, ``k``,
     ``max_list_size``, ``cache_dir``, ``verbose``, ...) to every engine.
     Heavy state (databases, lists) is built lazily or via ``prepare()``.
     """
     with trace("engine.create", engine=name):
-        factory = _factory(name)
-        parameters = inspect.signature(factory).parameters
+        engine_class = _engine_class(name)
+        parameters = inspect.signature(engine_class).parameters
         accepts_any = any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
         )
         if not accepts_any:
             options = {k: v for k, v in options.items() if k in parameters}
-        return factory(**options)
+        return engine_class(**options)
 
 
 def engine_capabilities(name: str) -> EngineCapabilities:
@@ -102,44 +103,44 @@ def servable_engine_names() -> list[str]:
 # heavy modules until create_engine() is called with the matching name.
 # ---------------------------------------------------------------------------
 register_engine(
-    "optimal", "repro.engines.optimal", "make_engine",
+    "optimal", "repro.engines.optimal", "OptimalEngine",
     "meet-in-the-middle search over the BFS database (paper Algorithm 1)",
 )
 register_engine(
-    "plain-bfs", "repro.engines.baselines", "make_plain_bfs",
+    "plain-bfs", "repro.engines.baselines", "PlainBfsEngine",
     "raw-function BFS baseline without the x48 symmetry reduction",
 )
 register_engine(
-    "heuristic", "repro.engines.baselines", "make_heuristic",
+    "heuristic", "repro.engines.baselines", "HeuristicEngine",
     "MMD transformation-based heuristic (fast, not optimal)",
 )
 register_engine(
-    "sat", "repro.engines.baselines", "make_sat",
+    "sat", "repro.engines.baselines", "SatEngine",
     "SAT iterative deepening (optimal but slow; the Table 6 baseline)",
 )
 register_engine(
-    "depth", "repro.engines.extensions", "make_depth",
+    "depth", "repro.engines.extensions", "DepthEngine",
     "depth-optimal layer search (paper section 5)",
 )
 register_engine(
-    "linear", "repro.engines.extensions", "make_linear",
+    "linear", "repro.engines.extensions", "LinearEngine",
     "exhaustive NOT/CNOT search over the affine group (paper section 4.3)",
 )
 register_engine(
-    "wide", "repro.engines.extensions", "make_wide",
+    "wide", "repro.engines.extensions", "WideEngine",
     "array-based BFS for n >= 5 wires (paper section 5)",
 )
 register_engine(
-    "clifford", "repro.engines.extensions", "make_clifford",
+    "clifford", "repro.engines.extensions", "CliffordEngine",
     "exhaustive Clifford/stabilizer synthesis over {H, S, S-dagger, CNOT}",
 )
 register_engine(
-    "portfolio", "repro.engines.portfolio", "make_engine",
+    "portfolio", "repro.engines.portfolio", "PortfolioEngine",
     "MMD upper bound, then optimal search, then SAT; reports the tier",
 )
 # The escalation engine's former name, still sent by wire clients.
 register_engine(
-    "race", "repro.engines.portfolio", "make_engine",
+    "race", "repro.engines.portfolio", "PortfolioEngine",
     "alias of portfolio (MMD bound, optimal search, SAT gap closing)",
 )
 

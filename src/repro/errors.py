@@ -59,12 +59,15 @@ class ProtocolError(ServiceError):
     """Raised when a service request or response line is malformed.
 
     Carries the machine-readable error ``kind`` used in the wire-format
-    error envelope (see :mod:`repro.service.protocol`).
+    error envelope (see :mod:`repro.service.protocol`), and the
+    ``request_id`` of the request object that failed validation (None
+    when there is none), which its error envelope answers with.
     """
 
     def __init__(self, message: str, kind: str = "protocol") -> None:
         super().__init__(message)
         self.kind = kind
+        self.request_id: object = None
 
 
 class ServiceShutdownError(ServiceError):

@@ -5,7 +5,10 @@ table with Thomas Wang's hash function" and reports its parameters in
 Table 2 (size, memory usage, load factor, average and maximal chain
 length).  This module implements that exact structure on numpy arrays:
 a power-of-two slot array of ``uint64`` keys plus a parallel array of
-small integer values (circuit sizes in the synthesis database).
+small integer values (circuit sizes in the synthesis database).  The
+same class serves a table built in RAM and the read-only slot arrays
+mapped from an ``.rdb`` store (:mod:`repro.store`), so both probe
+through one implementation.
 
 The all-ones word is used as the empty-slot sentinel; it can never encode
 a valid permutation (its nibbles repeat), so no key escaping is needed.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
@@ -63,13 +67,8 @@ def probe_lookup_batch(
     keys: npt.ArrayLike,
     missing_value: int,
 ) -> U8Array:
-    """Vectorized linear-probe lookup over raw slot arrays.
-
-    Shared by the in-RAM :class:`LinearProbingTable` and the read-only
-    memory-mapped table in :mod:`repro.store`: both lay out slots
-    identically (Wang-hashed home slot, +1 wraparound probing, all-ones
-    empty sentinel), so one implementation guarantees byte-identical
-    results across the two storage back ends.
+    """Vectorized linear-probe lookup over raw slot arrays (Wang-hashed
+    home slot, +1 wraparound probing, all-ones empty sentinel).
 
     Each round reads a window of consecutive slots per pending key (see
     :data:`_ROUND_SLOTS`) and settles every key whose window holds its
@@ -80,9 +79,6 @@ def probe_lookup_batch(
     result = np.full(keys.shape[0], missing_value, dtype=np.uint8)
     if keys.shape[0] == 0:
         return result
-    # Plain views: fancy indexing a np.memmap builds memmap objects.
-    table_keys = np.asarray(table_keys)
-    table_values = np.asarray(table_values)
     mask = np.uint64(table_keys.shape[0] - 1)
     start = hash64shift_np(keys) & mask
     pending = np.arange(keys.shape[0])
@@ -122,8 +118,8 @@ def probe_get(
     key: int,
     default: "int | None" = None,
 ) -> "int | None":
-    """Scalar linear-probe lookup over raw slot arrays (see
-    :func:`probe_lookup_batch` for the sharing rationale)."""
+    """Scalar linear-probe lookup over raw slot arrays: the slot
+    :func:`probe_lookup_batch` settles each key at."""
     mask = table_keys.shape[0] - 1
     pos = hash64shift(int(key)) & mask
     key_u = np.uint64(key)
@@ -201,19 +197,13 @@ class MissFilter:
         return (self.bitset[words] & bits) == bits
 
 
-def stats_from_slots(table_keys: U64Array, value_bytes: "int | None" = None) -> "TableStats":
-    """Table 2-style occupancy statistics from a raw slot-key array.
-
-    ``value_bytes`` overrides the memory accounting for back ends whose
-    value array is not 1 byte per slot (the default assumes the standard
-    uint64-key + uint8-value layout).
-    """
+def stats_from_slots(table_keys: U64Array) -> "TableStats":
+    """Table 2-style occupancy statistics from a raw slot-key array,
+    counting memory as 8 key bytes and 1 value byte per slot."""
     capacity = int(table_keys.shape[0])
     occupied = table_keys != EMPTY
     count = int(occupied.sum())
-    memory = table_keys.shape[0] * 8 + (
-        value_bytes if value_bytes is not None else table_keys.shape[0]
-    )
+    memory = capacity * 9
     if count == 0:
         return TableStats(capacity, 0, 0.0, memory, 0.0, 0, 0.0, 0)
     mask = np.uint64(capacity - 1)
@@ -259,29 +249,53 @@ class TableStats:
 
 
 class LinearProbingTable:
-    """Fixed-capacity (auto-growing) linear-probing map ``uint64 -> uint8``.
+    """Linear-probing map ``uint64 -> uint8`` over two slot arrays.
+
+    The constructor builds a table in RAM that doubles whenever an insert
+    would take its occupancy past ``max_load_factor``.
+    :meth:`over_store` wraps the read-only slot arrays mapped from an
+    ``.rdb`` store instead: lookups probe them as they probe a table in
+    RAM, and :meth:`insert`, :meth:`insert_batch` and :meth:`reserve`
+    refuse with a :class:`DatabaseError` naming the store.
 
     Args:
         capacity_bits: log2 of the initial slot count.
-        missing_value: value returned by lookups for absent keys; must not
-            be used as a stored value.
         max_load_factor: the table doubles when occupancy would exceed this.
+
+    Attributes:
+        path: The store whose mapped slots the table reads; None for a
+            table in RAM.
     """
+
+    #: What lookups return for an absent key; never a stored value.
+    missing_value = 255
 
     def __init__(
         self,
         capacity_bits: int = 16,
-        missing_value: int = 255,
         max_load_factor: float = 0.85,
     ) -> None:
         if not 4 <= capacity_bits <= 34:
             raise DatabaseError(f"capacity_bits out of range: {capacity_bits}")
-        self._capacity_bits = capacity_bits
         self._keys = np.full(1 << capacity_bits, EMPTY, dtype=np.uint64)
         self._values = np.zeros(1 << capacity_bits, dtype=np.uint8)
         self._count = 0
-        self.missing_value = missing_value
         self.max_load_factor = max_load_factor
+        self.path: "Path | None" = None
+
+    @classmethod
+    def over_store(
+        cls, path: Path, keys: U64Array, values: U8Array, count: int
+    ) -> "LinearProbingTable":
+        """The read-only table over the slot arrays mapped from the store
+        at ``path``, which holds ``count`` keys."""
+        table = cls(capacity_bits=4)
+        # Plain views: indexing a np.memmap builds memmap objects.
+        table._keys = np.asarray(keys)
+        table._values = np.asarray(values)
+        table._count = count
+        table.path = path
+        return table
 
     # ------------------------------------------------------------------
     # Capacity management
@@ -291,6 +305,11 @@ class LinearProbingTable:
         """Current number of slots."""
         return self._keys.shape[0]
 
+    @property
+    def capacity_bits(self) -> int:
+        """log2 of the slot count (the on-disk store records this)."""
+        return self.capacity.bit_length() - 1
+
     def __len__(self) -> int:
         return self._count
 
@@ -299,11 +318,18 @@ class LinearProbingTable:
         """Fraction of occupied slots."""
         return self._count / self.capacity
 
+    def _check_writable(self) -> None:
+        if not self._keys.flags.writeable:
+            raise DatabaseError(
+                f"database store {self.path} is a read-only mapping; "
+                "rebuild the store to change it"
+            )
+
     def _grow(self, target_bits: "int | None" = None) -> None:
         old_keys, old_values = self._keys, self._values
-        self._capacity_bits = target_bits or (self._capacity_bits + 1)
-        self._keys = np.full(1 << self._capacity_bits, EMPTY, dtype=np.uint64)
-        self._values = np.zeros(1 << self._capacity_bits, dtype=np.uint8)
+        bits = target_bits or self.capacity_bits + 1
+        self._keys = np.full(1 << bits, EMPTY, dtype=np.uint64)
+        self._values = np.zeros(1 << bits, dtype=np.uint8)
         self._count = 0
         occupied = old_keys != EMPTY
         self.insert_batch(old_keys[occupied], old_values[occupied])
@@ -311,10 +337,11 @@ class LinearProbingTable:
     def reserve(self, expected_count: int) -> None:
         """Grow (in one jump) until ``expected_count`` fits under the
         load-factor cap."""
-        target_bits = self._capacity_bits
+        self._check_writable()
+        target_bits = self.capacity_bits
         while expected_count > self.max_load_factor * (1 << target_bits):
             target_bits += 1
-        if target_bits > self._capacity_bits:
+        if target_bits > self.capacity_bits:
             self._grow(target_bits)
 
     # ------------------------------------------------------------------
@@ -323,6 +350,7 @@ class LinearProbingTable:
     def insert(self, key: int, value: int) -> bool:
         """Insert one entry; returns False when the key was already present
         (the stored value is left unchanged)."""
+        self._check_writable()
         if self._count + 1 > self.max_load_factor * self.capacity:
             self._grow()
         mask = self.capacity - 1
@@ -355,6 +383,7 @@ class LinearProbingTable:
 
         Duplicate keys (within the batch or vs. the table) keep their
         first-seen value, mirroring the scalar :meth:`insert` semantics.
+        Every batch that would add a key passes :meth:`reserve` first.
         Large batches take a fully vectorized path: each probing round
         lets every pending key inspect its slot, claims empty slots
         (np.unique breaks same-slot races deterministically in favour of
@@ -433,19 +462,15 @@ class LinearProbingTable:
 
     def stats(self) -> TableStats:
         """Occupancy statistics (Table 2 of the paper)."""
-        return stats_from_slots(self._keys, value_bytes=self._values.nbytes)
-
-    @property
-    def capacity_bits(self) -> int:
-        """log2 of the slot count (the on-disk store records this)."""
-        return self._capacity_bits
+        return stats_from_slots(self._keys)
 
     def slot_arrays(self) -> tuple[U64Array, U8Array]:
         """The raw (keys, values) slot arrays, including empty slots.
 
         This is the exact probing layout; :mod:`repro.store` serializes
-        it verbatim so a memory-mapped table probes identically.  The
-        returned arrays are live views -- callers must not mutate them.
+        it verbatim so a table over the mapped store probes identically.
+        The returned arrays are live views -- callers must not mutate
+        them.
         """
         return self._keys, self._values
 

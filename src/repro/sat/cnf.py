@@ -44,10 +44,6 @@ class CNF:
                 raise ValueError(f"literal {literal} out of range")
         self.clauses.append(tuple(literals))
 
-    def add_implies(self, antecedent: Literal, *consequent: Literal) -> None:
-        """antecedent -> (c1 ∨ c2 ∨ ...)."""
-        self.add(-antecedent, *consequent)
-
     def at_most_one(self, literals: list[Literal]) -> None:
         """Pairwise at-most-one constraint."""
         for i in range(len(literals)):

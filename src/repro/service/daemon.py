@@ -64,8 +64,7 @@ import numpy as np
 from repro import __version__
 from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
-from repro.engines import SynthesisRequest
-from repro.engines.optimal import make_optimal_synthesizer
+from repro.engines import SynthesisRequest, create_engine
 from repro.errors import (
     ProtocolError,
     ReproError,
@@ -155,14 +154,14 @@ class SynthesisService(RequestFront):
     def from_config(cls, config: ServiceConfig) -> "SynthesisService":
         """Prepare the synthesizer (build/load the database) and wire up
         the service around its warm handle."""
-        synth = make_optimal_synthesizer(
+        handle = create_engine(
+            "optimal",
             n_wires=config.n_wires,
             k=config.k,
             max_list_size=config.max_list_size,
             cache_dir=config.db_cache_dir,
             verbose=config.verbose,
-        )
-        handle = synth.handle()
+        ).handle()
         config.max_list_size = handle.max_list_size
         return cls(handle, config=config)
 
@@ -319,8 +318,9 @@ class SynthesisService(RequestFront):
         The completion search runs under one tracked cancel token that
         carries the request deadline, or ``hard_timeout`` without one:
         expiry, breaker trips, and shutdown preempt it at the next
-        checkpoint -- around the database pass, and before each ``A_i``
-        list of a full search -- after which the request degrades
+        checkpoint -- before the completions are drawn, around the
+        database pass, and before each ``A_i`` list of a full search --
+        after which the request degrades
         instead of erroring.  A late answer counts as a deadline miss,
         as a late scan does (:meth:`_count_if_late`).  Compile answers
         are never cached: the result is keyed by the *spec* (not a
@@ -478,14 +478,12 @@ class SynthesisService(RequestFront):
         memory-map -- every shard process mapping it shares one
         page-cache copy (see ``docs/DATABASE.md``).
         """
-        from repro.store import is_mapped, mapped_path
-
-        db = self.handle.database
-        path = mapped_path(db) or self.handle.store_path
+        mapped = self.handle.database.table.path
+        path = mapped or self.handle.store_path
         return {
             "store": str(path) if path is not None else None,
             "format": "rdb" if path is not None else None,
-            "mapped": is_mapped(db),
+            "mapped": mapped is not None,
         }
 
     def health(self) -> dict:
@@ -745,6 +743,32 @@ class SynthesisService(RequestFront):
 # ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
+def _read_request_line(stream) -> "str | bytes | None":
+    """The next non-blank line of ``stream`` (binary or text), stripped,
+    or None at the end of input: the one line reader of both transports.
+
+    A line is read no further than ``MAX_LINE_BYTES + 1`` units.  When no
+    newline arrives within them, the rest of the line, through the next
+    newline, is read and dropped, and the units read are returned for
+    :func:`protocol.decode_request` to refuse: an over-long line gets
+    exactly one answer.
+    """
+    limit = protocol.MAX_LINE_BYTES + 1
+    while True:
+        line = stream.readline(limit)
+        if not line:
+            return None
+        newline = b"\n" if isinstance(line, bytes) else "\n"
+        if len(line) == limit and not line.endswith(newline):
+            rest = line
+            while rest and not rest.endswith(newline):
+                rest = stream.readline(limit)
+            return line
+        line = line.strip()
+        if line:
+            return line
+
+
 class _TCPHandler(socketserver.StreamRequestHandler):
     """One thread per connection; JSONL in, JSONL out."""
 
@@ -752,14 +776,12 @@ class _TCPHandler(socketserver.StreamRequestHandler):
         service: SynthesisService = self.server.service  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline(protocol.MAX_LINE_BYTES + 1)
+                line = _read_request_line(self.rfile)
             except (ConnectionError, OSError):
                 return
-            if not line:
+            if line is None:
                 return
-            if not line.strip():
-                continue
-            response = service.handle_line(line.strip())
+            response = service.handle_line(line)
             if (
                 service.faults is not None
                 and service.faults.should_drop_connection()
@@ -863,20 +885,20 @@ def serve_stdio(service: SynthesisService, stdin=None, stdout=None) -> int:
     as does a ``shutdown`` request (after its acknowledgement is
     written), and so does a broken pipe on stdout: the only client has
     gone, so nothing more can be answered.  Any other write error
-    propagates.
+    propagates.  Lines are read as bytes from a text ``stdin``'s
+    buffer, as the TCP transport reads them.
     """
     import os
     import sys
 
     stdin = stdin if stdin is not None else sys.stdin
+    stdin = getattr(stdin, "buffer", stdin)
     stdout = stdout if stdout is not None else sys.stdout
     service.start()
     served = 0
     try:
-        for line in stdin:
-            if not line.strip():
-                continue
-            response = service.handle_line(line.strip())
+        while (line := _read_request_line(stdin)) is not None:
+            response = service.handle_line(line)
             try:
                 stdout.write(response + "\n")
                 stdout.flush()

@@ -5,7 +5,8 @@ A JSONL line takes the same steps whether it reaches a
 :class:`repro.service.sharding.router.ShardRouter`:
 
 1. :meth:`RequestFront.handle_line` decodes it; a malformed line gets a
-   ``protocol`` error envelope.
+   ``protocol`` error envelope, with the request's id when the line is
+   a JSON object that carries one.
 2. :meth:`RequestFront.submit` counts it, starts its
    :class:`~repro.service.resilience.Deadline` (queue time and injected
    delays count against it), and answers the control ops.
@@ -147,7 +148,7 @@ class RequestFront:
         try:
             request = protocol.decode_request(line)
         except ProtocolError as exc:
-            envelope = self.error_response(None, exc)
+            envelope = self.error_response(exc.request_id, exc)
         else:
             envelope = self.submit(request)
         return protocol.encode_response(envelope)
@@ -245,8 +246,7 @@ class RequestFront:
             try:
                 sub = protocol.decode_payload(entry)
             except ProtocolError as exc:
-                entry_id = entry.get("id") if isinstance(entry, dict) else None
-                results[index] = self.error_response(entry_id, exc)
+                results[index] = self.error_response(exc.request_id, exc)
                 continue
             self._count(sub)
             try:

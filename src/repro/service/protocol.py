@@ -111,8 +111,9 @@ MAX_BATCH_REQUESTS = 1024
 #: Largest ``samples`` a ``compile`` request may ask for: the default
 #: exhaustive limit (``repro.synth.embedding.EXHAUSTIVE_LIMIT``, not
 #: imported here so that a daemon serving no compile never loads the
-#: completion search).  The completion draw runs before the request's
-#: first cancel checkpoint, so the budget must be bounded up front.
+#: completion search).  A cancel checkpoint runs before the completion
+#: draw, but the draw itself runs between two checkpoints, so the
+#: budget must be bounded up front.
 MAX_COMPILE_SAMPLES = 5040
 
 
@@ -143,9 +144,9 @@ def word_to_hex(word: int) -> str:
 
 def decode_request(line: "str | bytes") -> Request:
     """Parse one request line; raises :class:`ProtocolError` on garbage."""
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError("request line exceeds 1 MiB")
     if isinstance(line, bytes):
-        if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError("request line exceeds 1 MiB")
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -163,7 +164,21 @@ def decode_request(line: "str | bytes") -> Request:
 
 def decode_payload(payload) -> Request:
     """Validate an already-parsed request object (used directly for the
-    sub-requests of a ``batch`` op)."""
+    sub-requests of a ``batch`` op).
+
+    A :class:`ProtocolError` raised for an object carries the object's
+    ``id`` as its ``request_id``, so the refusal answers with the id of
+    the request it refuses.
+    """
+    try:
+        return _validated(payload)
+    except ProtocolError as exc:
+        if isinstance(payload, dict):
+            exc.request_id = payload.get("id")
+        raise
+
+
+def _validated(payload) -> Request:
     if not isinstance(payload, dict):
         raise ProtocolError("request must be a JSON object")
     op = payload.get("op")

@@ -22,6 +22,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from pathlib import Path
 
 import repro
+from repro.engines import create_engine
 from repro.errors import ServiceError
 from repro.service.sharding.config import ShardingConfig
 from repro.service.sharding.router import ShardRouter
@@ -100,23 +101,20 @@ class ShardCluster:
         cache_dir=None,
         config: "ShardingConfig | None" = None,
         faults=None,
-        prebuild: bool = True,
         ready_timeout: float = 300.0,
     ) -> "ShardCluster":
         """Build the store, spawn the shards, return a ready cluster."""
         if shard_count < 1:
             raise ServiceError("a cluster needs at least one shard")
-        if prebuild:
-            # One BFS build in this process; the children find the .rdb
-            # in the cache and just map it.
-            from repro.engines.optimal import make_optimal_synthesizer
-
-            make_optimal_synthesizer(
-                n_wires=n_wires,
-                k=k,
-                max_list_size=max_list_size,
-                cache_dir=cache_dir,
-            ).prepare()
+        # One BFS build in this process; the children find the .rdb in
+        # the cache and just map it.
+        create_engine(
+            "optimal",
+            n_wires=n_wires,
+            k=k,
+            max_list_size=max_list_size,
+            cache_dir=cache_dir,
+        ).prepare()
         command = shard_command(
             host=host,
             n_wires=n_wires,

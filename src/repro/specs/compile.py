@@ -139,9 +139,10 @@ def compile_spec(
         cancel: Optional cooperative checkpoint (raises to abort --
             the daemon passes a
             :class:`repro.service.tasks.CancelToken`'s).  The database
-            path calls it around its database pass and before each
-            ``A_i`` list of a full search; other engines get it between
-            completion evaluations and as ``options["cancel"]``.
+            path calls it before it draws completions, around its
+            database pass and before each ``A_i`` list of a full
+            search; other engines get it between completion evaluations
+            and as ``options["cancel"]``.
 
     Raises:
         SpecError: The spec cannot be embedded into ``n_wires``.

@@ -76,16 +76,6 @@ def _multiply_quarter(
     return x1 ^ x2, z1 ^ z2, phase % 4
 
 
-def _multiply_paulis(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Product of two signed Paulis (must come out real-signed)."""
-    x, z, quarter = _multiply_quarter(
-        a.x, a.z, 2 * a.sign, b.x, b.z, 2 * b.sign
-    )
-    if quarter % 2 != 0:
-        raise StabilizerError("non-real phase in Pauli product")
-    return PauliTerm(x=x, z=z, sign=(quarter // 2) % 2)
-
-
 def _phase_g(x1: int, z1: int, x2: int, z2: int) -> int:
     """Aaronson-Gottesman g: the power of i from multiplying one-qubit
     Paulis (X^x1 Z^z1)·(X^x2 Z^z2)."""

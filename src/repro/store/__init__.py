@@ -12,7 +12,10 @@ Public surface:
 - :func:`map_database` -- open a store, zero copy
 - :func:`write_rdb` -- write a store crash-safely
 - :func:`verify_store` / :func:`describe` -- integrity and Table 2 stats
-- :class:`MmapTable` -- the read-only mapped table itself
+
+A mapped database's table is a
+:class:`~repro.hashing.table.LinearProbingTable` over the mapped slot
+arrays; its ``path`` names the store (None for a table in RAM).
 """
 
 from repro.store.format import (
@@ -23,23 +26,19 @@ from repro.store.format import (
     StoreHeader,
     read_header,
 )
-from repro.store.mapped import is_mapped, map_database, mapped_path
-from repro.store.mmap_table import MmapTable
+from repro.store.mapped import map_database
 from repro.store.verify import StoreInfo, describe, verify_store
 from repro.store.writer import payload_checksum, write_rdb
 
 __all__ = [
     "HEADER_SIZE",
     "MAX_K",
-    "MmapTable",
     "RDB_MAGIC",
     "RDB_VERSION",
     "StoreHeader",
     "StoreInfo",
     "describe",
-    "is_mapped",
     "map_database",
-    "mapped_path",
     "payload_checksum",
     "read_header",
     "verify_store",

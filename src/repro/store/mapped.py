@@ -2,12 +2,13 @@
 
 ``map_database`` opens the file, validates the header (magic, version,
 layout vs. physical length) and returns a fully functional
-``OptimalDatabase`` whose hash table, per-size representative arrays
-and peel masks are read-only ``np.memmap`` views; the representatives
-and the masks are one extent, mapped once and sliced per size.  Nothing
-is deserialized: cold start is the cost of a few page faults, and N
-processes mapping the same path share one copy of the table in the page
-cache -- the property the shards of ``repro serve --shards N`` rely on.
+``OptimalDatabase`` over read-only ``np.memmap`` views: its hash table
+is a :class:`~repro.hashing.table.LinearProbingTable` over the mapped
+slot arrays, and the per-size representatives and peel masks are slices
+of one mapped extent.  Nothing is deserialized: cold start is the cost
+of a few page faults, and N processes mapping the same path share one
+copy of the table in the page cache -- the property the shards of
+``repro serve --shards N`` rely on.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import DatabaseError
+from repro.hashing.table import LinearProbingTable
 from repro.perf.trace import trace
 from repro.store.format import StoreHeader, read_header
-from repro.store.mmap_table import MmapTable
 
 
 def map_database(path: "str | Path"):
@@ -36,7 +38,17 @@ def map_database(path: "str | Path"):
     path = Path(path)
     with trace("db.map", path=str(path)):
         header = read_header(path)
-        table = MmapTable(path, header)
+        if not np.little_endian:  # pragma: no cover - LE-only format
+            raise DatabaseError(
+                f"database store {path} is little-endian; this host is "
+                "big-endian and cannot map it"
+            )
+        table = LinearProbingTable.over_store(
+            path,
+            _map(path, header.keys_offset, np.uint64, header.capacity),
+            _map(path, header.values_offset, np.uint8, header.capacity),
+            header.count,
+        )
         reps_by_size, masks_by_size = _map_reps(path, header)
         return OptimalDatabase(
             n_wires=header.n_wires,
@@ -47,6 +59,18 @@ def map_database(path: "str | Path"):
         )
 
 
+def _map(path: Path, offset: int, dtype: type, count: int) -> np.ndarray:
+    """A read-only mapping of ``count`` ``dtype`` items at ``offset``."""
+    try:
+        return np.memmap(
+            path, mode="r", dtype=dtype, offset=offset, shape=(count,)
+        )
+    except (OSError, ValueError) as exc:
+        raise DatabaseError(
+            f"database store {path} could not be mapped: {exc}"
+        ) from exc
+
+
 def _map_reps(
     path: Path, header: StoreHeader
 ) -> "tuple[list[np.ndarray], dict[int, np.ndarray]]":
@@ -54,13 +78,7 @@ def _map_reps(
     total = sum(header.reps_counts)
     extent = np.empty(0, dtype=np.uint64)
     if total:
-        extent = np.memmap(
-            path,
-            mode="r",
-            dtype=np.uint64,
-            offset=header.reps_offset,
-            shape=(2 * total,),
-        )
+        extent = _map(path, header.reps_offset, np.uint64, 2 * total)
     reps: "list[np.ndarray]" = []
     masks: "dict[int, np.ndarray]" = {}
     start = 0
@@ -71,17 +89,4 @@ def _map_reps(
     return reps, masks
 
 
-def is_mapped(db) -> bool:
-    """True when ``db``'s table is a read-only store mapping."""
-    return isinstance(getattr(db, "table", None), MmapTable)
-
-
-def mapped_path(db) -> "Path | None":
-    """The ``.rdb`` path backing ``db``, or None for in-RAM databases."""
-    table = getattr(db, "table", None)
-    if isinstance(table, MmapTable):
-        return Path(table.path)
-    return None
-
-
-__all__ = ["is_mapped", "map_database", "mapped_path"]
+__all__ = ["map_database"]

@@ -131,9 +131,7 @@ class OptimalDatabase:
         canon, _, _ = canonical_variant(word, self.n_wires)
         return self.table.get(canon)
 
-    def sizes_batch(
-        self, words: np.ndarray, assume_canonical: bool = False
-    ) -> np.ndarray:
+    def sizes_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized size lookup of a 1-D word array; ``MISSING`` (255)
         marks absent classes.
 
@@ -148,16 +146,12 @@ class OptimalDatabase:
         """
         words = np.asarray(words, dtype=np.uint64)
         if words.shape[0] <= GATHER_MAX_WORDS:
-            if not assume_canonical:
-                words = canonical_np(words, self.n_wires)
-            return self.table.lookup_batch(words)
+            return self.table.lookup_batch(canonical_np(words, self.n_wires))
         admitted = self.miss_filter().admits(
             conjugation_signature_np(words, self.n_wires)
         )
-        keys = words[admitted]
-        if not assume_canonical:
-            keys = canonical_np(keys, self.n_wires)
-        sizes = np.full(words.shape, self.table.missing_value, dtype=np.uint8)
+        keys = canonical_np(words[admitted], self.n_wires)
+        sizes = np.full(words.shape, self.MISSING, dtype=np.uint8)
         sizes[admitted] = self.table.lookup_batch(keys)
         return sizes
 
@@ -184,8 +178,6 @@ class OptimalDatabase:
         """The signatures of the stored keys and of their inverses, read
         from the slot keys in steps of :data:`_FILTER_CHUNK_SLOTS`."""
         slot_keys, _ = self.table.slot_arrays()
-        # Plain view: slicing a np.memmap builds memmap objects.
-        slot_keys = np.asarray(slot_keys)
         for start in range(0, slot_keys.shape[0], _FILTER_CHUNK_SLOTS):
             chunk = slot_keys[start : start + _FILTER_CHUNK_SLOTS]
             keys = chunk[chunk != EMPTY]

@@ -155,14 +155,18 @@ def synthesize_partial(
 
     ``cancel`` is an optional cooperative checkpoint (e.g. a
     :meth:`repro.service.tasks.CancelToken.checkpoint` bound method)
-    called before and after the batched database pass and, in the full
-    searches, before each ``A_i`` list; it may raise to abort.
+    called before the completions are drawn, before and after the
+    batched database pass and, in the full searches, before each
+    ``A_i`` list; it may raise to abort.  A search whose deadline has
+    already passed thus stops before it pays for a draw.
 
     The full searches (pass 2) size at most ``samples // 10`` of the
     completions that are not in the database, and the result is
     ``exhaustive`` only when that cap covered all of them or the best
     one reached the floor ``k + 1`` that nothing deferred can beat.
     """
+    if cancel is not None:
+        cancel()
     completions, exhaustive = _candidate_words(
         spec, samples, seed, exhaustive_limit
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import packed
 from repro.core.bitops import popcount
 from repro.errors import InvalidPermutationError
 

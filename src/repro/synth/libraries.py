@@ -140,16 +140,12 @@ class GateLibrary:
                         f"library {name} is not closed under relabeling: "
                         f"{gate.label}"
                     )
-        self._by_word = {g.word: g for g in self.gates}
         self.gate_words = np.array(
             sorted(words), dtype=np.uint64
         )
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def gate_for_word(self, word: int) -> LibraryGate:
-        return self._by_word[word]
 
 
 def nct(n_wires: int) -> GateLibrary:

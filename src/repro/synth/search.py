@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate, all_gates
-from repro.core.packed_np import canonical_np, compose_np, expand_classes_np
+from repro.core.gates import Gate
+from repro.core.packed_np import compose_np, expand_classes_np
 from repro.errors import SizeLimitExceededError
 from repro.perf.trace import trace
 from repro.synth.database import OptimalDatabase

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import equivalence, packed
+from repro.core import equivalence
 from repro.core.circuit import Circuit
 from repro.synth.bfs import (
     bfs_reference,

@@ -1,7 +1,7 @@
 """Tests for the Circuit value type."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.circuit import Circuit
 from repro.core.gates import NOT, TOF, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError

@@ -59,7 +59,7 @@ class TestLookups:
         words = np.concatenate(
             [db4_k4.reps_by_size[2][:10], db4_k4.reps_by_size[4][:10]]
         )
-        sizes = db4_k4.sizes_batch(words, assume_canonical=True)
+        sizes = db4_k4.sizes_batch(words)
         assert sizes[:10].tolist() == [2] * 10
         assert sizes[10:].tolist() == [4] * 10
 
@@ -69,30 +69,17 @@ class TestLookups:
         sizes = db4_k4.sizes_batch(np.array([member], dtype=np.uint64))
         assert sizes.tolist() == [3]
 
-    def test_sizes_batch_assume_canonical_missing_is_255(self, db4_k4):
+    def test_sizes_batch_missing_is_255(self, db4_k4):
         """Canonical words of absent classes come back as MISSING = 255."""
         from repro.benchmarks_data import get_benchmark
 
         hwb4 = get_benchmark("hwb4").permutation()  # size 11 > k = 4
         canon = equivalence.canonical(hwb4.word, 4)
         present = int(db4_k4.reps_by_size[2][0])
-        sizes = db4_k4.sizes_batch(
-            np.array([canon, present], dtype=np.uint64), assume_canonical=True
-        )
+        sizes = db4_k4.sizes_batch(np.array([canon, present], dtype=np.uint64))
         assert db4_k4.MISSING == 255
         assert sizes.tolist() == [255, 2]
         assert sizes.dtype == np.uint8
-
-    def test_sizes_batch_assume_canonical_skips_folding(self, db4_k4):
-        """With assume_canonical=True a non-canonical member is NOT folded
-        to its representative, so it reads as MISSING."""
-        word = int(db4_k4.reps_by_size[3][7])
-        member = sorted(equivalence.equivalence_class(word, 4))[-1]
-        assert member != word  # genuinely non-canonical
-        sizes = db4_k4.sizes_batch(
-            np.array([member], dtype=np.uint64), assume_canonical=True
-        )
-        assert sizes.tolist() == [db4_k4.MISSING]
 
     def test_canonical_key_matches_equivalence(self, db4_k4, rng):
         reps = db4_k4.reps_by_size[3]

@@ -9,7 +9,6 @@ from repro.errors import SynthesisError
 from repro.synth.depth import (
     DepthOptimalSynthesizer,
     all_layers,
-    build_depth_database,
     layer_word,
 )
 

@@ -18,7 +18,6 @@ from repro.specs import (
     spec_from_wire,
 )
 from repro.synth.embedding import (
-    EmbeddingResult,
     PartialSpec,
     natural_reversible_extension,
     synthesize_partial,

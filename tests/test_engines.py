@@ -49,7 +49,7 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="duplicate engine name"):
             register_engine(
-                "optimal", "repro.engines.optimal", "make_engine", "dup"
+                "optimal", "repro.engines.optimal", "OptimalEngine", "dup"
             )
 
     def test_summaries_exist(self):
@@ -63,6 +63,18 @@ class TestRegistry:
         ]
         for name in servable:
             assert engine_capabilities(name).servable
+
+    def test_warm_handle_shares_the_synthesizers_database(self):
+        # The route a pool builder takes to an engine over a synthesizer
+        # it already prepared: ``synth.handle()`` into ``create_engine``.
+        from repro.synth.synthesizer import OptimalSynthesizer
+
+        synth = OptimalSynthesizer(
+            n_wires=4, k=3, max_list_size=1, cache_dir=False
+        )
+        engine = create_engine("optimal", n_wires=4, handle=synth.handle())
+        assert engine.impl.database is synth.database
+        assert engine.impl.max_size == synth.max_size
 
     def test_option_filtering(self):
         # Unknown keyword args are dropped, so one option dict can be

@@ -34,7 +34,6 @@ class TestCorrectness:
 
     def test_single_gate_functions(self):
         from repro.core.gates import all_gates
-        from repro.core import packed
 
         for gate in all_gates(4):
             perm = Permutation(gate.to_word(4), 4)

@@ -1,9 +1,7 @@
 """Cross-module integration tests: the full pipeline end to end."""
 
-import pytest
-
 import repro
-from repro import Circuit, OptimalSynthesizer, Permutation
+from repro import OptimalSynthesizer, Permutation
 from repro.core import packed
 
 

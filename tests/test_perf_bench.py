@@ -19,7 +19,6 @@ from repro.perf.compare import (
     STATUS_MISSING,
     STATUS_NEW,
     STATUS_OK,
-    STATUS_REGRESSION,
     compare_records,
 )
 from repro.perf.env import BenchScale, bench_cache_dir

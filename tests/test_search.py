@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import packed
-from repro.core.permutation import Permutation
 from repro.errors import SizeLimitExceededError
 from repro.rng.sampling import PermutationSampler
 from repro.synth.search import MeetInTheMiddleSearch, peel_minimal_circuit

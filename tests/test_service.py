@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import io
 import json
+import socket
 import threading
 import time
 
@@ -790,6 +791,49 @@ class TestStdioTransport:
             },
         }
         assert ping["id"] == 2 and ping["result"]["pong"] is True
+
+
+class TestOverlongLine:
+    """A line past ``MAX_LINE_BYTES`` gets exactly one answer, and the
+    same bytes over TCP and over stdio."""
+
+    #: A 3 MiB ping line, then an ordinary one.
+    STREAM = (
+        json.dumps({"op": "ping", "id": 1, "pad": "x" * (3 << 20)}) + "\n"
+        + json.dumps({"op": "ping", "id": 2}) + "\n"
+    ).encode()
+
+    @staticmethod
+    def _service(handle4):
+        return SynthesisService(
+            handle4, config=ServiceConfig(n_wires=4, k=4, max_list_size=3)
+        )
+
+    def test_one_answer_on_both_transports(self, handle4):
+        with TCPDaemon(self._service(handle4), port=0) as daemon:
+            with socket.create_connection(daemon.address, timeout=30) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(self.STREAM)
+                tcp = [reader.readline().decode() for _ in range(2)]
+                # The next line answered is the next line sent: no
+                # answer to a piece of the long line is left queued.
+                sock.sendall(b'{"op":"ping","id":3}\n')
+                assert json.loads(reader.readline())["id"] == 3
+        stdout = io.StringIO()
+        # Text stdin as the process has it: read through its buffer.
+        stdin = io.TextIOWrapper(io.BytesIO(self.STREAM))
+        assert serve_stdio(self._service(handle4), stdin, stdout) == 2
+        assert stdout.getvalue() == "".join(tcp)
+        refused, pong = (json.loads(line) for line in tcp)
+        assert refused == {
+            "id": None,
+            "ok": False,
+            "error": {
+                "kind": "protocol",
+                "message": "request line exceeds 1 MiB",
+            },
+        }
+        assert pong["id"] == 2 and pong["result"]["pong"] is True
 
 
 # ----------------------------------------------------------------------

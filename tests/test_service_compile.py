@@ -210,6 +210,37 @@ class TestDaemonCompile:
             service.shutdown()
 
 
+    def test_expired_deadline_stops_before_the_draw(self, handle4):
+        # One input on four wires leaves 14 free rows, so the search
+        # would draw `samples` orders: a deadline spent before the
+        # compile starts degrades at the checkpoint ahead of that draw.
+        from repro.synth.embedding import _drawn_orders
+
+        service = SynthesisService(
+            handle4,
+            config=ServiceConfig(
+                n_wires=4, k=4, max_list_size=3,
+                extra={"fault_plan": [
+                    {"kind": "delay", "op": "compile", "delay": 0.05},
+                ]},
+            ),
+        ).start()
+        try:
+            before = _drawn_orders.cache_info()
+            body = submit(
+                service, "compile", id=5,
+                spec={"kind": "truth_table", "n_inputs": 1, "rows": [1, 0]},
+                samples=4999, deadline_ms=10,
+            )
+            after = _drawn_orders.cache_info()
+        finally:
+            service.shutdown()
+        assert body["ok"], body
+        assert body["result"]["source"] == "degraded"
+        assert body["result"]["degraded_reason"] == "deadline"
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 # ----------------------------------------------------------------------
 # Sharded router
 # ----------------------------------------------------------------------

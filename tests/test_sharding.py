@@ -495,6 +495,34 @@ class TestRouter:
         finally:
             router.shutdown()
 
+    def test_validation_errors_keep_the_request_id(self, handle4):
+        """A top-level line that fails validation answers with its own
+        id, byte for byte alike from a daemon and a router; a line that
+        is not a JSON object still answers with a null id."""
+        and_spec = {"kind": "truth_table", "n_inputs": 2, "rows": [0, 0, 0, 1]}
+        lines = {
+            1: json.dumps({
+                "op": "compile", "id": 1, "spec": and_spec,
+                "samples": protocol.MAX_COMPILE_SAMPLES + 1,
+            }),
+            7: json.dumps(
+                {"op": "synth", "id": 7, "spec": SHIFT, "deadline_ms": 0}
+            ),
+            None: json.dumps([{"op": "synth", "id": 9, "spec": SHIFT}]),
+        }
+        single = make_service(handle4)
+        router, _sup, _shards = make_cluster(handle4)
+        try:
+            for request_id, line in lines.items():
+                answer = single.handle_line(line)
+                assert router.handle_line(line) == answer
+                body = json.loads(answer)
+                assert body["id"] == request_id and not body["ok"]
+                assert body["error"]["kind"] == "protocol"
+        finally:
+            single.shutdown()
+            router.shutdown()
+
     def test_wires_mismatch_and_bad_spec_envelopes(self, handle4):
         router, _sup, _shards = make_cluster(handle4)
         try:

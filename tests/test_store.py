@@ -331,12 +331,12 @@ class TestSynthesizerIntegration:
         first.prepare()
         assert first.store_path == tmp_path / "db-n3-k3.rdb"
         assert first.store_path.exists(), "store not written after build"
-        assert not store.is_mapped(first.database)
+        assert first.database.table.path is None
 
         second = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
         second.prepare()
-        assert store.is_mapped(second.database), "store not mapped"
-        assert store.mapped_path(second.database) == first.store_path
+        assert second.database.table.path is not None, "store not mapped"
+        assert second.database.table.path == first.store_path
 
     @pytest.mark.parametrize("damage", ["garbage", "version_skew"])
     def test_prepare_rewrites_corrupt_store(self, tmp_path, damage):
@@ -352,14 +352,14 @@ class TestSynthesizerIntegration:
             path.write_bytes(bytes(raw))
         synth = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
         synth.prepare()  # must not raise: rebuilds and rewrites the store
-        assert not store.is_mapped(synth.database)
+        assert synth.database.table.path is None
         assert synth.size("[1,0,3,2,5,4,7,6]") == 1
         assert store.verify_store(path).k == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["db-n3-k3.rdb"]
 
         again = OptimalSynthesizer(n_wires=3, k=3, cache_dir=tmp_path)
         again.prepare()
-        assert store.mapped_path(again.database) == path
+        assert again.database.table.path == path
 
     def test_build_db_force_repairs_version_skew(self, tmp_path, monkeypatch):
         """The version-skew hint names a command that works."""

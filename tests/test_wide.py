@@ -6,7 +6,7 @@ from repro.core.circuit import Circuit
 from repro.errors import SynthesisError
 from repro.rng.mt19937 import MersenneTwister
 from repro.rng.sampling import random_circuit
-from repro.synth.wide import WideBfsResult, wide_bfs, wide_synthesize
+from repro.synth.wide import wide_bfs, wide_synthesize
 
 
 @pytest.fixture(scope="module")
