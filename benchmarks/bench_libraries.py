@@ -48,8 +48,8 @@ def test_library_ablation_n4_reduced(benchmark):
     for maker in (nct, ncts, nctsf, ncp):
         library = maker(4)
         table = build_size_table(library, 4)
-        rows[library.name] = table.reduced_counts
-        print(f"{library.name:<7} {len(library):>5}  {table.reduced_counts}")
+        rows[library.name] = table.database.reduced_counts()
+        print(f"{library.name:<7} {len(library):>5}  {rows[library.name]}")
     # Larger libraries cover more classes per level.
     for size in range(1, 5):
         assert rows["NCTSF"][size] >= rows["NCT"][size]

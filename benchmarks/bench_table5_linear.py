@@ -31,14 +31,14 @@ def test_table5_exact_distribution(linear_db, benchmark):
             f"{PAPER_TABLE5_LINEAR[size]:>9}"
         )
     assert linear_db.counts == PAPER_TABLE5_LINEAR
-    assert linear_db.total_functions == 322560
+    assert linear_db.states_stored == 322560
     print("all 11 rows match the paper exactly")
     benchmark.extra_info["counts"] = linear_db.counts
 
     # Timing target: the full exhaustive BFS, as the paper timed it
     # ("under two seconds on CS2").
     result = benchmark.pedantic(build_linear_database, args=(4,), rounds=1)
-    assert result.total_functions == 322560
+    assert result.states_stored == 322560
 
 
 def test_table5_paper_example(linear_db, benchmark):
@@ -49,8 +49,6 @@ def test_table5_paper_example(linear_db, benchmark):
         values.append((b ^ 1) | ((a ^ c ^ 1) << 1) | ((d ^ 1) << 2) | (a << 3))
     synth = create_engine("linear", n_wires=4).impl
     synth._db = linear_db
-    synth._library = None
-    _ = synth.database  # wires the peeling library
     assert synth.size(values) == 10
     paper_circuit = Circuit.parse(
         "CNOT(b,a) CNOT(c,d) CNOT(d,b) NOT(d) CNOT(a,b) CNOT(d,c) "

@@ -60,7 +60,7 @@ def main() -> None:
     print("functions; their 4-bit optima are fully tabulated:")
     linear = LinearSynthesizer(4)
     db = linear.database
-    print(f"  all {db.total_functions:,} linear functions synthesized; "
+    print(f"  all {db.states_stored:,} linear functions synthesized; "
           f"hardest need {db.max_size} gates ({db.counts[db.max_size]} of them)")
 
 

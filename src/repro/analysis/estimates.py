@@ -50,19 +50,13 @@ def exact_distribution_3bit() -> list[int]:
     """Exact number of 3-bit functions per optimal size (full enumeration).
 
     A complete BFS over all 8! = 40,320 functions with the 12-gate NCT
-    library on three wires; the list sums to 40,320 and its length - 1 is
-    L(3), the 3-bit analogue of the paper's L(4).
+    library on three wires (:func:`repro.analysis.hard.full_enumeration`);
+    the list sums to 40,320 and its length - 1 is L(3), the 3-bit
+    analogue of the paper's L(4).
     """
-    from repro.engines import create_engine
+    from repro.analysis.hard import full_enumeration
 
-    # Depth bound far above L(3); the BFS stops early on its own.
-    result = create_engine("plain-bfs", n_wires=3, k=32).result
-    counts = result.counts
-    while counts and counts[-1] == 0:
-        counts.pop()
-    if sum(counts) != group_order(3):
-        raise AssertionError("3-bit enumeration incomplete")
-    return counts
+    return full_enumeration(3).counts
 
 
 @dataclass(frozen=True)

@@ -465,7 +465,7 @@ def cmd_linear(args) -> int:
     print("Size  Functions   (Table 5 of the paper)")
     for size in range(db.max_size, -1, -1):
         print(f"{size:<5d} {db.counts[size]}")
-    print(f"total {db.total_functions}")
+    print(f"total {db.states_stored}")
     return 0
 
 

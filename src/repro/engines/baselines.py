@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import time
 
-from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate, all_gates
+from repro.core.gates import all_gates
 from repro.engines.api import (
     GUARANTEE_HEURISTIC,
     GUARANTEE_OPTIMAL,
@@ -21,6 +20,7 @@ from repro.engines.api import (
     SynthesisResult,
 )
 from repro.errors import SizeLimitExceededError, SynthesisError
+from repro.synth.bfs import peel
 from repro.synth.heuristic import mmd_best_of_both, mmd_synthesize
 from repro.synth.plain_bfs import PlainBfsResult, plain_bfs
 from repro.sat.synth import sat_synthesize
@@ -39,7 +39,7 @@ class PlainBfsEngine(Engine):
         self.n_wires = n_wires
         self.k = k
         self._result: "PlainBfsResult | None" = None
-        self._library: "list[tuple[Gate, int]] | None" = None
+        self._steps = [(g, g.to_word(n_wires), 1) for g in all_gates(n_wires)]
         self.capabilities = EngineCapabilities(
             guarantee=GUARANTEE_OPTIMAL,
             max_wires=4,
@@ -49,9 +49,6 @@ class PlainBfsEngine(Engine):
     def prepare(self) -> "PlainBfsEngine":
         if self._result is None:
             self._result = plain_bfs(self.n_wires, self.k)
-            self._library = [
-                (g, g.to_word(self.n_wires)) for g in all_gates(self.n_wires)
-            ]
         return self
 
     @property
@@ -78,21 +75,7 @@ class PlainBfsEngine(Engine):
             )
         # The table stores sizes only; reconstruct by gate peeling, as in
         # the reduced engine but over raw words.
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = size
-        assert self._library is not None
-        while remaining > 0:
-            for gate, gate_word in self._library:
-                rest = packed.compose(current, gate_word, self.n_wires)
-                if table.size_of(rest) == remaining - 1:
-                    gates.append(gate)
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("plain BFS table inconsistent during peel")
-        gates.reverse()
+        gates = peel(perm.word, size, self._steps, table.size_of, self.n_wires)
         circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)
         if not circuit.implements(perm):
             raise AssertionError("plain BFS peel produced a wrong circuit")

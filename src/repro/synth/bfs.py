@@ -1,9 +1,12 @@
 """Breadth-first search over equivalence classes (paper Algorithm 2).
 
 Starting from the identity, each level composes every known function of
-size ``i - 1`` (and its inverse) with every library gate, canonicalizes
+size ``i - 1`` (and its inverse) with every generator, canonicalizes
 the result, and keeps the classes not seen before: those have size
-exactly ``i``.  Two engines are provided:
+exactly ``i``.  The paper's generators are the NCT gates; §5 notes that
+only this phase depends on the gate family, so the generators may be
+any packed gate set closed under wire relabeling and inversion (a gate
+library, or the layers of the depth search).  Two engines are provided:
 
 * :func:`build_database` -- the production engine: chunked, numpy-
   vectorized, size-only storage (circuits are reconstructed by peeling).
@@ -11,48 +14,62 @@ exactly ``i``.  Two engines are provided:
   Algorithm 2, including the per-representative witness gate and its
   first/last flag.  It is used as the ground truth in tests.
 
+:func:`peel` reconstructs a circuit from any size table, reduced or
+raw, one step at a time.
+
 Correctness of expanding representatives and their inverses only: every
 function g of size i factors as g = f·λ with size(f) = i - 1.  Writing
 f = σ⁻¹ r σ (or σ⁻¹ r⁻¹ σ) for the canonical representative r of f's
 class, conjugating the factorization by σ shows that some member of g's
-class equals r·λ' (or r⁻¹·λ') for a library gate λ' -- precisely the
+class equals r·λ' (or r⁻¹·λ') for a generator λ' -- precisely the
 candidates the BFS generates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core import equivalence, packed
-from repro.core.gates import Gate, all_gates
+from repro.core.gates import Gate, all_gates, gate_words
 from repro.core.packed_np import canonical_np, compose_np, inverse_np
+from repro.errors import SynthesisError
 from repro.perf.trace import trace
 from repro.synth.database import OptimalDatabase
+
+Step = TypeVar("Step")
 
 
 def build_database(
     n_wires: int,
     k: int,
-    gates: "list[Gate] | None" = None,
+    generators: "npt.ArrayLike | None" = None,
     chunk: int = 1 << 18,
     progress=None,
 ) -> OptimalDatabase:
     """Run the vectorized BFS up to size ``k`` and return the database.
 
+    The stored sizes count generators.  The peel masks, ``peel_last_gate``
+    and ``write_rdb`` assume the NCT library, so use them only on a
+    database built with the default generators; a table over other
+    generators is peeled with :func:`peel`.
+
     Args:
         n_wires: Wire count (2..4).
         k: Maximum circuit size to enumerate.
-        gates: Gate library; defaults to the full NCT library.
+        generators: Packed words of the gate set, closed under wire
+            relabeling and inversion; defaults to the NCT library in
+            :func:`all_gates` order.
         chunk: Frontier chunk size for memory-bounded expansion.
         progress: Optional callback ``progress(level, n_new_classes)``.
     """
-    if gates is None:
-        gates = all_gates(n_wires)
-    gate_words = np.array(
-        [g.to_word(n_wires) for g in gates], dtype=np.uint64
-    )
+    if generators is None:
+        generators = gate_words(n_wires)
+    generator_words = np.asarray(generators, dtype=np.uint64)
 
     identity = packed.identity(n_wires)
     reps_by_size: list[np.ndarray] = [np.array([identity], dtype=np.uint64)]
@@ -69,7 +86,7 @@ def build_database(
                 fresh_pieces: list[np.ndarray] = []
                 for start in range(0, sources.shape[0], chunk):
                     block = sources[start : start + chunk]
-                    for gate_word in gate_words:
+                    for gate_word in generator_words:
                         candidates = compose_np(block, gate_word, n_wires)
                         canon = np.unique(canonical_np(candidates, n_wires))
                         fresh = canon[~table.contains_batch(canon)]
@@ -95,6 +112,44 @@ def build_database(
     db.k = k
     db.reps_by_size = reps_by_size
     return db
+
+
+def peel(
+    word: int,
+    size: int,
+    steps: "Sequence[tuple[Step, int, int]]",
+    size_of: "Callable[[int], int | None]",
+    n_wires: int,
+) -> "list[Step]":
+    """The steps of a minimal circuit for ``word``, in application order.
+
+    ``size_of`` measures a word in the table's unit (gates, layers or
+    cost) and ``size`` is the measure of ``word``.  Each round strips,
+    in the caller's order, the first ``(step, inverse_word, weight)``
+    whose rest measures ``weight`` less: if f = rest·λ, then
+    rest = f·λ⁻¹.  Raises :class:`SynthesisError` when no step reaches
+    a smaller rest, which means ``size`` or the table is wrong.
+    """
+    out: list[Step] = []
+    current = word
+    remaining = size
+    while remaining > 0:
+        for step, inverse_word, weight in steps:
+            if weight > remaining:
+                continue
+            rest = packed.compose(current, inverse_word, n_wires)
+            if size_of(rest) == remaining - weight:
+                out.append(step)
+                current = rest
+                remaining -= weight
+                break
+        else:
+            raise SynthesisError(
+                f"size table inconsistent: no step peels word {word:#x} "
+                f"from {remaining} down"
+            )
+    out.reverse()
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ equivalence classes, with integer per-gate costs.
 The default cost model is the standard NCV quantum-cost table
 (NOT = CNOT = 1, TOF = 5, TOF4 = 13), reflecting the paper's remark that
 "generally, NOT is much simpler than CNOT, which in turn, is simpler
-than Toffoli".
+than Toffoli".  Circuits are peeled from the cost table by
+:func:`repro.synth.bfs.peel` with each gate weighted by its cost.
 
 The symmetry reduction remains sound because every cost model keyed on
 the number of controls is invariant under wire relabeling and circuit
@@ -25,6 +26,7 @@ from repro.core.circuit import Circuit
 from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
+from repro.synth.bfs import peel
 
 #: Standard NCV quantum-cost per control count (Barenco et al. decompositions).
 NCV_COST_BY_CONTROLS: dict[int, int] = {0: 1, 1: 1, 2: 5, 3: 13}
@@ -149,6 +151,10 @@ class CostOptimalSynthesizer:
         self.max_cost = max_cost
         self.model = dict(model) if model else dict(NCV_COST_BY_CONTROLS)
         self._db: "CostDatabase | None" = None
+        self._steps = [
+            (g, g.to_word(n_wires), gate_cost(g, self.model))
+            for g in all_gates(n_wires)
+        ]
 
     @property
     def database(self) -> CostDatabase:
@@ -171,28 +177,10 @@ class CostOptimalSynthesizer:
     def synthesize(self, spec) -> Circuit:
         """A provably minimum-cost circuit (peeled from the cost table)."""
         perm = Permutation.coerce(spec, self.n_wires)
-        db = self.database
         total = self.cost(perm)
-        library = [
-            (g, g.to_word(self.n_wires), gate_cost(g, self.model))
-            for g in all_gates(self.n_wires)
-        ]
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = total
-        while remaining > 0:
-            for gate, gate_word, weight in library:
-                if weight > remaining:
-                    continue
-                rest = packed.compose(current, gate_word, self.n_wires)
-                if db.cost_of(rest) == remaining - weight:
-                    gates.append(gate)
-                    current = rest
-                    remaining -= weight
-                    break
-            else:
-                raise SynthesisError("cost database inconsistent during peel")
-        gates.reverse()
+        gates = peel(
+            perm.word, total, self._steps, self.database.cost_of, self.n_wires
+        )
         circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)
         if not circuit.implements(perm):
             raise AssertionError("cost-optimal peel produced a wrong circuit")

@@ -6,22 +6,24 @@ gate."  Concretely: a *layer* is a non-empty set of NCT gates with
 pairwise disjoint wire support, all of which fire simultaneously; the
 depth of a circuit is the minimal number of layers.
 
-This module enumerates all layers (103 on four wires), runs the same
-symmetry-reduced BFS over layers, and synthesizes depth-optimal circuits
-by layer peeling.  Layers are products of commuting involutions and the
-layer set is closed under wire relabeling, so the canonical-representative
+This module enumerates all layers (103 on four wires) and hands their
+words to the symmetry-reduced BFS (:func:`repro.synth.bfs.build_database`)
+as its generators, so a class's stored size is its depth; circuits come
+from :func:`repro.synth.bfs.peel` over the layers in :func:`all_layers`
+order.  Layers are products of commuting involutions and the layer set
+is closed under wire relabeling, so the canonical-representative
 reduction remains sound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core import equivalence, packed
+from repro.core import packed
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
+from repro.synth.bfs import build_database, peel
+from repro.synth.database import OptimalDatabase
 
 
 def all_layers(n_wires: int) -> list[tuple[Gate, ...]]:
@@ -54,62 +56,11 @@ def layer_word(layer: tuple[Gate, ...], n_wires: int) -> int:
     return word
 
 
-@dataclass
-class DepthDatabase:
-    """Optimal depth per equivalence class, up to ``max_depth``."""
-
-    n_wires: int
-    max_depth: int
-    depths: dict[int, int]
-
-    def depth_of(self, word: int) -> "int | None":
-        """Minimal depth, or None when above the explored bound."""
-        return self.depths.get(equivalence.canonical(word, self.n_wires))
-
-    def counts_by_depth(self) -> list[int]:
-        """Number of equivalence classes at each optimal depth."""
-        out = [0] * (max(self.depths.values()) + 1)
-        for depth in self.depths.values():
-            out[depth] += 1
-        return out
-
-
-def build_depth_database(n_wires: int, max_depth: int) -> DepthDatabase:
-    """Symmetry-reduced BFS where one step appends a whole layer."""
-    import numpy as np
-
-    from repro.core.packed_np import canonical_np, compose_np, inverse_np
-    from repro.hashing.table import LinearProbingTable
-
-    layer_words = np.array(
-        sorted({layer_word(layer, n_wires) for layer in all_layers(n_wires)}),
-        dtype=np.uint64,
-    )
-    identity = packed.identity(n_wires)
-    table = LinearProbingTable(capacity_bits=12)
-    table.insert(identity, 0)
-    depths: dict[int, int] = {identity: 0}
-    frontier = np.array([identity], dtype=np.uint64)
-    for depth in range(1, max_depth + 1):
-        sources = np.unique(
-            np.concatenate([frontier, inverse_np(frontier, n_wires)])
-        )
-        fresh_pieces = []
-        for lw in layer_words:
-            candidates = np.unique(
-                canonical_np(compose_np(sources, lw, n_wires), n_wires)
-            )
-            # repro: allow[unrouted-lookup] candidates are canonical_np output (np.unique preserves canonicity), already routed
-            fresh = candidates[~table.contains_batch(candidates)]
-            if fresh.size:
-                table.insert_batch(fresh, np.uint8(depth))
-                fresh_pieces.append(fresh)
-        if not fresh_pieces:
-            break
-        frontier = np.concatenate(fresh_pieces)
-        for word in frontier.tolist():
-            depths[word] = depth
-    return DepthDatabase(n_wires=n_wires, max_depth=max_depth, depths=depths)
+def build_depth_database(n_wires: int, max_depth: int) -> OptimalDatabase:
+    """Symmetry-reduced BFS where one step appends a whole layer: the
+    database's sizes are optimal depths."""
+    layer_words = [layer_word(layer, n_wires) for layer in all_layers(n_wires)]
+    return build_database(n_wires, max_depth, generators=layer_words)
 
 
 class DepthOptimalSynthesizer:
@@ -118,23 +69,22 @@ class DepthOptimalSynthesizer:
     def __init__(self, n_wires: int = 4, max_depth: int = 4):
         self.n_wires = n_wires
         self.max_depth = max_depth
-        self._db: "DepthDatabase | None" = None
-        self._layers: "list[tuple[tuple[Gate, ...], int]] | None" = None
+        self._db: "OptimalDatabase | None" = None
+        self._layers = [
+            (layer, layer_word(layer, n_wires), 1)
+            for layer in all_layers(n_wires)
+        ]
 
     @property
-    def database(self) -> DepthDatabase:
+    def database(self) -> OptimalDatabase:
         if self._db is None:
             self._db = build_depth_database(self.n_wires, self.max_depth)
-            self._layers = [
-                (layer, layer_word(layer, self.n_wires))
-                for layer in all_layers(self.n_wires)
-            ]
         return self._db
 
     def depth(self, spec) -> int:
         """Minimal circuit depth of ``spec``."""
         perm = Permutation.coerce(spec, self.n_wires)
-        depth = self.database.depth_of(perm.word)
+        depth = self.database.size_of(perm.word)
         if depth is None:
             raise SynthesisError(
                 f"function depth exceeds the search bound {self.max_depth}"
@@ -148,22 +98,12 @@ class DepthOptimalSynthesizer:
         :meth:`depth` of the specification.
         """
         perm = Permutation.coerce(spec, self.n_wires)
-        db = self.database
         total = self.depth(perm)
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = total
-        while remaining > 0:
-            for layer, lw in self._layers:
-                rest = packed.compose(current, lw, self.n_wires)
-                if db.depth_of(rest) == remaining - 1:
-                    gates[:0] = layer
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("depth database inconsistent during peel")
-        circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)
+        layers = peel(
+            perm.word, total, self._layers, self.database.size_of, self.n_wires
+        )
+        gates = tuple(gate for layer in layers for gate in layer)
+        circuit = Circuit(gates=gates, n_wires=self.n_wires)
         if not circuit.implements(perm):
             raise AssertionError("depth-optimal peel produced a wrong circuit")
         return circuit

@@ -5,15 +5,19 @@ out that only the first phase (circuit generation) depends on the gate
 family.  Related work uses richer families: Yang et al. (the paper's
 reference [17]) synthesize with NOT, CNOT and *Peres* gates; the RevLib
 community also uses SWAP and Fredkin (controlled-SWAP).  This module
-generalizes Algorithm 2 to any finite gate set that is
+defines such libraries and hands their gate words to the reduced BFS
+(:func:`repro.synth.bfs.build_database`) as its generators, which is
+sound for any finite gate set that is
 
 * closed under simultaneous input/output relabeling (so the conjugation
   symmetry stays sound), and
 * closed under inversion (so the circuit-reversal symmetry stays sound;
   Peres is not an involution, hence its inverse joins the library).
 
-Because gates here need not be single multiple-control Toffolis, results
-are returned as label sequences rather than :class:`Circuit` objects.
+Circuits come from :func:`repro.synth.bfs.peel` over the library's
+gates.  Because gates here need not be single multiple-control
+Toffolis, results are returned as label sequences rather than
+:class:`Circuit` objects.
 
 Provided libraries (n = 3 or 4 wires):
 
@@ -25,6 +29,7 @@ Provided libraries (n = 3 or 4 wires):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -32,9 +37,9 @@ import numpy as np
 
 from repro.core import equivalence, packed
 from repro.core.gates import all_gates
-from repro.core.packed_np import canonical_np, compose_np, inverse_np
 from repro.errors import InvalidGateError, SynthesisError
-from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import build_database, peel
+from repro.synth.database import OptimalDatabase
 
 
 @dataclass(frozen=True)
@@ -207,25 +212,27 @@ STANDARD_LIBRARIES = {
 
 @dataclass
 class LibrarySizeTable:
-    """Per-library analogue of :class:`repro.synth.database.OptimalDatabase`.
+    """Optimal sizes over one library: the reduced BFS database built
+    with the library's gate words as generators.
 
     Attributes:
         library: The gate set searched over.
-        k: Depth reached.
-        table: Canonical word -> optimal size over this library.
-        reduced_counts: Equivalence classes per size.
-        complete: True when the BFS exhausted the whole group below k.
+        database: Canonical word -> optimal size over this library, and
+            the representatives per size.  Its peel masks assume NCT;
+            :meth:`peel_labels` peels over the library instead.
     """
 
     library: GateLibrary
-    k: int
-    table: LinearProbingTable
-    reduced_counts: list[int]
-    complete: bool
+    database: OptimalDatabase
+
+    @property
+    def complete(self) -> bool:
+        """True when the BFS exhausted the whole group within its depth."""
+        return self.database.reps_by_size[-1].shape[0] == 0
 
     def size_of(self, word: int) -> "int | None":
         canon = equivalence.canonical(word, self.library.n_wires)
-        return self.table.get(canon)
+        return self.database.table.get(canon)
 
     def peel_labels(self, word: int) -> list[str]:
         """A minimal label sequence for a function within the table.
@@ -233,64 +240,22 @@ class LibrarySizeTable:
         Peeling removes the *last* gate: if f = rest·g then
         rest = f·g⁻¹ must sit one level lower.
         """
-        n = self.library.n_wires
         size = self.size_of(word)
         if size is None:
             raise SynthesisError(
-                f"function exceeds the {self.library.name} table depth {self.k}"
+                f"function exceeds the {self.library.name} table depth "
+                f"{self.database.k}"
             )
-        labels: list[str] = []
-        current = word
-        remaining = size
-        while remaining > 0:
-            for gate in self.library.gates:
-                rest = packed.compose(current, gate.inverse_word, n)
-                if self.size_of(rest) == remaining - 1:
-                    labels.append(gate.label)
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("library size table inconsistent")
-        labels.reverse()
-        return labels
+        steps = [(g.label, g.inverse_word, 1) for g in self.library.gates]
+        return peel(word, size, steps, self.size_of, self.library.n_wires)
 
 
-def build_size_table(
-    library: GateLibrary, k: int, chunk: int = 1 << 18
-) -> LibrarySizeTable:
+def build_size_table(library: GateLibrary, k: int) -> LibrarySizeTable:
     """Generalized Algorithm 2 over an arbitrary symmetry-closed library."""
-    n = library.n_wires
-    identity = packed.identity(n)
-    table = LinearProbingTable(capacity_bits=10)
-    table.insert(identity, 0)
-    counts = [1]
-    frontier = np.array([identity], dtype=np.uint64)
-    complete = False
-    for size in range(1, k + 1):
-        sources = np.unique(np.concatenate([frontier, inverse_np(frontier, n)]))
-        fresh_pieces: list[np.ndarray] = []
-        for start in range(0, sources.shape[0], chunk):
-            block = sources[start : start + chunk]
-            for gate_word in library.gate_words:
-                candidates = compose_np(block, gate_word, n)
-                canon = np.unique(canonical_np(candidates, n))
-                fresh = canon[~table.contains_batch(canon)]
-                if fresh.size:
-                    table.insert_batch(fresh, np.uint8(size))
-                    fresh_pieces.append(fresh)
-        if not fresh_pieces:
-            complete = True
-            break
-        frontier = np.concatenate(fresh_pieces)
-        counts.append(int(frontier.shape[0]))
-    return LibrarySizeTable(
-        library=library,
-        k=k,
-        table=table,
-        reduced_counts=counts,
-        complete=complete,
+    database = build_database(
+        library.n_wires, k, generators=library.gate_words
     )
+    return LibrarySizeTable(library=library, database=database)
 
 
 def full_distribution(library: GateLibrary) -> list[int]:
@@ -299,19 +264,11 @@ def full_distribution(library: GateLibrary) -> list[int]:
     Runs the generalized BFS to exhaustion and expands class sizes; for
     n = 3 this is the library analogue of the paper's Table 4.
     """
-    import math
-
-    from repro.core.packed_np import class_sizes_np
-
     table = build_size_table(library, 64)
     if not table.complete:
         raise SynthesisError("group not exhausted; raise k")
-    keys, values = table.table.items()
-    counts = [0] * len(table.reduced_counts)
-    for size in range(len(counts)):
-        members = keys[values == size]
-        if members.size:
-            counts[size] = int(class_sizes_np(members, library.n_wires).sum())
+    # Levels past the largest size are empty: drop their zero counts.
+    counts = [count for count in table.database.function_counts() if count]
     if sum(counts) != math.factorial(1 << library.n_wires):
         raise SynthesisError("distribution does not cover the group")
     return counts

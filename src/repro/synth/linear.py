@@ -6,85 +6,36 @@ exhaustively.  The paper synthesized optimal circuits for all of them in
 under two seconds and reports the size distribution in Table 5; the
 hardest 138 functions require 10 gates.
 
-This module runs a complete breadth-first search over that group with
-the 16-gate NOT/CNOT library, producing both the exact Table 5
-distribution and, via peeling, an optimal circuit for any linear
+This module runs the raw BFS of :func:`repro.synth.plain_bfs.plain_bfs`
+with the 16-gate NOT/CNOT library as its generators until the group is
+exhausted, producing both the exact Table 5 distribution and, via
+:func:`repro.synth.bfs.peel`, an optimal circuit for any linear
 function.  No symmetry reduction is applied (the group is tiny), which
 also gives the tests an independent cross-check of the reduced engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate, linear_gates
+from repro.core.gates import gate_words, linear_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
-from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import peel
+from repro.synth.plain_bfs import PlainBfsResult, plain_bfs
 
 
-@dataclass
-class LinearDatabase:
-    """Exhaustive optimal-size table for the NOT/CNOT group.
+def build_linear_database(n_wires: int = 4) -> PlainBfsResult:
+    """Exhaustive BFS over the affine group with NOT and CNOT gates.
 
-    Attributes:
-        n_wires: Wire count.
-        table: Map packed word -> optimal NOT/CNOT gate count.
-        counts: ``counts[s]`` = number of linear functions of size s
-            (Table 5 of the paper for n = 4).
+    Its ``counts`` are Table 5 for n = 4 and its ``states_stored`` is the
+    group order.
     """
-
-    n_wires: int
-    table: LinearProbingTable
-    counts: list[int]
-
-    @property
-    def max_size(self) -> int:
-        """The largest optimal size in the group (10 for n = 4)."""
-        return len(self.counts) - 1
-
-    @property
-    def total_functions(self) -> int:
-        """Group order (322,560 for n = 4)."""
-        return sum(self.counts)
-
-    def size_of(self, word: int) -> "int | None":
-        """Optimal linear gate count, or None if not a linear function."""
-        # repro: allow[unrouted-lookup] the linear database enumerates the whole affine group raw (no §3.2 reduction), so raw keys are exact
-        return self.table.get(word)
-
-
-def build_linear_database(n_wires: int = 4) -> LinearDatabase:
-    """Exhaustive BFS over the affine group with NOT and CNOT gates."""
-    gates = linear_gates(n_wires)
-    gate_words = np.array([g.to_word(n_wires) for g in gates], dtype=np.uint64)
-
-    table = LinearProbingTable(capacity_bits=8)
-    identity = packed.identity(n_wires)
-    table.insert(identity, 0)
-    counts = [1]
-    frontier = np.array([identity], dtype=np.uint64)
-    size = 0
-    from repro.core.packed_np import compose_np
-
-    while frontier.size:
-        size += 1
-        candidate_blocks = [
-            compose_np(frontier, gate_word, n_wires) for gate_word in gate_words
-        ]
-        candidates = np.unique(np.concatenate(candidate_blocks))
-        # repro: allow[unrouted-lookup] exhaustive raw BFS over the affine group; the table holds every member, not canonical reps
-        fresh = candidates[~table.contains_batch(candidates)]
-        if fresh.size == 0:
-            break
-        table.insert_batch(fresh, np.uint8(size))
-        counts.append(int(fresh.size))
-        frontier = fresh
-    return LinearDatabase(n_wires=n_wires, table=table, counts=counts)
+    # 64 levels is far above the group's diameter (10 gates on four
+    # wires); the search stops at its first empty level.
+    generators = gate_words(n_wires, max_controls=1)
+    return plain_bfs(n_wires, 64, generators=generators)
 
 
 class LinearSynthesizer:
@@ -96,17 +47,13 @@ class LinearSynthesizer:
 
     def __init__(self, n_wires: int = 4):
         self.n_wires = n_wires
-        self._db: "LinearDatabase | None" = None
-        self._library: "list[tuple[Gate, int]] | None" = None
+        self._db: "PlainBfsResult | None" = None
+        self._steps = [(g, g.to_word(n_wires), 1) for g in linear_gates(n_wires)]
 
     @property
-    def database(self) -> LinearDatabase:
+    def database(self) -> PlainBfsResult:
         if self._db is None:
             self._db = build_linear_database(self.n_wires)
-        if self._library is None:
-            self._library = [
-                (g, g.to_word(self.n_wires)) for g in linear_gates(self.n_wires)
-            ]
         return self._db
 
     def size(self, spec) -> int:
@@ -122,26 +69,10 @@ class LinearSynthesizer:
     def synthesize(self, spec) -> Circuit:
         """A provably minimal NOT/CNOT circuit for a linear function."""
         perm = Permutation.coerce(spec, self.n_wires)
-        db = self.database
-        size = db.size_of(perm.word)
-        if size is None:
-            raise SynthesisError(
-                f"{perm.spec()} is not a linear reversible function"
-            )
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = size
-        while remaining > 0:
-            for gate, gate_word in self._library:
-                rest = packed.compose(current, gate_word, self.n_wires)
-                if db.size_of(rest) == remaining - 1:
-                    gates.append(gate)
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("linear database inconsistent")
-        gates.reverse()
+        size = self.size(perm)
+        gates = peel(
+            perm.word, size, self._steps, self.database.size_of, self.n_wires
+        )
         return Circuit(gates=tuple(gates), n_wires=self.n_wires)
 
     def hardest_functions(self) -> list[Permutation]:

@@ -1,4 +1,4 @@
-"""Plain breadth-first search baseline (no symmetry reduction).
+"""Plain breadth-first search (no symmetry reduction).
 
 Prasad et al. (paper reference [13]) enumerated optimal 4-bit circuits by
 straight BFS over *functions* -- no equivalence-class reduction -- reaching
@@ -6,7 +6,9 @@ straight BFS over *functions* -- no equivalence-class reduction -- reaching
 baseline so the value of the paper's ×48 reduction can be measured
 head-to-head (states stored, time per level): compare
 :func:`plain_bfs_counts` with the "Reduced Functions" column produced by
-:func:`repro.synth.bfs.build_database`.
+:func:`repro.synth.bfs.build_database`.  With the NOT/CNOT gates as its
+generators, the same search enumerates the linear group of Table 5
+(:mod:`repro.synth.linear`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core import packed
-from repro.core.gates import all_gates
+from repro.core.gates import gate_words
 from repro.core.packed_np import compose_np
 from repro.hashing.table import LinearProbingTable
 
@@ -27,9 +30,11 @@ class PlainBfsResult:
 
     Attributes:
         n_wires: Wire count.
-        k: Depth reached.
+        k: Depth bound of the search.
         counts: ``counts[s]`` = number of *functions* of optimal size s
             (Table 4, middle column -- computed here without symmetry).
+            It ends at the last non-empty level: below ``k`` when the
+            search exhausted the group.
         table: Map function word -> optimal size (every function, not
             just class representatives).
     """
@@ -45,22 +50,36 @@ class PlainBfsResult:
         return self.table.get(word)
 
     @property
+    def max_size(self) -> int:
+        """The largest optimal size stored (10 for the 4-bit linear group)."""
+        return len(self.counts) - 1
+
+    @property
     def states_stored(self) -> int:
         """Total functions stored -- the baseline's memory footprint."""
         return len(self.table)
 
 
-def plain_bfs(n_wires: int, k: int, chunk: int = 1 << 20) -> PlainBfsResult:
-    """BFS over raw functions with the full NCT library.
+def plain_bfs(
+    n_wires: int,
+    k: int,
+    generators: "npt.ArrayLike | None" = None,
+    chunk: int = 1 << 18,
+) -> PlainBfsResult:
+    """BFS over raw functions up to size ``k``, stopping early at the
+    first empty level.
 
-    Memory grows with the *function* counts of Table 4 (×48 versus the
-    reduced engine), so useful depths are k <= 5 for n = 4 on commodity
-    memory -- which is precisely the limitation the paper's symmetry
-    reduction removes.
+    ``generators`` are the packed gate words, by default the NCT
+    library.  Each chunk of the frontier is composed with every
+    generator at once, then deduplicated, probed and inserted in one
+    pass.  Memory grows with the *function* counts of Table 4 (×48
+    versus the reduced engine), so useful depths are k <= 5 for n = 4 on
+    commodity memory -- which is precisely the limitation the paper's
+    symmetry reduction removes.
     """
-    gate_words = np.array(
-        [g.to_word(n_wires) for g in all_gates(n_wires)], dtype=np.uint64
-    )
+    if generators is None:
+        generators = gate_words(n_wires)
+    generator_words = np.asarray(generators, dtype=np.uint64)
     identity = packed.identity(n_wires)
     table = LinearProbingTable(capacity_bits=10)
     table.insert(identity, 0)
@@ -69,16 +88,14 @@ def plain_bfs(n_wires: int, k: int, chunk: int = 1 << 20) -> PlainBfsResult:
     for size in range(1, k + 1):
         fresh_pieces: list[np.ndarray] = []
         for start in range(0, frontier.shape[0], chunk):
-            block = frontier[start : start + chunk]
-            for gate_word in gate_words:
-                candidates = np.unique(compose_np(block, gate_word, n_wires))
-                # repro: allow[unrouted-lookup] baseline BFS stores all raw functions; membership is checked on raw words by design
-                fresh = candidates[~table.contains_batch(candidates)]
-                if fresh.size:
-                    table.insert_batch(fresh, np.uint8(size))
-                    fresh_pieces.append(fresh)
+            block = frontier[start : start + chunk, None]
+            candidates = np.unique(compose_np(block, generator_words, n_wires))
+            # repro: allow[unrouted-lookup] baseline BFS stores all raw functions; membership is checked on raw words by design
+            fresh = candidates[~table.contains_batch(candidates)]
+            if fresh.size:
+                table.insert_batch(fresh, np.uint8(size))
+                fresh_pieces.append(fresh)
         if not fresh_pieces:
-            counts.append(0)
             break
         frontier = np.concatenate(fresh_pieces)
         counts.append(int(frontier.shape[0]))

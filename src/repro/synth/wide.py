@@ -41,8 +41,9 @@ class WideBfsResult:
 
     Attributes:
         n_wires: Wire count (any; intended for >= 5).
-        k: Depth reached.
-        counts: Functions of each optimal size 0..k.
+        k: Depth bound of the search.
+        counts: Functions of each optimal size 0..k, ending at the last
+            non-empty level when the search exhausted the group.
         known: Map ``bytes(truth table) -> optimal size``.
     """
 
@@ -97,7 +98,6 @@ def wide_bfs(
                 known[key] = depth
                 fresh_rows.append(row)
         if not fresh_rows:
-            counts.append(0)
             break
         frontier = np.stack(fresh_rows)
         counts.append(len(fresh_rows))

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import equivalence
+from repro.core import equivalence, packed
 from repro.core.circuit import Circuit
+from repro.core.gates import all_gates
+from repro.errors import SynthesisError
 from repro.synth.bfs import (
     bfs_reference,
     build_database,
+    peel,
     reconstruct_from_witnesses,
 )
 
@@ -59,7 +62,7 @@ class TestVectorizedBfs:
     def test_restricted_gate_library(self):
         from repro.core.gates import linear_gates
 
-        db = build_database(4, 3, gates=linear_gates(4))
+        db = build_database(4, 3, generators=[g.to_word(4) for g in linear_gates(4)])
         # With NOT/CNOT only, function counts match Table 5's head.
         assert db.function_counts() == [1, 16, 162, 1206]
 
@@ -110,3 +113,42 @@ class TestReferenceBfs:
         for witness in witnesses.values():
             if witness.gate is not None:
                 assert witness.gate in library
+
+
+class TestPeel:
+    """The one peel behind the library, depth, linear, plain-BFS and
+    cost tables."""
+
+    def test_lying_size_oracle_raises(self, db3):
+        steps = [(g, g.to_word(3), 1) for g in all_gates(3)]
+        word = int(db3.reps_by_size[3][0])
+        # Claims every word has size 3: no step reaches size 2.
+        with pytest.raises(SynthesisError, match="inconsistent"):
+            peel(word, 3, steps, lambda rest: 3, 3)
+        # A true table, but a claimed size one below the word's 3: every
+        # rest has size 2 or more, never 1.
+        with pytest.raises(SynthesisError, match="inconsistent"):
+            peel(word, 2, steps, db3.size_of, 3)
+
+    def test_unit_steps_rebuild_the_word(self, db3):
+        steps = [(g, g.to_word(3), 1) for g in all_gates(3)]
+        for size in range(1, 9):
+            for word in db3.reps_by_size[size][:5].tolist():
+                gates = peel(word, size, steps, db3.size_of, 3)
+                assert len(gates) == size
+                assert Circuit.from_gates(gates, 3).to_word() == word
+
+    def test_weights_are_honoured(self):
+        from repro.synth.cost import build_cost_database, gate_cost
+
+        cost_db = build_cost_database(3, 12)
+        steps = [(g, g.to_word(3), gate_cost(g)) for g in all_gates(3)]
+        weights = {g: w for g, _, w in steps}
+        peeled = 0
+        for canon, cost in sorted(cost_db.costs.items()):
+            for word in (canon, packed.inverse(canon, 3)):
+                gates = peel(word, cost, steps, cost_db.cost_of, 3)
+                assert sum(weights[g] for g in gates) == cost
+                assert Circuit.from_gates(gates, 3).to_word() == word
+                peeled += 1
+        assert peeled > 100

@@ -60,7 +60,7 @@ class TestLayers:
 
 class TestDepthDatabase:
     def test_depth_counts_start(self, depth_synth):
-        counts = depth_synth.database.counts_by_depth()
+        counts = depth_synth.database.reduced_counts()
         assert counts[0] == 1
         # Depth 1 classes: every layer collapses to 11 canonical classes.
         assert counts[1] == 11

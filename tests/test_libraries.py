@@ -70,7 +70,7 @@ class TestLibraryConstruction:
 class TestSizeTables:
     def test_nct_table_matches_main_engine(self, db4_k4):
         table = build_size_table(nct(4), 4)
-        assert table.reduced_counts == db4_k4.reduced_counts()
+        assert table.database.reduced_counts() == db4_k4.reduced_counts()
 
     def test_full_distributions_n3(self):
         """Exact full-group distributions per library; richer libraries

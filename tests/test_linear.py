@@ -23,7 +23,7 @@ class TestTable5:
         assert linear4.database.counts == PAPER_TABLE5
 
     def test_total_is_group_order(self, linear4):
-        assert linear4.database.total_functions == 322560
+        assert linear4.database.states_stored == 322560
 
     def test_max_size_and_hardest(self, linear4):
         assert linear4.database.max_size == 10
@@ -109,6 +109,6 @@ class TestLinearSynthesis:
 class TestSmallerWidths:
     def test_n3_linear_database(self):
         db = build_linear_database(3)
-        assert db.total_functions == 168 * 8  # |GL(3,2)| * translations
+        assert db.states_stored == 168 * 8  # |GL(3,2)| * translations
         assert db.counts[0] == 1
         assert db.counts[1] == 9  # 3 NOT + 6 CNOT

@@ -25,6 +25,11 @@ class TestCrossValidation:
         result = wide_bfs(3, 4)
         assert result.counts == [1, 12, 102, 625, 2780]
 
+    def test_n3_exhaustive(self):
+        """An exhausted search ends at L(3) = 8, with no empty level."""
+        result = wide_bfs(3, 10)
+        assert result.counts == [1, 12, 102, 625, 2780, 8921, 17049, 10253, 577]
+
     def test_sizes_match_packed_engine(self, db4_k4):
         result = wide_bfs(4, 3)
         for row_bytes, size in list(result.known.items())[:100]:
